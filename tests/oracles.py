@@ -63,3 +63,45 @@ def channel_from_amplitudes(amps, n_t, n_r, n_states, seed=0) -> ChannelMatrix:
     cfg = MimoConfig(n_t=n_t, n_r=n_r, n_states=n_states)
     entries = np.asarray(amps, dtype=complex)
     return ChannelMatrix(config=cfg, entries=entries, seed=seed)
+
+
+# The unfused Euler step, one allocating numpy expression per term: the
+# reference the in-place integrator is checked against.
+E_FLOOR = 1e-12
+
+
+def reference_step_arrays(x, e, t, jm, params):
+    """One Euler step on batched state arrays; returns new (x, e)."""
+    eps = params.gamma * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = x * x
+        dx = (params.p - 1.0) * x - x_sq * x + eps * e * (x @ jm)
+        e_new = e + params.dt * (-params.beta * (x_sq - params.a) * e)
+        x_new = x + params.dt * dx
+        np.clip(x_new, -params.x_clip, params.x_clip, out=x_new)
+        np.maximum(e_new, E_FLOOR, out=e_new)
+    return x_new, e_new
+
+
+def reference_integrate(jm, x0, params, record_every):
+    """Batch integration by repeated reference steps, with the same
+    abort-and-freeze rule and snapshot schedule as the library.
+
+    Returns ``(x, aborted, snaps, snap_steps)``; ``snaps`` holds raw
+    amplitudes, not readouts, so callers can compare both.
+    """
+    x = np.array(x0, dtype=float, copy=True)
+    e = np.ones_like(x)
+    aborted = np.zeros(len(x), dtype=bool)
+    snaps, snap_steps = [x.copy()], [0]
+    for k in range(1, params.steps + 1):
+        x, e = reference_step_arrays(x, e, (k - 1) * params.dt, jm, params)
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(e).all(axis=1))
+        aborted |= bad
+        x[bad] = 0.0
+        e[bad] = 1.0
+        if k % record_every == 0 or k == params.steps:
+            if snap_steps[-1] != k:
+                snaps.append(x.copy())
+                snap_steps.append(k)
+    return x, aborted, np.stack(snaps), np.asarray(snap_steps)

@@ -19,6 +19,7 @@ from cimsel.cim import (
 from cimsel.cim import _integrate
 from cimsel.formulation import InfeasibleDecode, compile_instance, decode_spins
 from cimsel.rng import substream
+from oracles import reference_integrate
 
 FERRO2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -218,6 +219,41 @@ class TestSolve:
         assert len(outcomes) == 4
         assert all(o.aborted for o in outcomes)
         assert all(np.isnan(o.energy) for o in outcomes)
+
+
+class TestReferenceEquivalence:
+    """The integrator against the allocating reference step in ``oracles``.
+
+    The in-place update regroups the arithmetic, so amplitudes may differ in
+    the last bits; the tolerance is fixed in advance at 1e-12, while every
+    sign readout and every abort must agree exactly.
+    """
+
+    @pytest.mark.parametrize("dims,lam", [((2, 2, 2), 0.8), ((4, 4, 4), 0.7)])
+    def test_amplitudes_and_readouts(self, dims, lam):
+        inst = compile_instance(generate_channel(MimoConfig(*dims), seed=3), lam)
+        params = CimParams(n_anneals=200)
+        x0 = substream(9).uniform(-params.init_scale, params.init_scale, (200, inst.dim))
+        x, aborted, snaps, snap_steps = _integrate(inst.j, x0, params, record_every=10)
+        ref_x, ref_aborted, ref_snaps, ref_steps = reference_integrate(inst.j, x0, params, 10)
+        assert inst.dim in (9, 33)
+        assert np.max(np.abs(x - ref_x)) <= 1e-12
+        assert np.array_equal(snap_steps, ref_steps)
+        assert np.array_equal(snaps, np.where(ref_snaps >= 0.0, 1, -1))
+        assert np.array_equal(aborted, ref_aborted) and not aborted.any()
+
+    def test_aborted_mask(self):
+        # the divergent parameters of test_aborted_anneals_flagged_not_dropped;
+        # with the coupling on, a row started exactly at zero stays there while
+        # its error variables overflow, so it alone is aborted mid-run
+        params = CimParams(dt=50.0, steps=300, n_anneals=4)
+        x0 = substream(0).uniform(-0.01, 0.01, (4, 2))
+        x0[1] = 0.0
+        for jm, expected in ((np.zeros((2, 2)), [True] * 4), (FERRO2, [False, True, False, False])):
+            x, aborted, _, _ = _integrate(jm, x0, params)
+            ref_x, ref_aborted, _, _ = reference_integrate(jm, x0, params, 10)
+            assert aborted.tolist() == ref_aborted.tolist() == expected
+            assert np.max(np.abs(x - ref_x)) <= 1e-12
 
 
 class TestTrajectoryDump:

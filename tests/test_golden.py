@@ -1,0 +1,61 @@
+"""Golden output digests of small fixed plans.
+
+Any change to the solver, the harness or the writers that alters a single
+output byte fails here.  The digests were recorded before the in-place
+integrator landed and must stay valid across refactors and perf work; a
+change that moves them on purpose (a new output column, a different solver)
+must say so and re-record them.
+"""
+
+import hashlib
+
+import pytest
+
+from cimsel import cli
+
+GOLDEN = {
+    "sweep": (
+        ["sweep", "--n-t", "2", "--n-r", "2", "--n-states", "2", "--n-instances", "20",
+         "--lambdas", "0.1,0.5,0.9", "--anneals", "200", "--seed", "5"],
+        {
+            "results.csv":
+                "d7cfecbdb146570579217515993487667a92fa2ff68aa4c8a1128ad18dd39206",
+            "summary.json":
+                "8a4ebea92d98bed898bec4214126dab3f3924dbbd0dac2d5d0656901b26b205a",
+        },
+    ),
+    "trace": (
+        ["trace", "--n-t", "2", "--n-r", "2", "--n-states", "2", "--n-instances", "20",
+         "--lam", "0.8", "--stride", "10", "--anneals", "200", "--seed", "5"],
+        {
+            "trace.csv":
+                "7d119752d09e36c5f9056e55c92cd5c92bc15a2dd22a1745fc6a3e9eb5652a4c",
+            "trace_summary.json":
+                "e459922d2cb6a637594edb7d58442406b1c2746a73bf80e536a2cefd59e36dac",
+        },
+    ),
+    "compare": (
+        ["compare", "--n-t", "4", "--n-r", "4", "--n-states", "4", "--n-instances", "3",
+         "--lambdas", "0.7", "--anneals", "200", "--seed", "5"],
+        {
+            "results.csv":
+                "cf0af4336599cb307ce5d728a3d42b3040982d22b9beaabc4d2e47b100e8db82",
+            "summary.json":
+                "2d5fa560e02451dca2096528ffa3f74140e0a5ab77f8a1b4603f13a66ccc01d1",
+        },
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digests(name, tmp_path):
+    argv, digests = GOLDEN[name]
+    out = tmp_path / name
+    assert cli.main(argv + ["--workers", "1", "--out", str(out)]) == 0
+    assert (out / "run.log").read_text() == "all instances completed\n"
+    got = {fname: _sha256(out / fname) for fname in digests}
+    assert got == digests
