@@ -25,7 +25,18 @@ Notes on the numerics:
 * ``sign(0)`` reads out as +1 (a measure-zero tie; the rule just has to be
   fixed).
 * Both state variables are updated from the pre-update amplitudes within a
-  step, so the update is order-independent across indices.
+  step, so the update is order-independent across indices.  With the
+  constants folded, one step from time ``t`` reads
+
+      x <- clip(x * (c_x - dt x^2) + e * (x @ (dt eps J)), -x_clip, x_clip)
+      e <- max(e * (c_e - dt beta x^2), E_FLOOR)
+
+  with ``c_x = 1 + dt (p - 1)`` and ``c_e = 1 + dt beta a``.  One kernel,
+  ``_EulerStep``, applies it in place to a batch over buffers allocated once
+  per run; :func:`step` runs it on a batch of one and :func:`solve` on all
+  anneals at once, so there is a single step path.  Against the unfolded
+  form the regrouped arithmetic moves amplitudes in the last few bits (up
+  to a few 1e-13 after 1000 steps); on the tested plans no readout changes.
 * An anneal whose state goes non-finite (possible only with aggressive
   user-supplied parameters) is aborted: its row is frozen at zero and the
   outcome is flagged rather than dropped.
@@ -143,24 +154,46 @@ def init_state(dim: int, rng: np.random.Generator, init_scale: float = 0.01) -> 
     return CimState(x=x, e=np.ones(dim), t=0.0)
 
 
-def _step_arrays(x, e, t, jm, params):
-    """One Euler step on batched state arrays; returns new (x, e).
+class _EulerStep:
+    """The in-place Euler step of a batch of anneals over preallocated buffers.
 
-    ``eps`` uses the time at the start of the step, so the coupling term
-    vanishes on the very first step.  The error-variable update uses the
-    pre-update amplitudes.
+    One instance serves one ``(n_anneals, dim)`` batch for a whole run;
+    calling it advances ``x`` and ``e`` in place from model time ``t`` to
+    ``t + dt`` with no array allocation.  ``eps`` uses the time at the start
+    of the step, so the coupling term vanishes on the very first step, and
+    both updates read the pre-update amplitudes.
     """
-    eps = params.gamma * t
-    # overflow is the divergence signal, caught via isfinite by the callers;
-    # the numpy warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_sq = x * x
-        dx = (params.p - 1.0) * x - x_sq * x + eps * e * (x @ jm)
-        e_new = e + params.dt * (-params.beta * (x_sq - params.a) * e)
-        x_new = x + params.dt * dx
-        np.clip(x_new, -params.x_clip, params.x_clip, out=x_new)
-        np.maximum(e_new, E_FLOOR, out=e_new)
-    return x_new, e_new
+
+    def __init__(self, jm: np.ndarray, shape, params: CimParams):
+        self.jm = np.asarray(jm, dtype=float)
+        self.params = params
+        self.c_x = 1.0 + params.dt * (params.p - 1.0)
+        self.c_e = 1.0 + params.dt * params.beta * params.a
+        self.j_scaled = np.empty_like(self.jm)
+        self.x_sq = np.empty(shape)
+        self.coupling = np.empty(shape)
+        self.factor = np.empty(shape)
+
+    def __call__(self, x: np.ndarray, e: np.ndarray, t: float) -> None:
+        params, x_sq, coupling, factor = self.params, self.x_sq, self.coupling, self.factor
+        np.multiply(x, x, out=x_sq)
+        # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
+        # scaling the matmul's output
+        np.multiply(self.jm, params.dt * params.gamma * t, out=self.j_scaled)
+        np.matmul(x, self.j_scaled, out=coupling)
+        coupling *= e
+        # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
+        np.multiply(x_sq, -params.dt * params.beta, out=factor)
+        factor += self.c_e
+        e *= factor
+        np.maximum(e, E_FLOOR, out=e)
+        # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
+        x_sq *= -params.dt
+        x_sq += self.c_x
+        x *= x_sq
+        x += coupling
+        np.maximum(x, -params.x_clip, out=x)
+        np.minimum(x, params.x_clip, out=x)
 
 
 def step(state: CimState, j, params: CimParams) -> CimState:
@@ -170,7 +203,12 @@ def step(state: CimState, j, params: CimParams) -> CimState:
         raise ValueError(
             f"state dimension {state.x.shape} does not match coupling {jm.shape}"
         )
-    x, e = _step_arrays(state.x[None, :], state.e[None, :], state.t, jm, params)
+    x = np.array(state.x, dtype=float)[None, :]
+    e = np.array(state.e, dtype=float)[None, :]
+    # overflow is the divergence signal, caught via isfinite below; the
+    # numpy warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        _EulerStep(jm, x.shape, params)(x, e, state.t)
     if not (np.isfinite(x).all() and np.isfinite(e).all()):
         raise CimDivergenceError(
             f"non-finite state at t = {state.t + params.dt:.4g}; "
@@ -190,24 +228,27 @@ def _integrate(jm, x0, params, record_every=0):
     """
     x = np.array(x0, dtype=float, copy=True)
     e = np.ones_like(x)
+    euler_step = _EulerStep(jm, x.shape, params)
     aborted = np.zeros(len(x), dtype=bool)
     snaps, snap_steps = [], []
     if record_every:
         snaps.append(readout(x))
         snap_steps.append(0)
-    for k in range(1, params.steps + 1):
-        t = (k - 1) * params.dt
-        x, e = _step_arrays(x, e, t, jm, params)
-        # cheap whole-batch probe; NaN/inf contaminate the sums if present
-        if not np.isfinite(np.sum(x) + np.sum(e)):
-            bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(e).all(axis=1))
-            aborted |= bad
-            x[bad] = 0.0
-            e[bad] = 1.0
-        if record_every and (k % record_every == 0 or k == params.steps):
-            if not snap_steps or snap_steps[-1] != k:
-                snaps.append(readout(x))
-                snap_steps.append(k)
+    # overflow is the divergence signal, caught via isfinite below; the
+    # numpy warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, params.steps + 1):
+            euler_step(x, e, (k - 1) * params.dt)
+            # cheap whole-batch probe; NaN/inf contaminate the sums if present
+            if not np.isfinite(x.sum() + e.sum()):
+                bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(e).all(axis=1))
+                aborted |= bad
+                x[bad] = 0.0
+                e[bad] = 1.0
+            if record_every and (k % record_every == 0 or k == params.steps):
+                if not snap_steps or snap_steps[-1] != k:
+                    snaps.append(readout(x))
+                    snap_steps.append(k)
     snap_arr = np.stack(snaps) if snaps else None
     step_arr = np.asarray(snap_steps, dtype=np.int64) if snaps else None
     return x, aborted, snap_arr, step_arr
