@@ -46,7 +46,7 @@ class MimoConfig:
     def __post_init__(self):
         for name in ("n_t", "n_r", "n_states"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     @property

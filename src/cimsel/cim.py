@@ -44,6 +44,7 @@ Notes on the numerics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,6 +97,9 @@ class CimParams:
     x_clip: float = 10.0
 
     def __post_init__(self):
+        for name in ("p", "beta", "a", "gamma", "dt", "init_scale", "x_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.steps < 1:

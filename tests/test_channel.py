@@ -28,7 +28,11 @@ class TestMimoConfig:
         assert cfg.cols == 4 * 3
         assert cfg.n_antennas == 5
 
-    @pytest.mark.parametrize("bad", [dict(n_t=0), dict(n_r=0), dict(n_states=0), dict(n_t=-1)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(n_t=0), dict(n_r=0), dict(n_states=0), dict(n_t=-1),
+         dict(n_t=True), dict(n_r=True), dict(n_states=False), dict(n_t=2.0)],
+    )
     def test_rejects_nonpositive_dimensions(self, bad):
         kwargs = dict(n_t=1, n_r=1, n_states=1)
         kwargs.update(bad)

@@ -33,10 +33,14 @@ class TestCimParams:
     @pytest.mark.parametrize(
         "bad",
         [dict(dt=0.0), dict(dt=-0.1), dict(steps=0), dict(n_anneals=0),
-         dict(init_scale=0.0), dict(x_clip=1.0)],
+         dict(init_scale=0.0), dict(x_clip=1.0),
+         dict(p=float("nan")), dict(dt=float("nan")), dict(beta=float("nan")),
+         dict(gamma=float("inf")), dict(a=float("nan")), dict(init_scale=float("inf")),
+         dict(x_clip=float("inf")), dict(p=float("-inf"))],
     )
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
             CimParams(**bad)
 
 
