@@ -51,6 +51,7 @@ from .formulation import compile_instance
 from .rng import derive_seed, substream
 
 __all__ = [
+    "DominanceError",
     "ExperimentPlan",
     "MetricRow",
     "MethodSummary",
@@ -83,6 +84,10 @@ _ES_ORACLE_CAP = 4096
 METHOD_ORDER = ("es", "nsa", "rs", "cim_best", "cim_avg", "cim_avg_raw")
 
 CSV_COLUMNS = ("instance_id", "method", "lambda", "step", "objective", "feasible", "fallback", "seed")
+
+
+class DominanceError(RuntimeError):
+    """A guaranteed ordering between methods failed; always a bug."""
 
 
 @dataclass(frozen=True)
@@ -525,7 +530,8 @@ def summarize_comparison(
 
     The exhaustive optimum must dominate every method on every instance and
     best-of-anneals must dominate the anneal average; both are identities of
-    the construction, so violations are bugs and raise immediately.
+    the construction, so violations are bugs and raise
+    :class:`DominanceError` immediately.
     """
     if methods is None:
         methods = METHOD_ORDER
@@ -533,15 +539,17 @@ def summarize_comparison(
         return []
     for record in sweep.records:
         for lam, res in record.cim.items():
-            assert res.best >= res.avg, (
-                f"instance {record.instance_id}: best {res.best} below average {res.avg}"
-            )
+            if not res.best >= res.avg:
+                raise DominanceError(
+                    f"instance {record.instance_id}: best {res.best} below average {res.avg}"
+                )
             if record.es_objective is not None:
                 for value in (record.nsa_objective, record.rs_objective, res.best, res.avg):
-                    assert record.es_objective >= value, (
-                        f"instance {record.instance_id}: exhaustive optimum "
-                        f"{record.es_objective} below method value {value}"
-                    )
+                    if not record.es_objective >= value:
+                        raise DominanceError(
+                            f"instance {record.instance_id}: exhaustive optimum "
+                            f"{record.es_objective} below method value {value}"
+                        )
     return [s for s in sweep.summaries if s.method in set(methods)]
 
 

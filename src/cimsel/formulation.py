@@ -246,8 +246,8 @@ def compile_instance(g: ChannelMatrix, lam: float) -> IsingInstance:
     j_obj = objective_coupling(qubo_matrix(squared_gains(g)))
     j_con = constraint_coupling(constraint_system(g.config))
     j = (1.0 - lam) * j_obj - lam * j_con
-    # zero by construction; assert rather than recompute
-    assert not np.any(np.diagonal(j))
+    # the diagonal is zero by construction; IsingInstance rejects a non-zero
+    # one with a ValueError, which unlike an assert survives python -O
     return IsingInstance(j=j, lam=lam, config=g.config, channel_seed=g.seed)
 
 

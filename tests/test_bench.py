@@ -4,8 +4,12 @@ from scipy.stats import spearmanr
 
 from cimsel.bench import (
     CSV_COLUMNS,
+    CimInstanceResult,
+    DominanceError,
     ExperimentPlan,
+    InstanceRecord,
     MethodSummary,
+    SweepResult,
     _es_oracle,
     compare_methods,
     instance_channel_seed,
@@ -17,7 +21,7 @@ from cimsel.bench import (
     write_summary_json,
 )
 from cimsel.baselines import exhaustive_search
-from cimsel.channel import MimoConfig, generate_channel
+from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel
 from cimsel.cim import CimParams
 from cimsel.formulation import assignment_bits, feasible_assignments
 from oracles import all_spin_vectors
@@ -252,6 +256,37 @@ class TestCompareMethods:
         assert {s.method for s in summaries} == {
             "es", "nsa", "rs", "cim_best", "cim_avg", "cim_avg_raw"
         }
+
+
+def _hand_sweep(best, avg, es):
+    res = CimInstanceResult(
+        lam=0.5, best=best, best_assignment=ConfigAssignment(tx=(0, 0), rx=(0, 0)),
+        avg=avg, avg_raw=avg, p_c=1.0, n_feasible=10, n_anneals=10, n_aborted=0,
+        fallback_used=False,
+    )
+    record = InstanceRecord(
+        instance_id=3, channel_seed=0, es_objective=es, es_assignment=None,
+        nsa_objective=1.0, rs_objective=1.0, cim={0.5: res},
+    )
+    return SweepResult(rows=[], summaries=[], records=[record], failures=[])
+
+
+class TestDominanceChecks:
+    """The checks raise a real exception, so they also run under python -O."""
+
+    def test_consistent_record_passes(self):
+        assert summarize_comparison(_hand_sweep(best=2.0, avg=1.5, es=2.0)) == []
+
+    @pytest.mark.parametrize(
+        "best,avg,es,match",
+        [(1.0, 1.5, 2.0, "below average"),  # best < avg
+         (2.5, 1.5, 2.0, "below method value"),  # es < best
+         (2.0, 1.5, 0.5, "below method value"),  # es < nsa, rs
+         (float("nan"), 1.5, 2.0, "below average")],  # NaN never dominates
+    )
+    def test_violation_raises(self, best, avg, es, match):
+        with pytest.raises(DominanceError, match=match):
+            summarize_comparison(_hand_sweep(best, avg, es))
 
 
 class TestWriters:
