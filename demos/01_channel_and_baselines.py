@@ -42,7 +42,7 @@ print()
 # the three baselines; evaluation counts follow their closed forms
 es = exhaustive_search(g)
 norm = nsa(g)
-rand = random_selection(config, substream(7), g)
+rand = random_selection(g, substream(7))
 print(f"{'method':<18}{'objective':>10}  {'evaluations':>12}  assignment")
 for name, res in (("exhaustive", es), ("norm-based", norm), ("random", rand)):
     print(f"{name:<18}{res.objective:>10.4f}  {res.evaluations:>12}  "

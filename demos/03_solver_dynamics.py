@@ -21,13 +21,11 @@ from cimsel import (
     decode_spins,
     exhaustive_search,
     generate_channel,
-    init_state,
     objective,
-    run_anneal,
     solve,
-    step,
     substream,
 )
+from cimsel.cim import _EulerStep
 from cimsel.formulation import InfeasibleDecode
 
 config = MimoConfig(n_t=2, n_r=2, n_states=2)
@@ -36,16 +34,19 @@ inst = compile_instance(g, lam=0.7)
 params = CimParams()  # reference constants: 1000 steps of dt = 0.01
 
 # ---------------------------------------------------------------------------
-# one anneal under the microscope
+# one anneal under the microscope: the solver's in-place step kernel applied
+# to a batch of one, with small random amplitudes and unit error variables
 # ---------------------------------------------------------------------------
-state = init_state(inst.dim, substream(1), params.init_scale)
+x = substream(1).uniform(-params.init_scale, params.init_scale, (1, inst.dim))
+e = np.ones_like(x)
+euler_step = _EulerStep(inst.j, x.shape, params)
 print("step   max|x|    min e     max e")
 for k in range(1, params.steps + 1):
-    state = step(state, inst, params)
+    euler_step(x, e, (k - 1) * params.dt)
     if k in (1, 10, 100, 300, 500, 1000):
-        print(f"{k:>4}  {np.abs(state.x).max():8.4f}  {state.e.min():8.4f}  {state.e.max():8.4f}")
+        print(f"{k:>4}  {np.abs(x).max():8.4f}  {e.min():8.4f}  {e.max():8.4f}")
 
-spins = np.where(state.x >= 0, 1, -1)
+spins = np.where(x[0] >= 0, 1, -1)
 decoded = decode_spins(spins, config)
 print(f"\nfinal readout {spins} -> "
       f"{'infeasible' if isinstance(decoded, InfeasibleDecode) else decoded}")
@@ -53,7 +54,7 @@ print(f"\nfinal readout {spins} -> "
 # ---------------------------------------------------------------------------
 # a trajectory: when does the readout settle?
 # ---------------------------------------------------------------------------
-outcome = run_anneal(inst, params, substream(2), record_every=100)
+(outcome,) = solve(inst, CimParams(n_anneals=1), master_seed=2, record_every=100)
 flips = [
     int(np.sum(a != b))
     for a, b in zip(outcome.trajectory[:-1], outcome.trajectory[1:])

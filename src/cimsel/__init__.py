@@ -36,15 +36,17 @@ from .channel import (
     generate_channel,
     objective,
     read_channel,
+    score_states,
     unflatten,
     write_channel,
 )
-from .cim import AnnealOutcome, CimParams, CimState, init_state, run_anneal, solve, step
+from .cim import AnnealOutcome, CimParams, solve
 from .formulation import (
     InfeasibleDecode,
     IsingInstance,
     compile_instance,
     decode_spins,
+    decode_states,
     read_instance,
     write_instance,
 )

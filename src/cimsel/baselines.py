@@ -5,7 +5,9 @@ Exhaustive search is the optimum reference and scores every one of the
 Norm-based selection is the cheap two-stage heuristic (pick per-antenna row
 norms on one side, then restricted column norms on the other) costing only
 ``n_states * (n_t + n_r)`` norm computations.  Random selection picks a
-uniform state per antenna and computes nothing.
+uniform state per antenna and computes nothing.  Every result reports its
+objective through ``channel.objective``, so equal assignments carry
+bit-identical objectives whichever method found them.
 
 Every result carries the evaluation count actually performed so complexity
 claims can be checked, not just quoted.
@@ -14,7 +16,6 @@ claims can be checked, not just quoted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -102,9 +103,8 @@ def exhaustive_search(g: ChannelMatrix, budget: int = ES_BUDGET_DEFAULT) -> Base
     tx = _combo_states(np.array([best_flat // n_rx]), n, cfg.n_t)[0]
     rx = rx_combos[best_flat % n_rx]
     sel = ConfigAssignment(tx=tuple(tx), rx=tuple(rx))
-    # report through the canonical scorer so equal assignments always carry
-    # bit-identical objectives across methods (the chunked search order can
-    # round the last ulp differently)
+    # the factored sums rank the combinations; the reported objective comes
+    # from the shared scorer, whose summation order can differ in the last ulp
     return BaselineResult(assignment=sel, objective=objective(g, sel), evaluations=count)
 
 
@@ -141,16 +141,14 @@ def nsa(g: ChannelMatrix, receiver_first: bool = True) -> BaselineResult:
     )
 
 
-def random_selection(
-    config: MimoConfig, rng: np.random.Generator, g: Optional[ChannelMatrix] = None
-) -> BaselineResult:
+def random_selection(g: ChannelMatrix, rng: np.random.Generator) -> BaselineResult:
     """Uniform random configuration per antenna; zero evaluations.
 
-    The objective is only known when a channel is supplied; without one the
-    result carries NaN.
+    Picking the assignment evaluates nothing; the reported objective is
+    scored afterwards, like every other method's.
     """
-    tx = tuple(int(c) for c in rng.integers(0, config.n_states, config.n_t))
-    rx = tuple(int(c) for c in rng.integers(0, config.n_states, config.n_r))
+    cfg = g.config
+    tx = tuple(int(c) for c in rng.integers(0, cfg.n_states, cfg.n_t))
+    rx = tuple(int(c) for c in rng.integers(0, cfg.n_states, cfg.n_r))
     sel = ConfigAssignment(tx=tx, rx=rx)
-    value = objective(g, sel) if g is not None else float("nan")
-    return BaselineResult(assignment=sel, objective=value, evaluations=0)
+    return BaselineResult(assignment=sel, objective=objective(g, sel), evaluations=0)

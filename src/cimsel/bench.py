@@ -35,7 +35,6 @@ variance and turns "best >= random selection" into a per-instance identity.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -45,9 +44,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
-from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel
+from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
 from .cim import CimParams, solve
-from .formulation import compile_instance
+from .formulation import compile_instance, decode_states
 from .rng import derive_seed, substream
 
 __all__ = [
@@ -77,9 +76,6 @@ __all__ = [
 _D_CHANNEL, _D_INSTANCE = 0, 1
 # domains under the per-instance seed
 _D_CIM, _D_FALLBACK = 0, 1
-
-# full enumeration is cheap below this count; used for internal cross-checks
-_ES_ORACLE_CAP = 4096
 
 METHOD_ORDER = ("es", "nsa", "rs", "cim_best", "cim_avg", "cim_avg_raw")
 
@@ -201,45 +197,12 @@ class TraceResult:
     failures: list[str]
 
 
-def _decode_states(spins: np.ndarray, config: MimoConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised decode of spin rows: (feasible mask, per-antenna states).
-
-    State entries are only meaningful where the row is feasible.
-    """
-    shat = spins[:, 1:] * spins[:, :1]
-    blocks = (shat > 0).reshape(len(spins), config.n_antennas, config.n_states)
-    sums = blocks.sum(axis=2)
-    feasible = (sums == 1).all(axis=1)
-    states = blocks.argmax(axis=2)
-    return feasible, states
-
-
-def _score_states(a2: np.ndarray, states: np.ndarray, config: MimoConfig) -> np.ndarray:
-    """Objective of each states-row; the single scorer behind every metric row."""
-    n = config.n_states
-    tx = states[:, : config.n_t]
-    rx = states[:, config.n_t :]
-    cols = np.arange(config.n_t) * n + tx
-    rows = np.arange(config.n_r) * n + rx
-    vals = a2[rows[:, :, None], cols[:, None, :]]
-    return vals.sum(axis=(1, 2))
-
-
-def _score_assignment(a2: np.ndarray, sel: ConfigAssignment, config: MimoConfig) -> float:
-    states = np.array([sel.tx + sel.rx], dtype=np.int64)
-    return float(_score_states(a2, states, config)[0])
-
-
-def _es_oracle(a2: np.ndarray, config: MimoConfig) -> tuple[float, ConfigAssignment]:
-    """Independent exhaustive maximum via the shared scorer (small spaces only)."""
-    combos = np.array(
-        list(itertools.product(range(config.n_states), repeat=config.n_antennas)),
-        dtype=np.int64,
-    )
-    scores = _score_states(a2, combos, config)
-    k = int(np.argmax(scores))
-    sel = ConfigAssignment(tx=tuple(combos[k, : config.n_t]), rx=tuple(combos[k, config.n_t :]))
-    return float(scores[k]), sel
+def _per_anneal_scores(g, spins, aborted, fallback_score):
+    """Decode and score spin rows: ``(feasible, states, per-row score)``,
+    with ``fallback_score`` standing in for infeasible and aborted rows."""
+    feasible, states = decode_states(spins, g.config)
+    feasible &= ~aborted
+    return feasible, states, np.where(feasible, score_states(g, states), fallback_score)
 
 
 def run_instance(
@@ -256,18 +219,12 @@ def run_instance(
     of scheduling and of the other penalty weights being swept.
     """
     config = g.config
-    a2 = np.abs(g.entries) ** 2
     inst = compile_instance(g, lam)
     outcomes = solve(inst, cim_params, cim_master_seed(seed), record_every=record_every)
     spins = np.stack([o.spins for o in outcomes])
     aborted = np.array([o.aborted for o in outcomes], dtype=bool)
-    feasible, states = _decode_states(spins, config)
-    feasible &= ~aborted
-    scores = _score_states(a2, states, config)
-
-    fallback = random_selection(config, substream(seed, _D_FALLBACK))
-    fallback_score = _score_assignment(a2, fallback.assignment, config)
-    per_anneal = np.where(feasible, scores, fallback_score)
+    fallback = random_selection(g, substream(seed, _D_FALLBACK))
+    feasible, states, per_anneal = _per_anneal_scores(g, spins, aborted, fallback.objective)
 
     k_best = int(np.argmax(per_anneal))
     if feasible[k_best]:
@@ -285,7 +242,7 @@ def run_instance(
         best=float(per_anneal[k_best]),
         best_assignment=best_assignment,
         avg=min(float(per_anneal.mean()), float(per_anneal[k_best])),
-        avg_raw=float(scores[feasible].mean()) if n_feasible else float("nan"),
+        avg_raw=float(per_anneal[feasible].mean()) if n_feasible else float("nan"),
         p_c=float(feasible.mean()),
         n_feasible=n_feasible,
         n_anneals=len(outcomes),
@@ -298,10 +255,10 @@ def run_instance(
         steps = outcomes[0].trajectory_steps
         n_samples = traj.shape[1]
         flat = traj.reshape(-1, traj.shape[2])
-        feas_t, states_t = _decode_states(flat, config)
-        feas_t &= ~np.repeat(aborted, n_samples)
-        scores_t = _score_states(a2, states_t, config)
-        per = np.where(feas_t, scores_t, fallback_score).reshape(len(outcomes), n_samples)
+        feas_t, _, per = _per_anneal_scores(
+            g, flat, np.repeat(aborted, n_samples), fallback.objective
+        )
+        per = per.reshape(len(outcomes), n_samples)
         feas_t = feas_t.reshape(len(outcomes), n_samples)
         result.trace_steps = steps
         result.trace_best = per.max(axis=0)
@@ -316,33 +273,20 @@ def _instance_record(
     tic = time.perf_counter()
     channel_seed = instance_channel_seed(plan.master_seed, instance_id)
     g = generate_channel(plan.config, channel_seed)
-    a2 = np.abs(g.entries) ** 2
     inst_seed = derive_seed(plan.master_seed, _D_INSTANCE, instance_id)
-
+    es = None
     if search_space_size(plan.config) <= plan.es_budget:
-        es_result = exhaustive_search(g, plan.es_budget)
-        es_assignment = es_result.assignment
-        es_objective = _score_assignment(a2, es_assignment, plan.config)
-        if search_space_size(plan.config) <= _ES_ORACLE_CAP:
-            # guard against scorer/search rounding disagreements on exact ties
-            oracle_val, oracle_sel = _es_oracle(a2, plan.config)
-            if oracle_val > es_objective:
-                es_objective, es_assignment = oracle_val, oracle_sel
-    else:
-        es_objective, es_assignment = None, None
-
-    nsa_result = nsa(g)
+        es = exhaustive_search(g, plan.es_budget)
     # the random baseline reuses the fallback stream: the solver's fallback
     # and the RS method then score the same draw (common random numbers), so
     # "solver output >= random selection" holds instance by instance
-    rs_result = random_selection(plan.config, substream(inst_seed, _D_FALLBACK))
     record = InstanceRecord(
         instance_id=instance_id,
         channel_seed=channel_seed,
-        es_objective=es_objective,
-        es_assignment=es_assignment,
-        nsa_objective=_score_assignment(a2, nsa_result.assignment, plan.config),
-        rs_objective=_score_assignment(a2, rs_result.assignment, plan.config),
+        es_objective=es.objective if es else None,
+        es_assignment=es.assignment if es else None,
+        nsa_objective=nsa(g).objective,
+        rs_objective=random_selection(g, substream(inst_seed, _D_FALLBACK)).objective,
     )
     for lam in lambdas:
         record.cim[lam] = run_instance(g, lam, plan.cim, inst_seed, record_every=record_every)

@@ -29,6 +29,7 @@ __all__ = [
     "flat_index",
     "unflatten",
     "generate_channel",
+    "score_states",
     "objective",
     "write_channel",
     "read_channel",
@@ -135,12 +136,27 @@ def generate_channel(config: MimoConfig, seed: int) -> ChannelMatrix:
     return ChannelMatrix(config=config, entries=entries, seed=int(seed))
 
 
+def score_states(g: ChannelMatrix, states: np.ndarray) -> np.ndarray:
+    """Objective of each row of per-antenna states (transmit antennas first).
+
+    The one scorer behind every reported objective: row ``k`` scores the
+    assignment ``tx = states[k, :n_t]``, ``rx = states[k, n_t:]`` as the sum of
+    ``|g[flat(r, rx[r]), flat(t, tx[t])]|**2`` over all antenna pairs.  Rows
+    are not validated; :func:`objective` is the checked one-row form.
+    """
+    cfg = g.config
+    a2 = np.abs(g.entries) ** 2
+    n = cfg.n_states
+    cols = np.arange(cfg.n_t) * n + states[:, : cfg.n_t]
+    rows = np.arange(cfg.n_r) * n + states[:, cfg.n_t :]
+    return a2[rows[:, :, None], cols[:, None, :]].sum(axis=(1, 2))
+
+
 def objective(g: ChannelMatrix, sel: ConfigAssignment) -> float:
     """Received-power objective of an assignment.
 
-    Equals the sum of ``|g[flat(r, rx[r]), flat(t, tx[t])]|**2`` over all
-    receive/transmit antenna pairs, i.e. the squared Frobenius norm of the
-    selected ``n_r x n_t`` submatrix.  Always non-negative.
+    Equals the squared Frobenius norm of the selected ``n_r x n_t``
+    submatrix, computed by :func:`score_states`.  Always non-negative.
     """
     cfg = g.config
     if len(sel.tx) != cfg.n_t or len(sel.rx) != cfg.n_r:
@@ -148,10 +164,9 @@ def objective(g: ChannelMatrix, sel: ConfigAssignment) -> float:
             f"assignment has {len(sel.tx)} tx / {len(sel.rx)} rx entries, "
             f"config needs {cfg.n_t} / {cfg.n_r}"
         )
-    rows = [flat_index(r, c, cfg.n_states) for r, c in enumerate(sel.rx)]
-    cols = [flat_index(t, c, cfg.n_states) for t, c in enumerate(sel.tx)]
-    sub = g.entries[np.ix_(rows, cols)]
-    return float(np.sum(np.abs(sub) ** 2))
+    if any(c >= cfg.n_states for c in sel.tx + sel.rx):
+        raise ValueError(f"assignment {sel} has a state out of range [0, {cfg.n_states})")
+    return float(score_states(g, np.array([sel.tx + sel.rx], dtype=np.int64))[0])
 
 
 class ChannelFormatError(ValueError):

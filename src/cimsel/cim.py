@@ -33,8 +33,8 @@ Notes on the numerics:
 
   with ``c_x = 1 + dt (p - 1)`` and ``c_e = 1 + dt beta a``.  One kernel,
   ``_EulerStep``, applies it in place to a batch over buffers allocated once
-  per run; :func:`step` runs it on a batch of one and :func:`solve` on all
-  anneals at once, so there is a single step path.  Against the unfolded
+  per run, and :func:`solve` runs it on all anneals at once, so there is a
+  single step path and a single entry point.  Against the unfolded
   form the regrouped arithmetic moves amplitudes in the last few bits (up
   to a few 1e-13 after 1000 steps); on the tested plans no readout changes.
 * An anneal whose state goes non-finite (possible only with aggressive
@@ -45,6 +45,7 @@ Notes on the numerics:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,12 +57,7 @@ from .rng import substream
 __all__ = [
     "E_FLOOR",
     "CimParams",
-    "CimState",
     "AnnealOutcome",
-    "CimDivergenceError",
-    "init_state",
-    "step",
-    "run_anneal",
     "solve",
     "readout",
     "ising_energy",
@@ -70,10 +66,6 @@ __all__ = [
 
 # Lower clamp for the error variables, which must stay positive.
 E_FLOOR = 1e-12
-
-
-class CimDivergenceError(RuntimeError):
-    """Raised when an anneal's state stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -100,27 +92,21 @@ class CimParams:
         for name in ("p", "beta", "a", "gamma", "dt", "init_scale", "x_clip"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.n_anneals < 1:
-            raise ValueError(f"n_anneals must be >= 1, got {self.n_anneals}")
-        if self.init_scale <= 0:
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
+        for name in ("a", "dt", "init_scale"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("steps", "n_anneals"):
+            value = getattr(self, name)
+            try:
+                count = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                count = None
+            if count is None or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.x_clip <= np.sqrt(self.a):
             raise ValueError(
                 f"x_clip must exceed sqrt(a) = {np.sqrt(self.a):.4g}, got {self.x_clip}"
             )
-
-
-@dataclass(eq=False)
-class CimState:
-    """Amplitudes, error variables and elapsed model time of one anneal."""
-
-    x: np.ndarray
-    e: np.ndarray
-    t: float
 
 
 @dataclass(eq=False)
@@ -148,14 +134,6 @@ def ising_energy(j, spins: np.ndarray) -> float:
     jm = _coupling_matrix(j)
     s = np.asarray(spins, dtype=float)
     return float(s @ jm @ s)
-
-
-def init_state(dim: int, rng: np.random.Generator, init_scale: float = 0.01) -> CimState:
-    """Fresh anneal state: small uniform amplitudes, unit error variables."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    x = rng.uniform(-init_scale, init_scale, dim)
-    return CimState(x=x, e=np.ones(dim), t=0.0)
 
 
 class _EulerStep:
@@ -200,27 +178,6 @@ class _EulerStep:
         np.minimum(x, params.x_clip, out=x)
 
 
-def step(state: CimState, j, params: CimParams) -> CimState:
-    """Advance one anneal by a single Euler step (pure; returns a new state)."""
-    jm = _coupling_matrix(j)
-    if state.x.shape != (jm.shape[0],):
-        raise ValueError(
-            f"state dimension {state.x.shape} does not match coupling {jm.shape}"
-        )
-    x = np.array(state.x, dtype=float)[None, :]
-    e = np.array(state.e, dtype=float)[None, :]
-    # overflow is the divergence signal, caught via isfinite below; the
-    # numpy warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        _EulerStep(jm, x.shape, params)(x, e, state.t)
-    if not (np.isfinite(x).all() and np.isfinite(e).all()):
-        raise CimDivergenceError(
-            f"non-finite state at t = {state.t + params.dt:.4g}; "
-            f"reduce dt or check the coupling matrix"
-        )
-    return CimState(x=x[0], e=e[0], t=state.t + params.dt)
-
-
 def _integrate(jm, x0, params, record_every=0):
     """Integrate a batch of anneals (rows of ``x0``) for ``params.steps`` steps.
 
@@ -256,29 +213,6 @@ def _integrate(jm, x0, params, record_every=0):
     snap_arr = np.stack(snaps) if snaps else None
     step_arr = np.asarray(snap_steps, dtype=np.int64) if snaps else None
     return x, aborted, snap_arr, step_arr
-
-
-def run_anneal(
-    j, params: CimParams, rng: np.random.Generator, record_every: int = 0
-) -> AnnealOutcome:
-    """Run a single anneal from a fresh random initialisation.
-
-    ``record_every > 0`` keeps sign readouts at step 0, every
-    ``record_every``-th step and the final step.  A diverged anneal raises
-    :class:`CimDivergenceError`.
-    """
-    jm = _coupling_matrix(j)
-    state = init_state(jm.shape[0], rng, params.init_scale)
-    x, aborted, snaps, snap_steps = _integrate(jm, state.x[None, :], params, record_every)
-    if aborted[0]:
-        raise CimDivergenceError("anneal diverged; state went non-finite")
-    spins = readout(x[0])
-    return AnnealOutcome(
-        spins=spins,
-        energy=ising_energy(jm, spins),
-        trajectory=snaps[:, 0, :] if snaps is not None else None,
-        trajectory_steps=snap_steps,
-    )
 
 
 def solve(

@@ -14,6 +14,7 @@ regenerated from the directory contents alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,13 +23,16 @@ from pathlib import Path
 from . import bench
 from .baselines import search_space_size
 from .channel import ChannelFormatError, MimoConfig, generate_channel, read_channel, write_channel
-from .cim import CimParams, run_anneal, write_trajectory_csv
+from .cim import CimParams, solve, write_trajectory_csv
 from .formulation import compile_instance, write_instance
-from .rng import substream
 
 _ENV_PREFIX = "CIMSEL_"
 
-_CIM_KEYS = ("p", "beta", "a", "gamma", "dt", "steps", "n_anneals", "init_scale", "x_clip")
+# what _resolved_config and _plan read, plus the keys run_config.json adds
+_CONFIG_KEYS = (
+    "master_seed", "workers", "n_t", "n_r", "n_states", "n_instances", "trace_stride",
+    "es_budget", "lambdas", "lambda", "cim", "format", "command",
+)
 
 
 def _env_default(name: str, cast, fallback):
@@ -41,11 +45,19 @@ def _load_config_file(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise SystemExit(f"error: cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit(f"error: config file {path} is not valid JSON: {exc}")
+    cim_keys = {f.name for f in dataclasses.fields(CimParams)}
+    unknown = [k for k in cfg if k not in _CONFIG_KEYS]
+    unknown += [f"cim.{k}" for k in cfg.get("cim", {}) if k not in cim_keys]
+    if unknown:
+        names = ", ".join(f"'{k}'" for k in unknown)
+        print(f"error: config file {path}: unknown key {names}", file=sys.stderr)
+        raise SystemExit(2)
+    return cfg
 
 
 def _resolved_config(args) -> dict:
@@ -65,10 +77,10 @@ def _resolved_config(args) -> dict:
         cfg["lambdas"] = args.lambdas
     if getattr(args, "lam", None) is not None:
         cfg["lambda"] = args.lam
-    for key in _CIM_KEYS:
-        value = getattr(args, f"cim_{key}", None)
+    for f in dataclasses.fields(CimParams):
+        value = getattr(args, f"cim_{f.name}", None)
         if value is not None:
-            cim[key] = value
+            cim[f.name] = value
     if cim:
         cfg["cim"] = cim
     cfg.setdefault("master_seed", 0)
@@ -86,7 +98,11 @@ def _mimo_config(cfg: dict) -> MimoConfig:
 
 
 def _cim_params(cfg: dict) -> CimParams:
-    return CimParams(**{k: v for k, v in cfg.get("cim", {}).items() if k in _CIM_KEYS})
+    try:
+        return CimParams(**cfg.get("cim", {}))
+    except ValueError as exc:
+        print(f"error: solver parameter: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _plan(cfg: dict) -> bench.ExperimentPlan:
@@ -108,8 +124,8 @@ def _out_dir(args, default_name: str) -> Path:
 
 
 def _echo_config(cfg: dict, out: Path, command: str) -> None:
-    payload = {"format": 1, "command": command}
-    payload.update(cfg)
+    # a config file that is itself an echo carries the old run's command
+    payload = dict(cfg, format=1, command=command)
     with open(out / "run_config.json", "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -189,9 +205,14 @@ def cmd_solve(args) -> int:
     if args.export_ising:
         write_instance(inst, args.export_ising)
     if args.dump_trajectory:
-        outcome = run_anneal(
-            inst, params, substream(bench.cim_master_seed(seed), 0), record_every=args.stride
+        # anneal 0 of a one-anneal solve is anneal 0 of the full batch
+        (outcome,) = solve(
+            inst, dataclasses.replace(params, n_anneals=1), bench.cim_master_seed(seed),
+            record_every=args.stride,
         )
+        if outcome.aborted:
+            print("error: anneal 0 aborted", file=sys.stderr)
+            return 3
         write_trajectory_csv(outcome, inst, params, args.dump_trajectory)
     text = json.dumps(report, indent=1)
     if args.out:

@@ -15,8 +15,8 @@ The pipeline, in order:
 5. ``normalize_couplings`` zeroes the diagonal and rescales to max-norm 1.
 6. ``compile_instance`` blends the normalized objective and penalty matrices
    with a weight ``lam`` in [0, 1]; the solver then maximises
-   ``s0^T J s0``.  ``decode_spins`` maps a spin vector back to a
-   configuration assignment (or reports infeasibility).
+   ``s0^T J s0``.  ``decode_states`` maps spin vectors back to
+   configuration assignments and flags the infeasible ones.
 
 Constant terms dropped along the way are returned by the individual
 transforms so tests can check exact equalities, but they are never stored in
@@ -50,6 +50,7 @@ __all__ = [
     "objective_coupling",
     "constraint_coupling",
     "compile_instance",
+    "decode_states",
     "decode_spins",
     "assignment_bits",
     "bits_to_assignment",
@@ -263,26 +264,42 @@ class InfeasibleDecode:
     violation: float
 
 
-def decode_spins(
-    s0: np.ndarray, config: MimoConfig
-) -> Union[ConfigAssignment, InfeasibleDecode]:
-    """Map a solver spin vector back to a configuration assignment.
+def decode_states(spins: np.ndarray, config: MimoConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Decode spin rows: ``(feasible mask, per-antenna states)``.
 
     The auxiliary spin fixes the gauge: effective spins are
     ``s0[0] * s0[1:]``, so ``s0`` and ``-s0`` decode identically.  Bits are
-    ``(spin + 1) / 2``; if they satisfy every one-hot block the assignment
-    is returned, otherwise an :class:`InfeasibleDecode`.
+    ``(spin + 1) / 2``; a row is feasible when every one-hot block holds
+    exactly one set bit, and its states (transmit antennas first) are the
+    positions of those bits.  States are only meaningful where the row is
+    feasible.  Rows are not validated; :func:`decode_spins` is the checked
+    one-row form.
+    """
+    shat = spins[:, 1:] * spins[:, :1]
+    blocks = (shat > 0).reshape(len(spins), config.n_antennas, config.n_states)
+    feasible = (blocks.sum(axis=2) == 1).all(axis=1)
+    return feasible, blocks.argmax(axis=2)
+
+
+def decode_spins(
+    s0: np.ndarray, config: MimoConfig
+) -> Union[ConfigAssignment, InfeasibleDecode]:
+    """Map one solver spin vector back to a configuration assignment.
+
+    Decodes through :func:`decode_states`; an infeasible vector comes back
+    as an :class:`InfeasibleDecode` carrying its bits and violation.
     """
     s0 = np.asarray(s0)
     if s0.shape != (config.d + 1,):
         raise ValueError(f"spin vector has shape {s0.shape}, expected ({config.d + 1},)")
     if not np.all(np.abs(s0) == 1):
         raise ValueError("spins must be +1 or -1")
+    feasible, states = decode_states(s0[None, :], config)
+    if feasible[0]:
+        return ConfigAssignment(tx=states[0, : config.n_t], rx=states[0, config.n_t :])
     bits = (s0[0] * s0[1:] > 0).astype(np.int64)
     violation = constraint_violation(bits, constraint_system(config))
-    if violation != 0.0:
-        return InfeasibleDecode(bits=bits, violation=violation)
-    return bits_to_assignment(bits, config)
+    return InfeasibleDecode(bits=bits, violation=violation)
 
 
 def assignment_bits(sel: ConfigAssignment, config: MimoConfig) -> np.ndarray:

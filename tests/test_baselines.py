@@ -9,6 +9,7 @@ from cimsel.baselines import (
     search_space_size,
 )
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, objective
+from cimsel.formulation import feasible_assignments
 from cimsel.rng import substream
 from oracles import brute_force_best, channel_from_amplitudes
 
@@ -43,6 +44,20 @@ class TestExhaustiveSearch:
             best_val, _ = brute_force_best(g)
             assert result.objective == pytest.approx(best_val, rel=1e-12)
             assert objective(g, result.assignment) == pytest.approx(best_val, rel=1e-12)
+
+    @pytest.mark.parametrize("dims,n_instances", [((2, 2, 2), 500), ((3, 3, 3), 50)])
+    def test_reports_first_scorer_maximum(self, dims, n_instances):
+        # the factored ranking must land on the assignment the scorer ranks
+        # first, with its objective bit for bit, including the tie-break
+        cfg = MimoConfig(*dims)
+        sels = list(feasible_assignments(cfg))
+        for seed in range(n_instances):
+            g = generate_channel(cfg, seed=seed)
+            vals = [objective(g, sel) for sel in sels]
+            best = max(vals)
+            result = exhaustive_search(g)
+            assert result.objective == best
+            assert result.assignment == sels[vals.index(best)]
 
     def test_budget_guard_names_count(self):
         g = generate_channel(MimoConfig(4, 4, 4), seed=0)
@@ -117,25 +132,30 @@ class TestNsa:
 
 class TestRandomSelection:
     def test_single_state(self):
-        result = random_selection(MimoConfig(2, 2, 1), substream(0))
+        g = generate_channel(MimoConfig(2, 2, 1), seed=0)
+        result = random_selection(g, substream(0))
         assert result.assignment == ConfigAssignment(tx=(0, 0), rx=(0, 0))
         assert result.evaluations == 0
 
     def test_seeded_reproducibility(self):
-        a = random_selection(CFG222, substream(9))
-        b = random_selection(CFG222, substream(9))
-        assert a.assignment == b.assignment
-
-    def test_objective_requires_channel(self):
-        assert np.isnan(random_selection(CFG222, substream(0)).objective)
         g = generate_channel(CFG222, seed=1)
-        scored = random_selection(CFG222, substream(0), g)
+        a = random_selection(g, substream(9))
+        b = random_selection(g, substream(9))
+        assert a.assignment == b.assignment
+        assert a.objective == b.objective
+
+    def test_objective_from_scorer(self):
+        g = generate_channel(CFG222, seed=1)
+        scored = random_selection(g, substream(0))
         assert scored.objective == objective(g, scored.assignment)
+        # the draw depends on the stream only, not on the channel's entries
+        other = random_selection(generate_channel(CFG222, seed=2), substream(0))
+        assert other.assignment == scored.assignment
 
     def test_never_beats_exhaustive(self):
         for seed in range(20):
             g = generate_channel(CFG222, seed=seed)
-            rs = random_selection(CFG222, substream(100, seed), g)
+            rs = random_selection(g, substream(100, seed))
             assert rs.objective <= exhaustive_search(g).objective
 
     def test_expected_objective(self):
@@ -145,5 +165,5 @@ class TestRandomSelection:
         total = 0.0
         for k in range(n):
             g = generate_channel(CFG222, seed=k)
-            total += random_selection(CFG222, rng, g).objective
+            total += random_selection(g, rng).objective
         assert total / n == pytest.approx(CFG222.n_t * CFG222.n_r, rel=0.02)

@@ -12,6 +12,7 @@ from cimsel.channel import (
     generate_channel,
     objective,
     read_channel,
+    score_states,
     unflatten,
     write_channel,
 )
@@ -155,6 +156,19 @@ class TestObjective:
         g = generate_channel(CFG222, seed=0)
         with pytest.raises(ValueError):
             objective(g, ConfigAssignment(tx=(0,), rx=(0, 1)))
+
+    def test_state_out_of_range(self):
+        g = generate_channel(CFG222, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            objective(g, ConfigAssignment(tx=(0, 2), rx=(0, 1)))
+
+    def test_objective_matches_batch_scorer(self):
+        from cimsel.formulation import feasible_assignments
+
+        g = generate_channel(MimoConfig(2, 3, 3), seed=4)
+        sels = list(feasible_assignments(g.config))
+        batch = score_states(g, np.array([sel.tx + sel.rx for sel in sels]))
+        assert batch.tolist() == [objective(g, sel) for sel in sels]
 
 
 class TestChannelFile:

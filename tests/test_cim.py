@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
+from cimsel import cim
 from cimsel.channel import MimoConfig, generate_channel
 from cimsel.cim import (
     E_FLOOR,
     AnnealOutcome,
-    CimDivergenceError,
     CimParams,
-    CimState,
-    init_state,
     ising_energy,
     readout,
-    run_anneal,
     solve,
-    step,
     write_trajectory_csv,
 )
-from cimsel.cim import _integrate
+from cimsel.cim import _EulerStep, _integrate
 from cimsel.formulation import InfeasibleDecode, compile_instance, decode_spins
 from cimsel.rng import substream
 from oracles import reference_integrate
@@ -36,86 +32,134 @@ class TestCimParams:
          dict(init_scale=0.0), dict(x_clip=1.0),
          dict(p=float("nan")), dict(dt=float("nan")), dict(beta=float("nan")),
          dict(gamma=float("inf")), dict(a=float("nan")), dict(init_scale=float("inf")),
-         dict(x_clip=float("inf")), dict(p=float("-inf"))],
+         dict(x_clip=float("inf")), dict(p=float("-inf")),
+         dict(n_anneals=2.5), dict(steps=True), dict(a=-1.0), dict(a=0.0),
+         dict(n_anneals=False), dict(steps=np.float64(100.0)), dict(steps="100")],
     )
     def test_validation(self, bad):
         (name,) = bad
         with pytest.raises(ValueError, match=name):
             CimParams(**bad)
 
+    def test_numpy_integer_run_sizes_accepted(self):
+        p = CimParams(steps=np.int64(10), n_anneals=np.int32(3))
+        assert (p.steps, p.n_anneals) == (10, 3)
+
+
+def _kernel_run(jm, x0, params, e0=None, n_steps=1):
+    """Advance one row through ``n_steps`` calls of the step kernel; returns
+    the ``(x, e)`` rows after each step."""
+    jm = np.asarray(jm, dtype=float)
+    x = np.array(x0, dtype=float)[None, :]
+    e = np.ones_like(x) if e0 is None else np.array(e0, dtype=float)[None, :]
+    kernel = _EulerStep(jm, x.shape, params)
+    states = []
+    for k in range(n_steps):
+        kernel(x, e, k * params.dt)
+        states.append((x[0].copy(), e[0].copy()))
+    return states
+
+
+@pytest.fixture()
+def first_step_state(monkeypatch):
+    """Records, per ``solve`` call, the state handed to the first kernel call."""
+    seen = []
+
+    class RecordingStep(_EulerStep):
+        recorded = False
+
+        def __call__(self, x, e, t):
+            if not self.recorded:
+                self.recorded = True
+                seen.append((x.copy(), e.copy(), t))
+            super().__call__(x, e, t)
+
+    monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
+    return seen
+
 
 class TestInitState:
-    def test_bounds_and_error_variables(self):
-        state = init_state(50, substream(0), init_scale=0.01)
-        assert np.all(np.abs(state.x) <= 0.01)
-        assert np.all(state.e == 1.0)
-        assert state.t == 0.0
+    """The state every anneal of ``solve`` starts from."""
 
-    def test_determinism(self):
-        a = init_state(10, substream(42))
-        b = init_state(10, substream(42))
-        assert np.array_equal(a.x, b.x)
+    def test_bounds_and_error_variables(self, first_step_state):
+        solve(np.zeros((50, 50)), CimParams(steps=1, n_anneals=3), master_seed=0)
+        ((x, e, t),) = first_step_state
+        assert x.shape == (3, 50)
+        assert np.all(np.abs(x) <= 0.01)
+        assert np.all(e == 1.0)
+        assert t == 0.0
 
-    def test_sample_mean_near_zero(self):
-        n = 100_000
-        x = init_state(n, substream(1), init_scale=0.01).x
+    def test_determinism(self, first_step_state):
+        params = CimParams(steps=1, n_anneals=4)
+        solve(FERRO2, params, master_seed=42)
+        solve(FERRO2, params, master_seed=42)
+        (first, _, _), (second, _, _) = first_step_state
+        assert np.array_equal(first, second)
+        # anneal k starts from the stream (master_seed, k)
+        expected = np.stack([substream(42, k).uniform(-0.01, 0.01, 2) for k in range(4)])
+        assert np.array_equal(first, expected)
+
+    def test_sample_mean_near_zero(self, first_step_state):
+        dim, n_anneals = 1000, 100
+        solve(np.zeros((dim, dim)), CimParams(steps=1, n_anneals=n_anneals), master_seed=1)
+        x = first_step_state[0][0]
+        n = x.size
         stderr = 0.01 / np.sqrt(3.0) / np.sqrt(n)  # uniform(-s, s) has std s/sqrt(3)
         assert abs(x.mean()) < 3.0 * stderr
 
 
 class TestStep:
+    """The in-place step kernel on a batch of one."""
+
     def test_zero_amplitudes_fixed_point(self):
         params = CimParams()
-        state = CimState(x=np.zeros(3), e=np.ones(3), t=0.0)
-        for k in range(1, 4):
-            state = step(state, np.zeros((3, 3)), params)
-            assert not state.x.any()
+        states = _kernel_run(np.zeros((3, 3)), np.zeros(3), params, n_steps=3)
+        for k, (x, e) in enumerate(states, start=1):
+            assert not x.any()
             growth = (1.0 + params.dt * params.beta * params.a) ** k
-            assert state.e == pytest.approx(np.full(3, growth), rel=1e-12)
+            assert e == pytest.approx(np.full(3, growth), rel=1e-12)
 
     def test_scalar_decay(self):
         params = CimParams()
-        state = CimState(x=np.array([0.1]), e=np.ones(1), t=0.0)
-        out = step(state, np.zeros((1, 1)), params)
+        ((x, _),) = _kernel_run(np.zeros((1, 1)), [0.1], params)
         # dx/dt = (p-1)*x - x^3 = -0.002 - 0.001 = -0.003
-        assert out.x[0] == pytest.approx(0.1 - 0.01 * 0.003, abs=1e-15)
-        assert out.t == pytest.approx(0.01)
+        assert x[0] == pytest.approx(0.1 - 0.01 * 0.003, abs=1e-15)
 
     def test_coupling_vanishes_on_first_step(self):
         params = CimParams()
         x0 = np.array([0.1, -0.1])
-        coupled = step(CimState(x=x0.copy(), e=np.ones(2), t=0.0), FERRO2, params)
-        uncoupled = step(CimState(x=x0.copy(), e=np.ones(2), t=0.0), np.zeros((2, 2)), params)
-        assert np.array_equal(coupled.x, uncoupled.x)
+        coupled = _kernel_run(FERRO2, x0, params, n_steps=2)
+        uncoupled = _kernel_run(np.zeros((2, 2)), x0, params, n_steps=2)
+        assert np.array_equal(coupled[0][0], uncoupled[0][0])
         # from t > 0 the coupling acts
-        coupled2 = step(coupled, FERRO2, params)
-        uncoupled2 = step(uncoupled, np.zeros((2, 2)), params)
-        assert not np.array_equal(coupled2.x, uncoupled2.x)
+        assert not np.array_equal(coupled[1][0], uncoupled[1][0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            step(CimState(x=np.zeros(3), e=np.ones(3), t=0.0), FERRO2, CimParams())
+            _integrate(FERRO2, np.zeros((1, 3)), CimParams(steps=5))
+        with pytest.raises(ValueError):
+            solve(np.zeros((3, 2)), CimParams(steps=5, n_anneals=1), master_seed=0)
 
     def test_error_floor_and_positivity(self):
         params = CimParams(dt=0.5, x_clip=10.0)
-        state = CimState(x=np.array([5.0]), e=np.array([1e-12]), t=0.0)
-        for _ in range(20):
-            state = step(state, np.zeros((1, 1)), params)
-            assert state.e[0] >= E_FLOOR
+        states = _kernel_run(np.zeros((1, 1)), [5.0], params, e0=[1e-12], n_steps=20)
+        assert all(e[0] >= E_FLOOR for _, e in states)
 
-    def test_divergence_raises(self):
+    def test_divergence_goes_non_finite(self):
         # uncoupled spins with a large dt: the amplitudes stay bounded while
-        # the error variables overflow and poison the coupling via 0 * inf
+        # the error variables overflow; the kernel itself never raises, and
+        # solve flags the anneal aborted (see test_aborted_anneals_flagged_not_dropped)
         params = CimParams(dt=50.0, steps=10)
-        state = CimState(x=np.array([0.01, -0.01]), e=np.ones(2), t=0.0)
-        with pytest.raises(CimDivergenceError):
-            for _ in range(200):
-                state = step(state, np.zeros((2, 2)), params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = _kernel_run(np.zeros((2, 2)), [0.01, -0.01], params, n_steps=200)
+        assert not all(np.isfinite(x).all() and np.isfinite(e).all() for x, e in states)
 
 
 class TestRunAnneal:
+    """Single anneals, run as ``solve`` with ``n_anneals=1``."""
+
     def test_zero_coupling(self):
-        out = run_anneal(np.zeros((4, 4)), CimParams(steps=200), substream(3))
+        (out,) = solve(np.zeros((4, 4)), CimParams(steps=200, n_anneals=1), master_seed=3)
         assert out.energy == 0.0
         assert set(np.unique(out.spins)) <= {-1, 1}
         assert not out.aborted
@@ -125,26 +169,23 @@ class TestRunAnneal:
         pairs = [np.array(s) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         vals = [ising_energy(FERRO2, s) for s in pairs]
         assert sorted(vals) == [-2.0, -2.0, 2.0, 2.0]
-        aligned = 0
-        params = CimParams(steps=1000, n_anneals=1)
-        for k in range(100):
-            out = run_anneal(FERRO2, params, substream(100, k))
-            aligned += int(out.spins[0] == out.spins[1])
+        outcomes = solve(FERRO2, CimParams(steps=1000, n_anneals=100), master_seed=100)
+        aligned = sum(int(out.spins[0] == out.spins[1]) for out in outcomes)
         assert aligned >= 99
 
     def test_determinism(self):
-        params = CimParams(steps=300)
-        a = run_anneal(FERRO2, params, substream(7))
-        b = run_anneal(FERRO2, params, substream(7))
+        params = CimParams(steps=300, n_anneals=1)
+        (a,) = solve(FERRO2, params, master_seed=7)
+        (b,) = solve(FERRO2, params, master_seed=7)
         assert np.array_equal(a.spins, b.spins)
         assert a.energy == b.energy
 
     def test_trajectory_sampling(self):
-        params = CimParams(steps=100)
-        out = run_anneal(FERRO2, params, substream(1), record_every=30)
+        (out,) = solve(FERRO2, CimParams(steps=100, n_anneals=1), master_seed=1, record_every=30)
         assert list(out.trajectory_steps) == [0, 30, 60, 90, 100]
         assert out.trajectory.shape == (5, 2)
-        out = run_anneal(FERRO2, CimParams(steps=1000), substream(1), record_every=10)
+        assert np.array_equal(out.trajectory[-1], out.spins)
+        (out,) = solve(FERRO2, CimParams(steps=1000, n_anneals=1), master_seed=1, record_every=10)
         assert len(out.trajectory_steps) == 101  # both endpoints included
         assert out.trajectory_steps[0] == 0 and out.trajectory_steps[-1] == 1000
 
@@ -153,11 +194,9 @@ class TestSaturationAndGauge:
     def test_uncoupled_amplitudes_stay_small(self):
         # below-threshold pump: with J = 0 the origin attracts
         params = CimParams(steps=1000)
-        state = init_state(6, substream(2), params.init_scale)
-        j = np.zeros((6, 6))
-        for _ in range(params.steps):
-            state = step(state, j, params)
-            assert np.max(np.abs(state.x)) < 1.0
+        x0 = substream(2).uniform(-params.init_scale, params.init_scale, 6)
+        states = _kernel_run(np.zeros((6, 6)), x0, params, n_steps=params.steps)
+        assert all(np.max(np.abs(x)) < 1.0 for x, _ in states)
 
     def test_flip_of_initialisation_flips_readout(self):
         params = CimParams(steps=400)
@@ -170,21 +209,26 @@ class TestSaturationAndGauge:
 
 
 class TestSolve:
-    def test_single_anneal_matches_run_anneal(self):
-        params = CimParams(steps=300, n_anneals=1)
-        batch = solve(FERRO2, params, master_seed=11)
-        single = run_anneal(FERRO2, params, substream(11, 0))
-        assert len(batch) == 1
+    def test_single_anneal_matches_batch_anneal_0(self):
+        # the contract behind cimsel solve --dump-trajectory
+        params = CimParams(steps=300, n_anneals=6)
+        batch = solve(FERRO2, params, master_seed=11, record_every=50)
+        (single,) = solve(FERRO2, CimParams(steps=300, n_anneals=1), master_seed=11,
+                          record_every=50)
         assert np.array_equal(batch[0].spins, single.spins)
         assert batch[0].energy == single.energy
+        assert np.array_equal(batch[0].trajectory, single.trajectory)
+        assert np.array_equal(batch[0].trajectory_steps, single.trajectory_steps)
 
     def test_each_anneal_matches_its_derived_stream(self):
         params = CimParams(steps=300, n_anneals=5)
         batch = solve(FERRO2, params, master_seed=23)
         for k, outcome in enumerate(batch):
-            single = run_anneal(FERRO2, params, substream(23, k))
-            assert np.array_equal(outcome.spins, single.spins)
-            assert outcome.energy == single.energy
+            x0 = substream(23, k).uniform(-params.init_scale, params.init_scale, (1, 2))
+            x, aborted, _, _ = _integrate(FERRO2, x0, params)
+            assert np.array_equal(outcome.spins, readout(x[0]))
+            assert outcome.energy == ising_energy(FERRO2, readout(x[0]))
+            assert not aborted[0]
 
     def test_determinism_across_calls(self):
         params = CimParams(steps=200, n_anneals=8)
@@ -262,8 +306,8 @@ class TestReferenceEquivalence:
 
 class TestTrajectoryDump:
     def test_csv_layout(self, tmp_path):
-        params = CimParams(steps=100)
-        out = run_anneal(FERRO2, params, substream(1), record_every=50)
+        params = CimParams(steps=100, n_anneals=1)
+        (out,) = solve(FERRO2, params, master_seed=1, record_every=50)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(out, FERRO2, params, path)
         lines = path.read_text().strip().splitlines()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -88,12 +89,27 @@ class TestSolve:
 
     def test_dump_trajectory(self, channel_file, tmp_path, capsys):
         target = tmp_path / "traj.csv"
-        run_cli("solve", str(channel_file), "--lam", "0.4", "--steps", "100",
-                "--anneals", "5", "--seed", "1", "--stride", "25",
-                "--dump-trajectory", str(target))
+        code = run_cli("solve", str(channel_file), "--lam", "0.4", "--steps", "100",
+                       "--anneals", "5", "--seed", "1", "--stride", "25",
+                       "--dump-trajectory", str(target))
+        assert code == 0
         lines = target.read_text().splitlines()
         assert lines[0].startswith("step,t,s0")
         assert len(lines) == 1 + 5  # steps 0, 25, 50, 75, 100
+        # pinned bytes: a change that moves them must say so and re-record
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "3bdca5e6704a95485f8d636274d2fc81b159a340e48115c457f404c39697999b"
+        )
+
+    def test_dump_trajectory_aborted_anneal(self, channel_file, tmp_path, capsys):
+        # at full penalty weight, dt = 50 drives every anneal non-finite
+        # within the default 1000 steps (at 100 steps none aborts)
+        target = tmp_path / "traj.csv"
+        code = run_cli("solve", str(channel_file), "--lam", "1.0", "--dt", "50",
+                       "--anneals", "5", "--seed", "1", "--dump-trajectory", str(target))
+        assert code == 3
+        assert "error: anneal 0 aborted" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_malformed_file_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -152,6 +168,51 @@ class TestSweep:
         assert echoed["cim"]["steps"] == 100
         lines = (out / "results.csv").read_text().splitlines()
         assert {row.split(",")[0] for row in lines[2:]} == {"0", "1", "2"}
+
+
+class TestConfigFile:
+    BASE = {"n_t": 2, "n_r": 2, "n_states": 2, "n_instances": 2, "lambdas": [0.5],
+            "cim": {"steps": 50, "n_anneals": 5}}
+
+    def sweep(self, tmp_path, payload):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))
+        return run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "run"))
+
+    @pytest.mark.parametrize("key", ["lamdas", "n_anneal", "seed"])
+    def test_unknown_top_level_key(self, tmp_path, capsys, key):
+        with pytest.raises(SystemExit) as exc:
+            self.sweep(tmp_path, dict(self.BASE, **{key: 1}))
+        assert exc.value.code == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["n_anneal", "lamdas", "gama"])
+    def test_unknown_cim_key(self, tmp_path, capsys, key):
+        with pytest.raises(SystemExit) as exc:
+            self.sweep(tmp_path, dict(self.BASE, cim={"steps": 50, key: 3}))
+        assert exc.value.code == 2
+        assert f"unknown key 'cim.{key}'" in capsys.readouterr().err
+
+    def test_bad_cim_value_names_field(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.sweep(tmp_path, dict(self.BASE, cim={"steps": 2.5}))
+        assert exc.value.code == 2
+        assert "steps must be an integer" in capsys.readouterr().err
+
+    def test_run_config_round_trip(self, tmp_path, capsys):
+        assert self.sweep(tmp_path, self.BASE) == 0
+        first = tmp_path / "run"
+        echoed = first / "run_config.json"
+        again = tmp_path / "again"
+        code = run_cli("sweep", "--config", str(echoed), "--out", str(again))
+        assert code == 0
+        assert (again / "run_config.json").read_bytes() == echoed.read_bytes()
+        assert (again / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+        # an echoed config names the command of the run that loads it
+        code = run_cli("trace", "--config", str(echoed), "--out", str(tmp_path / "trace"))
+        assert code == 0
+        assert json.load(open(tmp_path / "trace" / "run_config.json"))["command"] == "trace"
 
 
 class TestTrace:

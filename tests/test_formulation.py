@@ -17,6 +17,7 @@ from cimsel.formulation import (
     constraint_violation,
     coupling_from_json,
     decode_spins,
+    decode_states,
     feasible_assignments,
     instance_to_json,
     normalize_couplings,
@@ -352,6 +353,21 @@ class TestDecode:
             decode_spins(np.ones(8, dtype=int), CFG222)
         with pytest.raises(ValueError):
             decode_spins(np.array([1, 1, -1, -1, 2, 1, 1, 1, 1]), CFG222)
+
+    def test_agrees_with_batch_decoder(self):
+        spins = all_spin_vectors(9)
+        batch_feasible, batch_states = decode_states(np.stack(spins), CFG222)
+        assert batch_feasible.sum() == 2 * len(list(feasible_assignments(CFG222)))
+        for k, s0 in enumerate(spins):
+            feasible, states = decode_states(s0[None, :], CFG222)
+            assert feasible[0] == batch_feasible[k]
+            decoded = decode_spins(s0, CFG222)
+            if feasible[0]:
+                assert np.array_equal(states[0], batch_states[k])
+                assert decoded == ConfigAssignment(tx=states[0, :2], rx=states[0, 2:])
+            else:
+                assert isinstance(decoded, InfeasibleDecode)
+                assert decoded.violation > 0
 
     def test_bits_round_trip(self):
         for sel in feasible_assignments(MimoConfig(2, 1, 3)):
