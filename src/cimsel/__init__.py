@@ -23,7 +23,6 @@ from .bench import (
     MetricRow,
     SweepResult,
     TraceResult,
-    compare_methods,
     run_instance,
     sweep_lambda,
     time_trace,

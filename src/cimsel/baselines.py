@@ -52,20 +52,6 @@ def search_space_size(config: MimoConfig) -> int:
     return config.n_states ** config.n_antennas
 
 
-def _combo_states(flat: np.ndarray, n_states: int, n_antennas: int) -> np.ndarray:
-    """Decode lexicographic combination indices to per-antenna states.
-
-    The first antenna is the most significant digit, so increasing flat
-    index walks the tuples in lexicographic order.
-    """
-    out = np.empty((len(flat), n_antennas), dtype=np.int64)
-    rem = np.asarray(flat, dtype=np.int64).copy()
-    for a in range(n_antennas - 1, -1, -1):
-        out[:, a] = rem % n_states
-        rem //= n_states
-    return out
-
-
 def exhaustive_search(g: ChannelMatrix, budget: int = ES_BUDGET_DEFAULT) -> BaselineResult:
     """Globally optimal assignment by brute force over all combinations.
 
@@ -83,7 +69,9 @@ def exhaustive_search(g: ChannelMatrix, budget: int = ES_BUDGET_DEFAULT) -> Base
     a2 = np.abs(g.entries) ** 2
     n_tx = n ** cfg.n_t
     n_rx = n ** cfg.n_r
-    rx_combos = _combo_states(np.arange(n_rx), n, cfg.n_r)
+    # combination index -> per-antenna states, first antenna most significant,
+    # so increasing index walks the tuples in lexicographic order
+    rx_combos = np.stack(np.unravel_index(np.arange(n_rx), (n,) * cfg.n_r), axis=1)
     rx_rows = rx_combos + np.arange(cfg.n_r) * n  # flat row indices per rx combo
     # partial sums over the selected rows, one vector per rx combination
     row_sums = a2[rx_rows].sum(axis=1)  # (n_rx, cols)
@@ -92,7 +80,8 @@ def exhaustive_search(g: ChannelMatrix, budget: int = ES_BUDGET_DEFAULT) -> Base
     best_flat = -1
     chunk = max(1, _CHUNK_CELLS // n_rx)
     for start in range(0, n_tx, chunk):
-        tx_states = _combo_states(np.arange(start, min(start + chunk, n_tx)), n, cfg.n_t)
+        flat = np.arange(start, min(start + chunk, n_tx))
+        tx_states = np.stack(np.unravel_index(flat, (n,) * cfg.n_t), axis=1)
         cols = tx_states + np.arange(cfg.n_t) * n
         # objective for every (tx, rx) pair in the chunk, tx-major layout
         vals = row_sums[:, cols].sum(axis=2).T  # (c, n_rx)
@@ -100,39 +89,30 @@ def exhaustive_search(g: ChannelMatrix, budget: int = ES_BUDGET_DEFAULT) -> Base
         if vals.flat[idx] > best_val:
             best_val = float(vals.flat[idx])
             best_flat = (start + idx // n_rx) * n_rx + idx % n_rx
-    tx = _combo_states(np.array([best_flat // n_rx]), n, cfg.n_t)[0]
-    rx = rx_combos[best_flat % n_rx]
-    sel = ConfigAssignment(tx=tuple(tx), rx=tuple(rx))
+    tx = np.unravel_index(best_flat // n_rx, (n,) * cfg.n_t)
+    sel = ConfigAssignment(tx=tx, rx=rx_combos[best_flat % n_rx])
     # the factored sums rank the combinations; the reported objective comes
     # from the shared scorer, whose summation order can differ in the last ulp
     return BaselineResult(assignment=sel, objective=objective(g, sel), evaluations=count)
 
 
-def nsa(g: ChannelMatrix, receiver_first: bool = True) -> BaselineResult:
+def nsa(g: ChannelMatrix) -> BaselineResult:
     """Norm-based selection.
 
-    With ``receiver_first`` (the default) each receive antenna picks the
-    configuration with the largest full row norm, then each transmit
-    antenna picks the configuration with the largest column norm restricted
-    to the selected rows.  ``receiver_first=False`` mirrors the two stages.
-    Ties go to the smallest configuration index.  Performs exactly
+    Each receive antenna picks the configuration with the largest full row
+    norm, then each transmit antenna picks the configuration with the
+    largest column norm restricted to the selected rows.  Ties go to the
+    smallest configuration index.  Performs exactly
     ``n_states * (n_t + n_r)`` norm computations.
     """
     cfg = g.config
     n = cfg.n_states
     a2 = np.abs(g.entries) ** 2
-    if receiver_first:
-        row_norms = a2.sum(axis=1)  # squared row norms; argmax unaffected
-        rx = tuple(int(np.argmax(row_norms[r * n : (r + 1) * n])) for r in range(cfg.n_r))
-        sel_rows = [r * n + c for r, c in enumerate(rx)]
-        col_norms = a2[sel_rows, :].sum(axis=0)
-        tx = tuple(int(np.argmax(col_norms[t * n : (t + 1) * n])) for t in range(cfg.n_t))
-    else:
-        col_norms = a2.sum(axis=0)
-        tx = tuple(int(np.argmax(col_norms[t * n : (t + 1) * n])) for t in range(cfg.n_t))
-        sel_cols = [t * n + c for t, c in enumerate(tx)]
-        row_norms = a2[:, sel_cols].sum(axis=1)
-        rx = tuple(int(np.argmax(row_norms[r * n : (r + 1) * n])) for r in range(cfg.n_r))
+    row_norms = a2.sum(axis=1)  # squared row norms; argmax unaffected
+    rx = tuple(int(np.argmax(row_norms[r * n : (r + 1) * n])) for r in range(cfg.n_r))
+    sel_rows = [r * n + c for r, c in enumerate(rx)]
+    col_norms = a2[sel_rows, :].sum(axis=0)
+    tx = tuple(int(np.argmax(col_norms[t * n : (t + 1) * n])) for t in range(cfg.n_t))
     sel = ConfigAssignment(tx=tx, rx=rx)
     return BaselineResult(
         assignment=sel,

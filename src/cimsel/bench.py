@@ -63,7 +63,6 @@ __all__ = [
     "run_instance",
     "sweep_lambda",
     "time_trace",
-    "compare_methods",
     "summarize_comparison",
     "instance_channel_seed",
     "cim_master_seed",
@@ -110,12 +109,7 @@ class ExperimentPlan:
 
 @dataclass
 class MetricRow:
-    """One benchmark observation; maps 1:1 onto a results-CSV line.
-
-    ``wall_clock`` is the per-instance compute time; it is informational and
-    deliberately not part of the CSV schema (it would break reproducible
-    output bytes).
-    """
+    """One benchmark observation; maps 1:1 onto a results-CSV line."""
 
     instance_id: int
     method: str
@@ -125,7 +119,6 @@ class MetricRow:
     feasible: bool
     fallback: bool
     seed: int
-    wall_clock: float = 0.0
 
 
 @dataclass
@@ -197,14 +190,6 @@ class TraceResult:
     failures: list[str]
 
 
-def _per_anneal_scores(g, spins, aborted, fallback_score):
-    """Decode and score spin rows: ``(feasible, states, per-row score)``,
-    with ``fallback_score`` standing in for infeasible and aborted rows."""
-    feasible, states = decode_states(spins, g.config)
-    feasible &= ~aborted
-    return feasible, states, np.where(feasible, score_states(g, states), fallback_score)
-
-
 def run_instance(
     g: ChannelMatrix,
     lam: float,
@@ -217,53 +202,59 @@ def run_instance(
     ``seed`` is the per-instance control seed: the solver's anneal streams
     and the fallback draw are derived from it, so results are independent
     of scheduling and of the other penalty weights being swept.
+
+    Scoring works on one ``(n_anneals, n_samples)`` readout table: the final
+    readout alone, or the recorded trajectory, whose last sample is that same
+    readout.  Trace arrays reduce the table over anneals; the final-readout
+    fields come from its last column, so they do not depend on
+    ``record_every``.
     """
     config = g.config
     inst = compile_instance(g, lam)
     outcomes = solve(inst, cim_params, cim_master_seed(seed), record_every=record_every)
-    spins = np.stack([o.spins for o in outcomes])
     aborted = np.array([o.aborted for o in outcomes], dtype=bool)
+    if record_every:
+        table = np.stack([o.trajectory for o in outcomes])
+    else:
+        table = np.stack([o.spins for o in outcomes])[:, None, :]
+    n_anneals, n_samples, dim = table.shape
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
-    feasible, states, per_anneal = _per_anneal_scores(g, spins, aborted, fallback.objective)
+    feasible, states = decode_states(table.reshape(-1, dim), config)
+    feasible = feasible.reshape(n_anneals, n_samples) & ~aborted[:, None]
+    scores = np.where(
+        feasible, score_states(g, states).reshape(n_anneals, n_samples), fallback.objective
+    )
 
-    k_best = int(np.argmax(per_anneal))
-    if feasible[k_best]:
+    final, final_feasible = scores[:, -1], feasible[:, -1]
+    k_best = int(np.argmax(final))
+    if final_feasible[k_best]:
+        best_states = states.reshape(n_anneals, n_samples, -1)[k_best, -1]
         best_assignment = ConfigAssignment(
-            tx=tuple(states[k_best, : config.n_t]), rx=tuple(states[k_best, config.n_t :])
+            tx=tuple(best_states[: config.n_t]), rx=tuple(best_states[config.n_t :])
         )
     else:
         best_assignment = fallback.assignment
-    n_feasible = int(feasible.sum())
+    n_feasible = int(final_feasible.sum())
 
     # mean <= max is a mathematical identity of the per-anneal scores, but
     # summation rounding can land the mean one ulp above it; clamp it back
     result = CimInstanceResult(
         lam=lam,
-        best=float(per_anneal[k_best]),
+        best=float(final[k_best]),
         best_assignment=best_assignment,
-        avg=min(float(per_anneal.mean()), float(per_anneal[k_best])),
-        avg_raw=float(per_anneal[feasible].mean()) if n_feasible else float("nan"),
-        p_c=float(feasible.mean()),
+        avg=min(float(final.mean()), float(final[k_best])),
+        avg_raw=float(final[final_feasible].mean()) if n_feasible else float("nan"),
+        p_c=float(final_feasible.mean()),
         n_feasible=n_feasible,
-        n_anneals=len(outcomes),
+        n_anneals=n_anneals,
         n_aborted=int(aborted.sum()),
-        fallback_used=not bool(feasible.any()),
+        fallback_used=n_feasible == 0,
     )
-
     if record_every:
-        traj = np.stack([o.trajectory for o in outcomes])  # (n_anneals, n_samples, dim)
-        steps = outcomes[0].trajectory_steps
-        n_samples = traj.shape[1]
-        flat = traj.reshape(-1, traj.shape[2])
-        feas_t, _, per = _per_anneal_scores(
-            g, flat, np.repeat(aborted, n_samples), fallback.objective
-        )
-        per = per.reshape(len(outcomes), n_samples)
-        feas_t = feas_t.reshape(len(outcomes), n_samples)
-        result.trace_steps = steps
-        result.trace_best = per.max(axis=0)
-        result.trace_avg = np.minimum(per.mean(axis=0), result.trace_best)
-        result.trace_pc = feas_t.mean(axis=0)
+        result.trace_steps = outcomes[0].trajectory_steps
+        result.trace_best = scores.max(axis=0)
+        result.trace_avg = np.minimum(scores.mean(axis=0), result.trace_best)
+        result.trace_pc = feasible.mean(axis=0)
     return result
 
 
@@ -322,17 +313,9 @@ def _run_records(
     return records, failures
 
 
-def _baseline_rows(record: InstanceRecord, lam: float, step: int) -> list[MetricRow]:
+def _baseline_rows(record: InstanceRecord, common: dict) -> list[MetricRow]:
+    common = dict(common, feasible=True, fallback=False)
     rows = []
-    common = dict(
-        instance_id=record.instance_id,
-        lam=lam,
-        step=step,
-        feasible=True,
-        fallback=False,
-        seed=record.channel_seed,
-        wall_clock=record.wall_clock,
-    )
     if record.es_objective is not None:
         rows.append(MetricRow(method="es", objective=record.es_objective, **common))
     rows.append(MetricRow(method="nsa", objective=record.nsa_objective, **common))
@@ -340,28 +323,12 @@ def _baseline_rows(record: InstanceRecord, lam: float, step: int) -> list[Metric
     return rows
 
 
-def _cim_rows(record: InstanceRecord, lam: float, step: int) -> list[MetricRow]:
-    res = record.cim[lam]
-    common = dict(
-        instance_id=record.instance_id,
-        lam=lam,
-        step=step,
-        seed=record.channel_seed,
-        wall_clock=record.wall_clock,
-    )
+def _cim_rows(common: dict, best: float, avg: float, p_c: float) -> list[MetricRow]:
+    """The ``cim_best``/``cim_avg`` rows of one readout: best-of-anneals
+    falls back only when no anneal is feasible, the average when any is not."""
     return [
-        MetricRow(
-            method="cim_best", objective=res.best, feasible=True,
-            fallback=res.fallback_used, **common,
-        ),
-        MetricRow(
-            method="cim_avg", objective=res.avg, feasible=True,
-            fallback=res.n_feasible < res.n_anneals, **common,
-        ),
-        MetricRow(
-            method="cim_avg_raw", objective=res.avg_raw, feasible=res.n_feasible > 0,
-            fallback=False, **common,
-        ),
+        MetricRow(method="cim_best", objective=best, feasible=True, fallback=p_c == 0.0, **common),
+        MetricRow(method="cim_avg", objective=avg, feasible=True, fallback=p_c < 1.0, **common),
     ]
 
 
@@ -375,12 +342,22 @@ def sweep_lambda(plan: ExperimentPlan, workers: int = 1) -> SweepResult:
     if not plan.lambdas:
         raise ValueError("plan.lambdas must be non-empty")
     records, failures = _run_records(plan, plan.lambdas, 0, workers)
-    step = plan.cim.steps
     rows: list[MetricRow] = []
     for record in records:
         for lam in plan.lambdas:
-            rows.extend(_baseline_rows(record, lam, step))
-            rows.extend(_cim_rows(record, lam, step))
+            res = record.cim[lam]
+            common = dict(
+                instance_id=record.instance_id, lam=lam, step=plan.cim.steps,
+                seed=record.channel_seed,
+            )
+            rows.extend(_baseline_rows(record, common))
+            rows.extend(_cim_rows(common, res.best, res.avg, res.p_c))
+            rows.append(
+                MetricRow(
+                    method="cim_avg_raw", objective=res.avg_raw,
+                    feasible=res.n_feasible > 0, fallback=False, **common,
+                )
+            )
     summaries = _summarize(records, plan.lambdas)
     return SweepResult(rows=rows, summaries=summaries, records=records, failures=failures)
 
@@ -431,26 +408,12 @@ def time_trace(plan: ExperimentPlan, lam: float, workers: int = 1) -> TraceResul
     rows: list[MetricRow] = []
     for record in records:
         res = record.cim[lam]
-        for i, step in enumerate(res.trace_steps):
+        samples = zip(res.trace_steps, res.trace_best, res.trace_avg, res.trace_pc)
+        for step, best, avg, p_c in samples:
             common = dict(
-                instance_id=record.instance_id,
-                lam=lam,
-                step=int(step),
-                seed=record.channel_seed,
-                wall_clock=record.wall_clock,
+                instance_id=record.instance_id, lam=lam, step=int(step), seed=record.channel_seed
             )
-            rows.append(
-                MetricRow(
-                    method="cim_best", objective=float(res.trace_best[i]), feasible=True,
-                    fallback=res.trace_pc[i] == 0.0, **common,
-                )
-            )
-            rows.append(
-                MetricRow(
-                    method="cim_avg", objective=float(res.trace_avg[i]), feasible=True,
-                    fallback=res.trace_pc[i] < 1.0, **common,
-                )
-            )
+            rows.extend(_cim_rows(common, float(best), float(avg), p_c))
     steps = records[0].cim[lam].trace_steps if records else np.array([], dtype=int)
     step_summaries = []
     for i, step in enumerate(steps):
@@ -467,20 +430,14 @@ def time_trace(plan: ExperimentPlan, lam: float, workers: int = 1) -> TraceResul
     )
 
 
-def summarize_comparison(
-    sweep: SweepResult, methods: Optional[Sequence[str]] = None
-) -> list[MethodSummary]:
-    """Filter sweep summaries to a method list, asserting guaranteed orderings.
+def summarize_comparison(sweep: SweepResult) -> list[MethodSummary]:
+    """Check the guaranteed orderings of a sweep and return its summaries.
 
     The exhaustive optimum must dominate every method on every instance and
     best-of-anneals must dominate the anneal average; both are identities of
     the construction, so violations are bugs and raise
     :class:`DominanceError` immediately.
     """
-    if methods is None:
-        methods = METHOD_ORDER
-    if not methods:
-        return []
     for record in sweep.records:
         for lam, res in record.cim.items():
             if not res.best >= res.avg:
@@ -494,20 +451,7 @@ def summarize_comparison(
                             f"instance {record.instance_id}: exhaustive optimum "
                             f"{record.es_objective} below method value {value}"
                         )
-    return [s for s in sweep.summaries if s.method in set(methods)]
-
-
-def compare_methods(
-    plan: ExperimentPlan, methods: Optional[Sequence[str]] = None, workers: int = 1
-) -> list[MethodSummary]:
-    """Per-method expected objective with standard errors.
-
-    Exhaustive search appears only when its budget guard passes (the sweep
-    simply omits it otherwise).
-    """
-    if methods is not None and not methods:
-        return []
-    return summarize_comparison(sweep_lambda(plan, workers=workers), methods)
+    return sweep.summaries
 
 
 def instance_channel_seed(master_seed: int, instance_id: int) -> int:

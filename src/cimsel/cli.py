@@ -8,12 +8,15 @@ Subcommands: ``gen``, ``solve``, ``sweep``, ``trace``, ``compare``,
 
 Every run that writes to an output directory echoes its fully resolved
 configuration there as ``run_config.json``, so any artifact can be
-regenerated from the directory contents alone.
+regenerated from the directory contents alone.  Bad outside input (a flag,
+an environment value or a config file) exits 2 with an ``error:`` line
+before anything is computed or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -35,9 +38,26 @@ _CONFIG_KEYS = (
 )
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name.upper())
-    return cast(raw) if raw is not None else fallback
+def _env_default(name: str):
+    # argparse converts a string default through the flag's type, so a bad
+    # value exits 2 like a bad flag
+    return os.environ.get(_ENV_PREFIX + name.upper())
+
+
+def _fail(message: str):
+    """Reject bad outside input: print the reason and exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """Turn a ``TypeError``/``ValueError`` raised while building objects
+    from outside input into a clean exit 2."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        _fail(str(exc))
 
 
 def _load_config_file(path) -> dict:
@@ -47,16 +67,16 @@ def _load_config_file(path) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise SystemExit(f"error: cannot read config file {path}: {exc}")
+        _fail(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: config file {path} is not valid JSON: {exc}")
+        _fail(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("cim", {}), dict):
+        _fail(f"config file {path}: the top level and 'cim' must be JSON objects")
     cim_keys = {f.name for f in dataclasses.fields(CimParams)}
     unknown = [k for k in cfg if k not in _CONFIG_KEYS]
     unknown += [f"cim.{k}" for k in cfg.get("cim", {}) if k not in cim_keys]
     if unknown:
-        names = ", ".join(f"'{k}'" for k in unknown)
-        print(f"error: config file {path}: unknown key {names}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"config file {path}: unknown key " + ", ".join(f"'{k}'" for k in unknown))
     return cfg
 
 
@@ -94,27 +114,22 @@ def _mimo_config(cfg: dict) -> MimoConfig:
             n_t=int(cfg["n_t"]), n_r=int(cfg["n_r"]), n_states=int(cfg["n_states"])
         )
     except KeyError as exc:
-        raise SystemExit(f"error: missing problem dimension {exc} (flag or config file)")
+        _fail(f"missing problem dimension {exc} (flag or config file)")
 
 
-def _cim_params(cfg: dict) -> CimParams:
-    try:
-        return CimParams(**cfg.get("cim", {}))
-    except ValueError as exc:
-        print(f"error: solver parameter: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _plan(cfg: dict) -> bench.ExperimentPlan:
-    return bench.ExperimentPlan(
-        config=_mimo_config(cfg),
-        lambdas=tuple(cfg.get("lambdas", (0.5,))),
-        cim=_cim_params(cfg),
-        n_instances=int(cfg.get("n_instances", 1000)),
-        master_seed=int(cfg.get("master_seed", 0)),
-        trace_stride=int(cfg.get("trace_stride", 10)),
-        es_budget=int(cfg.get("es_budget", bench.ES_BUDGET_DEFAULT)),
-    )
+def _plan(cfg: dict) -> tuple[bench.ExperimentPlan, int]:
+    """The experiment plan and worker count of a harness command."""
+    with _input_errors():
+        plan = bench.ExperimentPlan(
+            config=_mimo_config(cfg),
+            lambdas=tuple(cfg.get("lambdas", (0.5,))),
+            cim=CimParams(**cfg.get("cim", {})),
+            n_instances=int(cfg.get("n_instances", 1000)),
+            master_seed=int(cfg.get("master_seed", 0)),
+            trace_stride=int(cfg.get("trace_stride", 10)),
+            es_budget=int(cfg.get("es_budget", bench.ES_BUDGET_DEFAULT)),
+        )
+        return plan, int(cfg["workers"])
 
 
 def _out_dir(args, default_name: str) -> Path:
@@ -131,19 +146,27 @@ def _echo_config(cfg: dict, out: Path, command: str) -> None:
         fh.write("\n")
 
 
-def _write_run_log(failures, out: Path) -> None:
+def _finish_harness(cfg: dict, out: Path, command: str, result) -> int:
+    """Shared tail of ``sweep``/``trace``/``compare``: write ``run.log`` and
+    ``run_config.json``, and exit 4 when every instance failed."""
     with open(out / "run.log", "w") as fh:
-        if failures:
-            fh.write("\n".join(failures) + "\n")
+        if result.failures:
+            fh.write("\n".join(result.failures) + "\n")
         else:
             fh.write("all instances completed\n")
+    _echo_config(cfg, out, command)
+    if not result.records:
+        print("error: all instances failed", file=sys.stderr)
+        return 4
+    return 0
 
 
 def cmd_gen(args) -> int:
     cfg = _resolved_config(args)
-    config = _mimo_config(cfg)
-    n_instances = int(cfg.get("n_instances", 1))
-    master_seed = int(cfg["master_seed"])
+    with _input_errors():
+        config = _mimo_config(cfg)
+        n_instances = int(cfg.get("n_instances", 1))
+        master_seed = int(cfg["master_seed"])
     out = _out_dir(args, "gen")
     seeds, files = [], []
     for k in range(n_instances):
@@ -182,9 +205,13 @@ def cmd_solve(args) -> int:
     except (OSError, json.JSONDecodeError, ChannelFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lam = float(cfg.get("lambda", 0.5))
-    params = _cim_params(cfg)
-    seed = int(cfg["master_seed"])
+    if args.dump_trajectory and args.stride < 1:
+        _fail(f"--stride must be >= 1 to dump a trajectory, got {args.stride}")
+    with _input_errors():
+        lam = float(cfg.get("lambda", 0.5))
+        params = CimParams(**cfg.get("cim", {}))
+        seed = int(cfg["master_seed"])
+        inst = compile_instance(g, lam)
     result = bench.run_instance(g, lam, params, seed)
     report = {
         "format": 1,
@@ -201,7 +228,6 @@ def cmd_solve(args) -> int:
         "fallback_used": result.fallback_used,
         "average_objective": result.avg,
     }
-    inst = compile_instance(g, lam)
     if args.export_ising:
         write_instance(inst, args.export_ising)
     if args.dump_trajectory:
@@ -241,32 +267,27 @@ def _write_plot_tables(out: Path, summaries) -> None:
 
 def cmd_sweep(args) -> int:
     cfg = _resolved_config(args)
-    plan = _plan(cfg)
+    plan, workers = _plan(cfg)
     out = _out_dir(args, "sweep")
-    result = bench.sweep_lambda(plan, workers=int(cfg["workers"]))
+    result = bench.sweep_lambda(plan, workers=workers)
+    summaries = bench.summarize_comparison(result)
     bench.write_metric_rows(result.rows, out / "results.csv")
-    bench.write_summary_json(result.summaries, out / "summary.json")
-    _write_run_log(result.failures, out)
-    _echo_config(cfg, out, "sweep")
+    bench.write_summary_json(summaries, out / "summary.json")
     if args.plot_data:
-        _write_plot_tables(out, result.summaries)
+        _write_plot_tables(out, summaries)
     print(f"swept {len(plan.lambdas)} penalty weights over {len(result.records)} instances -> {out}")
-    if not result.records:
-        print("error: all instances failed", file=sys.stderr)
-        return 4
-    return 0
+    return _finish_harness(cfg, out, "sweep", result)
 
 
 def cmd_trace(args) -> int:
     cfg = _resolved_config(args)
-    plan = _plan(cfg)
-    lam = float(cfg.get("lambda", plan.lambdas[0]))
+    # the traced weight is the plan's only one, so the plan checks it
+    plan, workers = _plan(dict(cfg, lambdas=[cfg["lambda"]]) if "lambda" in cfg else cfg)
+    lam = plan.lambdas[0]
     out = _out_dir(args, "trace")
-    result = bench.time_trace(plan, lam, workers=int(cfg["workers"]))
+    result = bench.time_trace(plan, lam, workers=workers)
     bench.write_metric_rows(result.rows, out / "trace.csv")
     bench.write_trace_summary_json(result, out / "trace_summary.json")
-    _write_run_log(result.failures, out)
-    _echo_config(cfg, out, "trace")
     if args.plot_data:
         with open(out / "plot_step_e.csv", "w") as fh:
             fh.write("step,method,e_rho\n")
@@ -278,17 +299,14 @@ def cmd_trace(args) -> int:
             for s in result.step_summaries:
                 fh.write(f"{s.step},{s.p_c!r}\n")
     print(f"traced {len(result.step_summaries)} sampled steps at lambda={lam} -> {out}")
-    if not result.records:
-        print("error: all instances failed", file=sys.stderr)
-        return 4
-    return 0
+    return _finish_harness(cfg, out, "trace", result)
 
 
 def cmd_compare(args) -> int:
     cfg = _resolved_config(args)
-    plan = _plan(cfg)
+    plan, workers = _plan(cfg)
     out = _out_dir(args, "compare")
-    sweep = bench.sweep_lambda(plan, workers=int(cfg["workers"]))
+    sweep = bench.sweep_lambda(plan, workers=workers)
     summaries = bench.summarize_comparison(sweep)
     if search_space_size(plan.config) > plan.es_budget:
         print(
@@ -297,18 +315,13 @@ def cmd_compare(args) -> int:
         )
     bench.write_metric_rows(sweep.rows, out / "results.csv")
     bench.write_summary_json(summaries, out / "summary.json")
-    _write_run_log(sweep.failures, out)
-    _echo_config(cfg, out, "compare")
     if args.plot_data:
         _write_plot_tables(out, summaries)
     widths = max((len(s.method) for s in summaries), default=6)
     print(f"{'method':<{widths}}  lambda  e_rho     stderr    p_c")
     for s in summaries:
         print(f"{s.method:<{widths}}  {s.lam:<6.3g}  {s.e_rho:<8.5g}  {s.stderr:<8.3g}  {s.p_c:.4g}")
-    if not sweep.records:
-        print("error: all instances failed", file=sys.stderr)
-        return 4
-    return 0
+    return _finish_harness(cfg, out, "compare", sweep)
 
 
 def cmd_export_ising(args) -> int:
@@ -318,21 +331,22 @@ def cmd_export_ising(args) -> int:
     except (OSError, json.JSONDecodeError, ChannelFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lam = float(cfg.get("lambda", 0.5))
-    inst = compile_instance(g, lam)
+    with _input_errors():
+        lam = float(cfg.get("lambda", 0.5))
+        inst = compile_instance(g, lam)
     write_instance(inst, args.output)
     print(f"wrote Ising instance (dim {inst.dim}, lambda {lam}) to {args.output}")
     return 0
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_env_default("seed", int, None),
+    p.add_argument("--seed", type=int, default=_env_default("seed"),
                    help="master seed (env CIMSEL_SEED)")
-    p.add_argument("--workers", type=int, default=_env_default("workers", int, None),
+    p.add_argument("--workers", type=int, default=_env_default("workers"),
                    help="parallel instance workers (env CIMSEL_WORKERS)")
-    p.add_argument("--out", default=_env_default("out", str, None),
+    p.add_argument("--out", default=_env_default("out"),
                    help="output directory (env CIMSEL_OUT)")
-    p.add_argument("--config", default=_env_default("config", str, None),
+    p.add_argument("--config", default=_env_default("config"),
                    help="JSON config file; flags override it (env CIMSEL_CONFIG)")
 
 

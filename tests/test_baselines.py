@@ -116,14 +116,6 @@ class TestNsa:
             g = generate_channel(cfg, seed=0)
             assert nsa(g).evaluations == cfg.n_states * (cfg.n_t + cfg.n_r)
 
-    def test_transmitter_first_variant(self):
-        g = channel_from_amplitudes([[3.0, 0.0], [2.8, 2.9]], n_t=1, n_r=1, n_states=2)
-        result = nsa(g, receiver_first=False)
-        # full column norms: col 0 carries 3.0 and 2.8, so tx = 0, then rx = 0
-        assert result.assignment == ConfigAssignment(tx=(0,), rx=(0,))
-        assert result.objective == pytest.approx(9.0)
-        assert result.evaluations == 4
-
     def test_never_beats_exhaustive(self):
         for seed in range(20):
             g = generate_channel(CFG222, seed=seed)

@@ -10,7 +10,6 @@ from cimsel.bench import (
     InstanceRecord,
     MethodSummary,
     SweepResult,
-    compare_methods,
     instance_channel_seed,
     run_instance,
     summarize_comparison,
@@ -86,6 +85,28 @@ class TestRunInstance:
             res = run_instance(g, lam, FAST_CIM, seed=3)
             assert res.best >= res.avg
             assert 0.0 <= res.p_c <= 1.0
+
+    @pytest.mark.parametrize(
+        "lam,params,stride,n_aborted",
+        [(1.0, CimParams(dt=0.1, steps=300, n_anneals=40), 50, 0),  # some feasible
+         (0.0, FAST_CIM, 7, 0),  # nothing feasible: every score is the fallback
+         (1.0, CimParams(dt=50.0, steps=300, n_anneals=4), 100, 4)],  # every anneal aborts
+    )
+    def test_final_readout_independent_of_trace(self, lam, params, stride, n_aborted):
+        # the trace's last sample is the final readout, so recording a trace
+        # must not move a single bit of the final-readout fields
+        g = generate_channel(CFG222, seed=7)
+        plain = run_instance(g, lam, params, seed=3)
+        traced = run_instance(g, lam, params, seed=3, record_every=stride)
+        assert plain.trace_steps is None
+        assert 0.0 <= plain.p_c < 1.0
+        assert plain.n_aborted == traced.n_aborted == n_aborted
+        for name in ("best", "avg", "avg_raw", "p_c", "n_feasible", "best_assignment"):
+            a, b = getattr(plain, name), getattr(traced, name)
+            assert a == b or (np.isnan(a) and np.isnan(b)), name
+        assert traced.trace_steps[-1] == params.steps
+        assert traced.trace_best[-1] == traced.best
+        assert traced.trace_pc[-1] == traced.p_c
 
     def test_determinism_and_weight_pairing(self):
         g = generate_channel(CFG222, seed=7)
@@ -226,24 +247,17 @@ class TestCompareMethods:
     def test_ordering_with_standard_errors(self):
         plan = small_plan(lambdas=(0.6,), n_instances=100,
                           cim=CimParams(steps=300, n_anneals=50))
-        summaries = compare_methods(plan)
+        summaries = summarize_comparison(sweep_lambda(plan))
         by = {s.method: s for s in summaries}
         assert by["es"].e_rho >= by["nsa"].e_rho - 1e-12
         assert by["nsa"].e_rho - by["rs"].e_rho > 2 * (by["nsa"].stderr + by["rs"].stderr)
         assert by["es"].e_rho - by["rs"].e_rho > 2 * (by["es"].stderr + by["rs"].stderr)
 
-    def test_empty_method_list(self):
-        assert compare_methods(small_plan(), methods=()) == []
-
-    def test_method_filter(self):
-        plan = small_plan(lambdas=(0.5,), n_instances=3)
-        summaries = compare_methods(plan, methods=("nsa", "rs"))
-        assert {s.method for s in summaries} == {"nsa", "rs"}
-
     def test_dominance_assertions_run(self):
         plan = small_plan(lambdas=(0.1, 0.9), n_instances=6)
         sweep = sweep_lambda(plan)
         summaries = summarize_comparison(sweep)
+        assert summaries is sweep.summaries
         assert {s.method for s in summaries} == {
             "es", "nsa", "rs", "cim_best", "cim_avg", "cim_avg_raw"
         }

@@ -21,6 +21,21 @@ def gen_args(out, n_instances=3, seed=11, n=(2, 2, 2)):
     ]
 
 
+SMALL = ("--n-t", "2", "--n-r", "2", "--n-states", "2", "--n-instances", "1",
+         "--steps", "20", "--anneals", "2")
+
+
+def _channel_file(tmp_path):
+    run_cli(*gen_args(tmp_path / "gen", n_instances=1))
+    return str(tmp_path / "gen" / "channel_00000.json")
+
+
+def _config_file(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 class TestGen:
     def test_writes_files_and_manifest(self, tmp_path):
         out = tmp_path / "gen"
@@ -141,6 +156,21 @@ class TestSweep:
         plot = (out / "plot_lambda_e.csv").read_text().splitlines()
         assert plot[0] == "lambda,method,e_rho"
 
+    def test_checks_dominance(self, tmp_path, monkeypatch):
+        # a sweep whose best-of-anneals falls below its average is a bug,
+        # caught by the same check compare runs
+        real = cli.bench.sweep_lambda
+
+        def broken(plan, workers=1):
+            result = real(plan, workers)
+            res = result.records[0].cim[plan.lambdas[0]]
+            res.best = res.avg - 1.0
+            return result
+
+        monkeypatch.setattr(cli.bench, "sweep_lambda", broken)
+        with pytest.raises(cli.bench.DominanceError, match="below average"):
+            run_cli("sweep", *SMALL, "--lambdas", "0.5", "--out", str(tmp_path / "run"))
+
     def test_byte_identical_reruns(self, tmp_path):
         args = lambda d: [
             "sweep", "--n-t", "2", "--n-r", "2", "--n-states", "2",
@@ -213,6 +243,49 @@ class TestConfigFile:
         code = run_cli("trace", "--config", str(echoed), "--out", str(tmp_path / "trace"))
         assert code == 0
         assert json.load(open(tmp_path / "trace" / "run_config.json"))["command"] == "trace"
+
+
+class TestBadInput:
+    """Bad outside input exits 2 with an ``error:`` line, never a traceback,
+    and before any output directory is made."""
+
+    @pytest.mark.parametrize("argv,env,message", [
+        pytest.param(lambda tmp: ["sweep", *SMALL, "--lambdas", "1.5"], {},
+                     "penalty weights must lie in [0, 1]", id="sweep-lambdas"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--lam", "1.5"], {},
+                     "penalty weight must lie in [0, 1]", id="solve-lam"),
+        pytest.param(lambda tmp: ["sweep", *SMALL, "--n-instances", "0"], {},
+                     "n_instances must be >= 1", id="n-instances-0"),
+        pytest.param(lambda tmp: ["trace", *SMALL, "--stride", "0"], {},
+                     "trace_stride must be >= 1", id="trace-stride-0"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--stride", "0",
+                                  "--dump-trajectory", str(tmp / "f.csv")], {},
+                     "--stride must be >= 1", id="solve-stride-0"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(tmp, [1, 2])], {},
+                     "must be JSON objects", id="config-top-level-list"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(tmp, {"cim": [1]})], {},
+                     "must be JSON objects", id="config-cim-list"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, {"n_t": "two", "n_r": 2, "n_states": 2})], {},
+                     "invalid literal for int()", id="config-n-t-string"),
+        pytest.param(lambda tmp: ["sweep", *SMALL], {"CIMSEL_SEED": "abc"},
+                     "invalid int value: 'abc'", id="env-seed"),
+        pytest.param(lambda tmp: ["sweep", "--n-r", "2", "--n-states", "2"], {},
+                     "missing problem dimension 'n_t'", id="missing-dimension"),
+        pytest.param(lambda tmp: ["sweep", "--config", str(tmp / "absent.json")], {},
+                     "cannot read config file", id="unreadable-config"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, argv, env, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv(tmp_path), "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrace:
