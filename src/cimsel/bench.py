@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -87,24 +88,35 @@ class DominanceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything a benchmark run depends on."""
+    """Everything a benchmark run depends on.
+
+    The plan is the schema of outside input: the command line hands it the
+    values it was given, unconverted, and the plan checks them.
+    """
 
     config: MimoConfig
-    lambdas: tuple[float, ...]
-    cim: CimParams
+    lambdas: tuple[float, ...] = (0.5,)
+    cim: CimParams = CimParams()
     n_instances: int = 1000
     master_seed: int = 0
     trace_stride: int = 10
     es_budget: int = ES_BUDGET_DEFAULT
 
     def __post_init__(self):
+        minimum = {"n_instances": 1, "master_seed": 0, "trace_stride": 1, "es_budget": 0}
+        for name, low in minimum.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in self.lambdas):
+            raise ValueError(f"penalty weights must be numbers, got {self.lambdas!r}")
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if self.n_instances < 1:
-            raise ValueError(f"n_instances must be >= 1, got {self.n_instances}")
+        if not self.lambdas:
+            raise ValueError("lambdas must be non-empty")
         if any(not 0.0 <= v <= 1.0 for v in self.lambdas):
             raise ValueError(f"penalty weights must lie in [0, 1], got {self.lambdas}")
-        if self.trace_stride < 1:
-            raise ValueError(f"trace_stride must be >= 1, got {self.trace_stride}")
 
 
 @dataclass
@@ -339,8 +351,6 @@ def sweep_lambda(plan: ExperimentPlan, workers: int = 1) -> SweepResult:
     are ordered by (instance, weight, method) and are a pure function of
     the plan.
     """
-    if not plan.lambdas:
-        raise ValueError("plan.lambdas must be non-empty")
     records, failures = _run_records(plan, plan.lambdas, 0, workers)
     rows: list[MetricRow] = []
     for record in records:
@@ -508,7 +518,7 @@ def _none_if_nan(v: float):
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
-def write_summary_json(summaries: Sequence[MethodSummary], path, extra: Optional[dict] = None) -> None:
+def write_summary_json(summaries: Sequence[MethodSummary], path) -> None:
     payload = {
         "format": 1,
         "rows": [
@@ -523,8 +533,6 @@ def write_summary_json(summaries: Sequence[MethodSummary], path, extra: Optional
             for s in summaries
         ],
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

@@ -111,10 +111,9 @@ class CimParams:
 
 @dataclass(eq=False)
 class AnnealOutcome:
-    """Readout of one anneal: final spins, their energy, optional trajectory."""
+    """Readout of one anneal: final spins, optional trajectory."""
 
     spins: np.ndarray
-    energy: float
     aborted: bool = False
     trajectory: Optional[np.ndarray] = None
     trajectory_steps: Optional[np.ndarray] = None
@@ -207,9 +206,8 @@ def _integrate(jm, x0, params, record_every=0):
                 x[bad] = 0.0
                 e[bad] = 1.0
             if record_every and (k % record_every == 0 or k == params.steps):
-                if not snap_steps or snap_steps[-1] != k:
-                    snaps.append(readout(x))
-                    snap_steps.append(k)
+                snaps.append(readout(x))
+                snap_steps.append(k)
     snap_arr = np.stack(snaps) if snaps else None
     step_arr = np.asarray(snap_steps, dtype=np.int64) if snaps else None
     return x, aborted, snap_arr, step_arr
@@ -224,7 +222,7 @@ def solve(
     ``(master_seed, k)``, so the result list is ordered by ``k`` and is a
     pure function of ``(j, params, master_seed)``.  The batch is integrated
     as one vectorised system; anneals that diverge come back flagged
-    ``aborted`` with NaN energy instead of being dropped.
+    ``aborted`` instead of being dropped.
     """
     jm = _coupling_matrix(j)
     dim = jm.shape[0]
@@ -234,13 +232,11 @@ def solve(
     )
     x, aborted, snaps, snap_steps = _integrate(jm, x0, params, record_every)
     spins = readout(x)
-    energies = np.einsum("ki,ij,kj->k", spins.astype(float), jm, spins.astype(float))
     outcomes = []
     for k in range(params.n_anneals):
         outcomes.append(
             AnnealOutcome(
                 spins=spins[k],
-                energy=float("nan") if aborted[k] else float(energies[k]),
                 aborted=bool(aborted[k]),
                 trajectory=snaps[:, k, :] if snaps is not None else None,
                 trajectory_steps=snap_steps,

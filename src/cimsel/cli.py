@@ -6,11 +6,17 @@ Subcommands: ``gen``, ``solve``, ``sweep``, ``trace``, ``compare``,
 ``CIMSEL_SEED``, ``CIMSEL_WORKERS``, ``CIMSEL_OUT`` and ``CIMSEL_CONFIG``
 (flags win over the environment, which wins over the config file).
 
+Outside input reaches a run only through :class:`bench.ExperimentPlan`: the
+merged flags, environment and config file are handed, unconverted, to
+``MimoConfig``, ``CimParams`` and the plan, which own the defaults and
+checks of their fields; only ``workers`` is defaulted and checked here.  A
+config file may hold the plan's fields, the problem dimensions, ``cim``,
+``workers`` and a single weight ``lambda``.  Bad outside input exits 2 with
+an ``error:`` line before anything is computed or written.
+
 Every run that writes to an output directory echoes its fully resolved
 configuration there as ``run_config.json``, so any artifact can be
-regenerated from the directory contents alone.  Bad outside input (a flag,
-an environment value or a config file) exits 2 with an ``error:`` line
-before anything is computed or written.
+regenerated from the directory contents alone.
 """
 
 from __future__ import annotations
@@ -25,17 +31,18 @@ from pathlib import Path
 
 from . import bench
 from .baselines import search_space_size
-from .channel import ChannelFormatError, MimoConfig, generate_channel, read_channel, write_channel
+from .channel import MimoConfig, generate_channel, read_channel, write_channel
 from .cim import CimParams, solve, write_trajectory_csv
 from .formulation import compile_instance, write_instance
 
 _ENV_PREFIX = "CIMSEL_"
 
-# what _resolved_config and _plan read, plus the keys run_config.json adds
-_CONFIG_KEYS = (
-    "master_seed", "workers", "n_t", "n_r", "n_states", "n_instances", "trace_stride",
-    "es_budget", "lambdas", "lambda", "cim", "format", "command",
+_DIMENSIONS = tuple(f.name for f in dataclasses.fields(MimoConfig))
+_PLAN_KEYS = tuple(
+    f.name for f in dataclasses.fields(bench.ExperimentPlan) if f.name not in ("config", "cim")
 )
+# what a config file may hold: the plan, plus the keys run_config.json adds
+_CONFIG_KEYS = (*_DIMENSIONS, *_PLAN_KEYS, "cim", "workers", "lambda", "format", "command")
 
 
 def _env_default(name: str):
@@ -52,11 +59,11 @@ def _fail(message: str):
 
 @contextlib.contextmanager
 def _input_errors():
-    """Turn a ``TypeError``/``ValueError`` raised while building objects
-    from outside input into a clean exit 2."""
+    """Turn an error raised while reading or checking outside input into a
+    clean exit 2."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         _fail(str(exc))
 
 
@@ -82,54 +89,54 @@ def _load_config_file(path) -> dict:
 
 def _resolved_config(args) -> dict:
     """Merge config file defaults with command-line overrides."""
-    cfg = dict(_load_config_file(args.config))
+    cfg = _load_config_file(args.config)
+    flags = {key: getattr(args, key, None) for key in (*_DIMENSIONS, *_PLAN_KEYS)}
+    flags.update(master_seed=args.seed, workers=args.workers)
+    flags["lambda"] = getattr(args, "lam", None)
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
     cim = dict(cfg.get("cim", {}))
-
-    def override(key, value):
-        if value is not None:
-            cfg[key] = value
-
-    override("master_seed", args.seed)
-    override("workers", args.workers)
-    for key in ("n_t", "n_r", "n_states", "n_instances", "trace_stride", "es_budget"):
-        override(key, getattr(args, key.replace("-", "_"), None))
-    if getattr(args, "lambdas", None) is not None:
-        cfg["lambdas"] = args.lambdas
-    if getattr(args, "lam", None) is not None:
-        cfg["lambda"] = args.lam
     for f in dataclasses.fields(CimParams):
         value = getattr(args, f"cim_{f.name}", None)
         if value is not None:
             cim[f.name] = value
     if cim:
         cfg["cim"] = cim
-    cfg.setdefault("master_seed", 0)
     cfg.setdefault("workers", 1)
     return cfg
 
 
-def _mimo_config(cfg: dict) -> MimoConfig:
-    try:
-        return MimoConfig(
-            n_t=int(cfg["n_t"]), n_r=int(cfg["n_r"]), n_states=int(cfg["n_states"])
-        )
-    except KeyError as exc:
-        _fail(f"missing problem dimension {exc} (flag or config file)")
+def _one_weight(cfg: dict) -> dict:
+    # a single-weight command runs ``lambda`` as the plan's only weight, so
+    # the plan checks it; without one it runs the plan's first weight
+    return dict(cfg, lambdas=[cfg["lambda"]]) if "lambda" in cfg else cfg
 
 
-def _plan(cfg: dict) -> tuple[bench.ExperimentPlan, int]:
-    """The experiment plan and worker count of a harness command."""
+def _plan(cfg: dict, config: MimoConfig | None = None) -> tuple[bench.ExperimentPlan, int]:
+    """The experiment plan and worker count of a command.
+
+    The dimensions come from ``config`` (a channel file's) when given, else
+    from ``cfg``; the plan gets only the keys present in ``cfg``.
+    """
     with _input_errors():
+        if config is None:
+            missing = [key for key in _DIMENSIONS if key not in cfg]
+            if missing:
+                _fail(f"missing problem dimension '{missing[0]}' (flag or config file)")
+            config = MimoConfig(**{key: cfg[key] for key in _DIMENSIONS})
         plan = bench.ExperimentPlan(
-            config=_mimo_config(cfg),
-            lambdas=tuple(cfg.get("lambdas", (0.5,))),
+            config=config,
             cim=CimParams(**cfg.get("cim", {})),
-            n_instances=int(cfg.get("n_instances", 1000)),
-            master_seed=int(cfg.get("master_seed", 0)),
-            trace_stride=int(cfg.get("trace_stride", 10)),
-            es_budget=int(cfg.get("es_budget", bench.ES_BUDGET_DEFAULT)),
+            **{key: cfg[key] for key in _PLAN_KEYS if key in cfg},
         )
-        return plan, int(cfg["workers"])
+    workers = cfg["workers"]
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        _fail(f"workers must be an integer >= 1, got {workers!r}")
+    return plan, workers
+
+
+def _read_channel(path):
+    with _input_errors():
+        return read_channel(path)
 
 
 def _out_dir(args, default_name: str) -> Path:
@@ -138,23 +145,28 @@ def _out_dir(args, default_name: str) -> Path:
     return out
 
 
-def _echo_config(cfg: dict, out: Path, command: str) -> None:
-    # a config file that is itself an echo carries the old run's command
-    payload = dict(cfg, format=1, command=command)
+def _echo_config(args, cfg: dict, plan: bench.ExperimentPlan, out: Path) -> None:
+    # the echo records the seed that ran; a config file that is itself an
+    # echo carries the old run's command
+    payload = dict(cfg, master_seed=plan.master_seed, format=1, command=args.command)
     with open(out / "run_config.json", "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def _finish_harness(cfg: dict, out: Path, command: str, result) -> int:
+def _write_table(path: Path, header: str, lines) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _finish_harness(args, cfg: dict, plan: bench.ExperimentPlan, out: Path, result) -> int:
     """Shared tail of ``sweep``/``trace``/``compare``: write ``run.log`` and
     ``run_config.json``, and exit 4 when every instance failed."""
-    with open(out / "run.log", "w") as fh:
-        if result.failures:
-            fh.write("\n".join(result.failures) + "\n")
-        else:
-            fh.write("all instances completed\n")
-    _echo_config(cfg, out, command)
+    log = result.failures or ["all instances completed"]
+    (out / "run.log").write_text("\n".join(log) + "\n")
+    _echo_config(args, cfg, plan, out)
     if not result.records:
         print("error: all instances failed", file=sys.stderr)
         return 4
@@ -163,15 +175,13 @@ def _finish_harness(cfg: dict, out: Path, command: str, result) -> int:
 
 def cmd_gen(args) -> int:
     cfg = _resolved_config(args)
-    with _input_errors():
-        config = _mimo_config(cfg)
-        n_instances = int(cfg.get("n_instances", 1))
-        master_seed = int(cfg["master_seed"])
+    # gen writes one file unless told otherwise
+    plan, _ = _plan({"n_instances": 1, **cfg})
     out = _out_dir(args, "gen")
     seeds, files = [], []
-    for k in range(n_instances):
-        seed = bench.instance_channel_seed(master_seed, k)
-        g = generate_channel(config, seed)
+    for k in range(plan.n_instances):
+        seed = bench.instance_channel_seed(plan.master_seed, k)
+        g = generate_channel(plan.config, seed)
         name = f"channel_{k:05d}.json"
         try:
             write_channel(g, out / name)
@@ -182,36 +192,30 @@ def cmd_gen(args) -> int:
         files.append(name)
     manifest = {
         "format": 1,
-        "n_t": config.n_t,
-        "n_r": config.n_r,
-        "n_states": config.n_states,
-        "master_seed": master_seed,
-        "n_instances": n_instances,
+        "n_t": plan.config.n_t,
+        "n_r": plan.config.n_r,
+        "n_states": plan.config.n_states,
+        "master_seed": plan.master_seed,
+        "n_instances": plan.n_instances,
         "seeds": seeds,
         "files": files,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
-    _echo_config(cfg, out, "gen")
-    print(f"wrote {n_instances} channel files and manifest.json to {out}")
+    _echo_config(args, cfg, plan, out)
+    print(f"wrote {plan.n_instances} channel files and manifest.json to {out}")
     return 0
 
 
 def cmd_solve(args) -> int:
     cfg = _resolved_config(args)
-    try:
-        g = read_channel(args.channel)
-    except (OSError, json.JSONDecodeError, ChannelFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = _read_channel(args.channel)
     if args.dump_trajectory and args.stride < 1:
         _fail(f"--stride must be >= 1 to dump a trajectory, got {args.stride}")
-    with _input_errors():
-        lam = float(cfg.get("lambda", 0.5))
-        params = CimParams(**cfg.get("cim", {}))
-        seed = int(cfg["master_seed"])
-        inst = compile_instance(g, lam)
+    plan, _ = _plan(_one_weight(cfg), g.config)
+    lam, params, seed = plan.lambdas[0], plan.cim, plan.master_seed
+    inst = compile_instance(g, lam)
     result = bench.run_instance(g, lam, params, seed)
     report = {
         "format": 1,
@@ -245,7 +249,7 @@ def cmd_solve(args) -> int:
         out = _out_dir(args, "solve")
         with open(out / "solution.json", "w") as fh:
             fh.write(text + "\n")
-        _echo_config(cfg, out, "solve")
+        _echo_config(args, cfg, plan, out)
     print(text)
     if result.n_aborted == result.n_anneals:
         print("error: every anneal aborted", file=sys.stderr)
@@ -253,89 +257,62 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _write_plot_tables(out: Path, summaries) -> None:
-    """Tidy per-figure tables: one for the objective, one for feasibility."""
-    with open(out / "plot_lambda_e.csv", "w") as fh:
-        fh.write("lambda,method,e_rho\n")
-        for s in summaries:
-            fh.write(f"{s.lam!r},{s.method},{s.e_rho!r}\n")
-    with open(out / "plot_lambda_pc.csv", "w") as fh:
-        fh.write("lambda,method,p_c\n")
-        for s in summaries:
-            fh.write(f"{s.lam!r},{s.method},{s.p_c!r}\n")
-
-
 def cmd_sweep(args) -> int:
+    """``sweep`` and ``compare``: final-readout metrics at every weight;
+    ``compare`` also notes a skipped exhaustive search and prints a table."""
     cfg = _resolved_config(args)
     plan, workers = _plan(cfg)
-    out = _out_dir(args, "sweep")
+    out = _out_dir(args, args.command)
     result = bench.sweep_lambda(plan, workers=workers)
     summaries = bench.summarize_comparison(result)
     bench.write_metric_rows(result.rows, out / "results.csv")
     bench.write_summary_json(summaries, out / "summary.json")
     if args.plot_data:
-        _write_plot_tables(out, summaries)
-    print(f"swept {len(plan.lambdas)} penalty weights over {len(result.records)} instances -> {out}")
-    return _finish_harness(cfg, out, "sweep", result)
+        _write_table(out / "plot_lambda_e.csv", "lambda,method,e_rho",
+                     (f"{s.lam!r},{s.method},{s.e_rho!r}" for s in summaries))
+        _write_table(out / "plot_lambda_pc.csv", "lambda,method,p_c",
+                     (f"{s.lam!r},{s.method},{s.p_c!r}" for s in summaries))
+    if args.command == "sweep":
+        print(f"swept {len(plan.lambdas)} penalty weights over {len(result.records)} "
+              f"instances -> {out}")
+    else:
+        size = search_space_size(plan.config)
+        if size > plan.es_budget:
+            print(f"note: exhaustive search skipped "
+                  f"({size} combinations exceed budget {plan.es_budget})")
+        widths = max((len(s.method) for s in summaries), default=6)
+        print(f"{'method':<{widths}}  lambda  e_rho     stderr    p_c")
+        for s in summaries:
+            print(f"{s.method:<{widths}}  {s.lam:<6.3g}  {s.e_rho:<8.5g}  {s.stderr:<8.3g}  "
+                  f"{s.p_c:.4g}")
+    return _finish_harness(args, cfg, plan, out, result)
 
 
 def cmd_trace(args) -> int:
     cfg = _resolved_config(args)
-    # the traced weight is the plan's only one, so the plan checks it
-    plan, workers = _plan(dict(cfg, lambdas=[cfg["lambda"]]) if "lambda" in cfg else cfg)
+    plan, workers = _plan(_one_weight(cfg))
     lam = plan.lambdas[0]
     out = _out_dir(args, "trace")
     result = bench.time_trace(plan, lam, workers=workers)
     bench.write_metric_rows(result.rows, out / "trace.csv")
     bench.write_trace_summary_json(result, out / "trace_summary.json")
     if args.plot_data:
-        with open(out / "plot_step_e.csv", "w") as fh:
-            fh.write("step,method,e_rho\n")
-            for s in result.step_summaries:
-                fh.write(f"{s.step},cim_best,{s.e_rho_best!r}\n")
-                fh.write(f"{s.step},cim_avg,{s.e_rho_avg!r}\n")
-        with open(out / "plot_step_pc.csv", "w") as fh:
-            fh.write("step,p_c\n")
-            for s in result.step_summaries:
-                fh.write(f"{s.step},{s.p_c!r}\n")
+        _write_table(out / "plot_step_e.csv", "step,method,e_rho",
+                     (f"{s.step},{method},{value!r}" for s in result.step_summaries
+                      for method, value in (("cim_best", s.e_rho_best), ("cim_avg", s.e_rho_avg))))
+        _write_table(out / "plot_step_pc.csv", "step,p_c",
+                     (f"{s.step},{s.p_c!r}" for s in result.step_summaries))
     print(f"traced {len(result.step_summaries)} sampled steps at lambda={lam} -> {out}")
-    return _finish_harness(cfg, out, "trace", result)
-
-
-def cmd_compare(args) -> int:
-    cfg = _resolved_config(args)
-    plan, workers = _plan(cfg)
-    out = _out_dir(args, "compare")
-    sweep = bench.sweep_lambda(plan, workers=workers)
-    summaries = bench.summarize_comparison(sweep)
-    if search_space_size(plan.config) > plan.es_budget:
-        print(
-            f"note: exhaustive search skipped "
-            f"({search_space_size(plan.config)} combinations exceed budget {plan.es_budget})"
-        )
-    bench.write_metric_rows(sweep.rows, out / "results.csv")
-    bench.write_summary_json(summaries, out / "summary.json")
-    if args.plot_data:
-        _write_plot_tables(out, summaries)
-    widths = max((len(s.method) for s in summaries), default=6)
-    print(f"{'method':<{widths}}  lambda  e_rho     stderr    p_c")
-    for s in summaries:
-        print(f"{s.method:<{widths}}  {s.lam:<6.3g}  {s.e_rho:<8.5g}  {s.stderr:<8.3g}  {s.p_c:.4g}")
-    return _finish_harness(cfg, out, "compare", sweep)
+    return _finish_harness(args, cfg, plan, out, result)
 
 
 def cmd_export_ising(args) -> int:
     cfg = _resolved_config(args)
-    try:
-        g = read_channel(args.channel)
-    except (OSError, json.JSONDecodeError, ChannelFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with _input_errors():
-        lam = float(cfg.get("lambda", 0.5))
-        inst = compile_instance(g, lam)
+    g = _read_channel(args.channel)
+    plan, _ = _plan(_one_weight(cfg), g.config)
+    inst = compile_instance(g, plan.lambdas[0])
     write_instance(inst, args.output)
-    print(f"wrote Ising instance (dim {inst.dim}, lambda {lam}) to {args.output}")
+    print(f"wrote Ising instance (dim {inst.dim}, lambda {plan.lambdas[0]}) to {args.output}")
     return 0
 
 
@@ -421,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", type=_parse_lambdas)
     p.add_argument("--es-budget", dest="es_budget", type=int)
     p.add_argument("--plot-data", action="store_true")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-ising", help="compile a channel file to an Ising instance JSON")
     _add_common_flags(p)

@@ -40,6 +40,41 @@ def small_plan(**overrides):
     return ExperimentPlan(**defaults)
 
 
+class TestExperimentPlan:
+    """The plan is the schema of outside input: it checks, never converts."""
+
+    def test_defaults(self):
+        plan = ExperimentPlan(config=CFG222)
+        assert plan.lambdas == (0.5,) and plan.cim == CimParams()
+
+    @pytest.mark.parametrize("name,value,match", [
+        ("n_instances", True, "n_instances must be an integer"),
+        ("n_instances", 2.5, "n_instances must be an integer"),
+        ("n_instances", 2.0, "n_instances must be an integer"),
+        ("n_instances", 0, "n_instances must be >= 1"),
+        ("master_seed", False, "master_seed must be an integer"),
+        ("master_seed", 1.7, "master_seed must be an integer"),
+        ("master_seed", -1, "master_seed must be >= 0"),
+        ("trace_stride", True, "trace_stride must be an integer"),
+        ("trace_stride", 2.9, "trace_stride must be an integer"),
+        ("trace_stride", 0, "trace_stride must be >= 1"),
+        ("es_budget", True, "es_budget must be an integer"),
+        ("es_budget", 10.5, "es_budget must be an integer"),
+        ("es_budget", -1, "es_budget must be >= 0"),
+        ("lambdas", (), "lambdas must be non-empty"),
+        ("lambdas", (True,), "penalty weights must be numbers"),
+        ("lambdas", ("0.5",), "penalty weights must be numbers"),
+        ("lambdas", (-0.1,), "penalty weights must lie in"),
+    ])
+    def test_rejects(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            small_plan(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        plan = small_plan(n_instances=np.int64(3), master_seed=np.int32(0), es_budget=0)
+        assert plan.n_instances == 3
+
+
 class TestRunInstance:
     def test_degenerate_single_state(self):
         cfg = MimoConfig(2, 2, 1)

@@ -23,6 +23,9 @@ def gen_args(out, n_instances=3, seed=11, n=(2, 2, 2)):
 
 SMALL = ("--n-t", "2", "--n-r", "2", "--n-states", "2", "--n-instances", "1",
          "--steps", "20", "--anneals", "2")
+# the config-file form of SMALL
+SMALL_CONFIG = {"n_t": 2, "n_r": 2, "n_states": 2, "n_instances": 1,
+                "cim": {"steps": 20, "n_anneals": 2}}
 
 
 def _channel_file(tmp_path):
@@ -129,8 +132,9 @@ class TestSolve:
     def test_malformed_file_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n_t": 1, "n_r": 1, "seed": 0, "entries": [[]]}))
-        code = run_cli("solve", str(bad), "--lam", "0.5")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", str(bad), "--lam", "0.5")
+        assert exc.value.code == 2
         assert "n_states" in capsys.readouterr().err
 
 
@@ -253,7 +257,7 @@ class TestBadInput:
         pytest.param(lambda tmp: ["sweep", *SMALL, "--lambdas", "1.5"], {},
                      "penalty weights must lie in [0, 1]", id="sweep-lambdas"),
         pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--lam", "1.5"], {},
-                     "penalty weight must lie in [0, 1]", id="solve-lam"),
+                     "penalty weights must lie in [0, 1]", id="solve-lam"),
         pytest.param(lambda tmp: ["sweep", *SMALL, "--n-instances", "0"], {},
                      "n_instances must be >= 1", id="n-instances-0"),
         pytest.param(lambda tmp: ["trace", *SMALL, "--stride", "0"], {},
@@ -267,13 +271,34 @@ class TestBadInput:
                      "must be JSON objects", id="config-cim-list"),
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(
                          tmp, {"n_t": "two", "n_r": 2, "n_states": 2})], {},
-                     "invalid literal for int()", id="config-n-t-string"),
+                     "n_t must be a positive integer", id="config-n-t-string"),
         pytest.param(lambda tmp: ["sweep", *SMALL], {"CIMSEL_SEED": "abc"},
                      "invalid int value: 'abc'", id="env-seed"),
         pytest.param(lambda tmp: ["sweep", "--n-r", "2", "--n-states", "2"], {},
                      "missing problem dimension 'n_t'", id="missing-dimension"),
         pytest.param(lambda tmp: ["sweep", "--config", str(tmp / "absent.json")], {},
                      "cannot read config file", id="unreadable-config"),
+        pytest.param(lambda tmp: ["sweep", *SMALL, "--seed", "-1"], {},
+                     "master_seed must be >= 0", id="sweep-seed-negative"),
+        pytest.param(lambda tmp: ["gen", "--n-t", "2", "--n-r", "2", "--n-states", "2",
+                                  "--seed", "-1"], {},
+                     "master_seed must be >= 0", id="gen-seed-negative"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--seed", "-1"], {},
+                     "master_seed must be >= 0", id="solve-seed-negative"),
+        pytest.param(lambda tmp: ["sweep", *SMALL, "--workers", "0"], {},
+                     "workers must be an integer >= 1", id="workers-0"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, n_instances=2.5))], {},
+                     "n_instances must be an integer, got 2.5", id="config-n-instances-float"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, master_seed=1.7))], {},
+                     "master_seed must be an integer, got 1.7", id="config-master-seed-float"),
+        pytest.param(lambda tmp: ["trace", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, trace_stride=2.9))], {},
+                     "trace_stride must be an integer, got 2.9", id="config-trace-stride-float"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, workers=True))], {},
+                     "workers must be an integer >= 1, got True", id="config-workers-bool"),
     ])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, argv, env, message):
         for name, value in env.items():
