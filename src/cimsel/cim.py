@@ -44,6 +44,9 @@ Notes on the numerics:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -173,8 +176,56 @@ class _EulerStep:
         x_sq += self.c_x
         x *= x_sq
         x += coupling
-        np.maximum(x, -params.x_clip, out=x)
-        np.minimum(x, params.x_clip, out=x)
+        np.clip(x, -params.x_clip, params.x_clip, out=x)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` thread-count functions of the OpenBLAS numpy loaded, or
+    ``None`` when none is found (another BLAS, or no ``/proc``)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the caller's
+    count; without OpenBLAS, do nothing.
+
+    The step's ``(n_anneals, dim) @ (dim, dim)`` matmul is too small to gain
+    from a split: on two threads it ran slower and the second thread spun,
+    and under ``--workers`` the threads of each process compete for the same
+    cores.  Worker processes are the parallelism.  OpenBLAS splits a matmul
+    over rows and columns, never the summed axis, so the thread count does
+    not change a result bit.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
 
 
 def _integrate(jm, x0, params, record_every=0):
@@ -196,7 +247,7 @@ def _integrate(jm, x0, params, record_every=0):
         snap_steps.append(0)
     # overflow is the divergence signal, caught via isfinite below; the
     # numpy warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, params.steps + 1):
             euler_step(x, e, (k - 1) * params.dt)
             # cheap whole-batch probe; NaN/inf contaminate the sums if present

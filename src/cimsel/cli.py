@@ -11,7 +11,8 @@ merged flags, environment and config file are handed, unconverted, to
 ``MimoConfig``, ``CimParams`` and the plan, which own the defaults and
 checks of their fields; only ``workers`` is defaulted and checked here.  A
 config file may hold the plan's fields, the problem dimensions, ``cim``,
-``workers`` and a single weight ``lambda``.  Bad outside input exits 2 with
+``workers`` and a single weight ``lambda``, which ``sweep`` and ``compare``
+reject: they read ``lambdas``.  Bad outside input exits 2 with
 an ``error:`` line before anything is computed or written.
 
 Every run that writes to an output directory echoes its fully resolved
@@ -141,7 +142,10 @@ def _read_channel(path):
 
 def _out_dir(args, default_name: str) -> Path:
     out = Path(args.out) if args.out else Path("runs") / default_name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot make output directory {out}: {exc}")
     return out
 
 
@@ -261,6 +265,9 @@ def cmd_sweep(args) -> int:
     """``sweep`` and ``compare``: final-readout metrics at every weight;
     ``compare`` also notes a skipped exhaustive search and prints a table."""
     cfg = _resolved_config(args)
+    if "lambda" in cfg:
+        _fail(f"config key 'lambda' is not read by {args.command}; "
+              "give its weights as 'lambdas'")
     plan, workers = _plan(cfg)
     out = _out_dir(args, args.command)
     result = bench.sweep_lambda(plan, workers=workers)

@@ -145,6 +145,17 @@ class TestStep:
         states = _kernel_run(np.zeros((1, 1)), [5.0], params, e0=[1e-12], n_steps=20)
         assert all(e[0] >= E_FLOOR for _, e in states)
 
+    def test_clamp_keeps_nan_and_bounds_inf(self):
+        # x_sq overflows at +-1e200, so the cubic term sends those amplitudes
+        # to -+inf before the clamp; a NaN error variable makes its amplitude
+        # NaN, which the clamp must keep for solve's abort check
+        params = CimParams()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ((x, _),) = _kernel_run(np.zeros((3, 3)), [1.0, 1e200, -1e200], params,
+                                    e0=[np.nan, 1.0, 1.0])
+        assert np.isnan(x[0])
+        assert x[1:].tolist() == [-params.x_clip, params.x_clip]
+
     def test_divergence_goes_non_finite(self):
         # uncoupled spins with a large dt: the amplitudes stay bounded while
         # the error variables overflow; the kernel itself never raises, and
@@ -153,6 +164,65 @@ class TestStep:
         with np.errstate(over="ignore", invalid="ignore"):
             states = _kernel_run(np.zeros((2, 2)), [0.01, -0.01], params, n_steps=200)
         assert not all(np.isfinite(x).all() and np.isfinite(e).all() for x, e in states)
+
+
+@pytest.fixture()
+def blas_threads():
+    """The thread-count getter of the OpenBLAS numpy loaded, with the count
+    set to 2 for the test and the previous count restored after it."""
+    blas = cim._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
+    get, set_ = blas
+    caller = get()
+    set_(2)
+    yield get
+    set_(caller)
+
+
+class TestBlasThreads:
+    """The integrator runs OpenBLAS on one thread and gives the caller's
+    count back."""
+
+    def test_caller_count_restored_after_exit_and_exception(self, blas_threads):
+        with cim._one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+        with pytest.raises(RuntimeError):
+            with cim._one_blas_thread():
+                raise RuntimeError("inside")
+        assert blas_threads() == 2
+
+    def test_one_thread_during_solve(self, blas_threads, monkeypatch):
+        seen = []
+
+        class RecordingStep(_EulerStep):
+            def __call__(self, x, e, t):
+                seen.append(blas_threads())
+                super().__call__(x, e, t)
+
+        monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
+        solve(FERRO2, CimParams(steps=3, n_anneals=2), master_seed=0)
+        assert seen == [1, 1, 1]
+        assert blas_threads() == 2
+
+    def test_caller_count_restored_when_solve_raises(self, blas_threads, monkeypatch):
+        class FailingStep(_EulerStep):
+            def __call__(self, x, e, t):
+                raise FloatingPointError("step failed")
+
+        monkeypatch.setattr(cim, "_EulerStep", FailingStep)
+        with pytest.raises(FloatingPointError):
+            solve(FERRO2, CimParams(steps=3, n_anneals=2), master_seed=0)
+        assert blas_threads() == 2
+
+    def test_solve_unchanged_without_openblas(self, monkeypatch):
+        params = CimParams(steps=200, n_anneals=8)
+        found = solve(FERRO2, params, master_seed=4)
+        monkeypatch.setattr(cim, "_openblas_threads", lambda: None)
+        absent = solve(FERRO2, params, master_seed=4)
+        for a, b in zip(found, absent):
+            assert np.array_equal(a.spins, b.spins)
 
 
 class TestRunAnneal:

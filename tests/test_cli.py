@@ -39,6 +39,12 @@ def _config_file(tmp_path, payload):
     return str(path)
 
 
+def _file_at_out(tmp_path, argv):
+    # TestBadInput passes ``tmp_path / "run"`` as ``--out``
+    (tmp_path / "run").write_text("not a directory\n")
+    return argv
+
+
 class TestGen:
     def test_writes_files_and_manifest(self, tmp_path):
         out = tmp_path / "gen"
@@ -299,18 +305,29 @@ class TestBadInput:
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(
                          tmp, dict(SMALL_CONFIG, workers=True))], {},
                      "workers must be an integer >= 1, got True", id="config-workers-bool"),
+        pytest.param(lambda tmp: _file_at_out(tmp, ["sweep", *SMALL]), {},
+                     "cannot make output directory", id="out-is-a-file"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, {**SMALL_CONFIG, "lambda": 0.9})], {},
+                     "config key 'lambda'", id="config-lambda-sweep"),
+        pytest.param(lambda tmp: ["compare", "--config", _config_file(
+                         tmp, {**SMALL_CONFIG, "lambda": 0.9})], {},
+                     "config key 'lambda'", id="config-lambda-compare"),
     ])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         out = tmp_path / "run"
+        argv = argv(tmp_path)
+        existed = out.exists()
         with pytest.raises(SystemExit) as exc:
-            run_cli(*argv(tmp_path), "--out", str(out))
+            run_cli(*argv, "--out", str(out))
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and message in err
         assert "Traceback" not in err
-        assert not out.exists()
+        # no output directory is made; a file already at --out stays a file
+        assert out.exists() == existed and not out.is_dir()
 
 
 class TestTrace:
@@ -356,6 +373,24 @@ class TestCompare:
         assert "exhaustive search skipped" in captured
         summary = json.load(open(out / "summary.json"))
         assert "es" not in {row["method"] for row in summary["rows"]}
+
+
+class TestWorkerCounts:
+    def test_compare_dim_33_byte_identical(self, tmp_path):
+        # 1000 anneals make the step's matmul (1000, 33) @ (33, 33), a size
+        # OpenBLAS splits across threads when allowed to
+        files = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            code = run_cli(
+                "compare", "--n-t", "4", "--n-r", "4", "--n-states", "4",
+                "--n-instances", "2", "--lambdas", "0.7", "--steps", "30",
+                "--anneals", "1000", "--seed", "5", "--workers", str(workers),
+                "--out", str(out),
+            )
+            assert code == 0
+            files[workers] = [(out / name).read_bytes() for name in ("results.csv", "summary.json")]
+        assert files[1] == files[2]
 
 
 class TestExportIsing:
