@@ -31,12 +31,10 @@ from .channel import (
     ChannelMatrix,
     ConfigAssignment,
     MimoConfig,
-    flat_index,
     generate_channel,
     objective,
     read_channel,
     score_states,
-    unflatten,
     write_channel,
 )
 from .cim import AnnealOutcome, CimParams, solve
@@ -46,7 +44,6 @@ from .formulation import (
     compile_instance,
     decode_spins,
     decode_states,
-    read_instance,
     write_instance,
 )
 from .rng import derive_seed, substream

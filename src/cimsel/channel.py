@@ -26,8 +26,6 @@ __all__ = [
     "ChannelMatrix",
     "ConfigAssignment",
     "ChannelFormatError",
-    "flat_index",
-    "unflatten",
     "generate_channel",
     "score_states",
     "objective",
@@ -82,8 +80,11 @@ class ChannelMatrix:
             raise ValueError(
                 f"channel entries have shape {self.entries.shape}, expected {expected}"
             )
-        if not np.isfinite(self.entries).all():
-            raise ValueError("channel entries must all be finite")
+        # every sum the compiler forms from |g|^2 is bounded by this total
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = (np.abs(self.entries) ** 2).sum()
+        if not np.isfinite(total):
+            raise ValueError("channel entries must be finite, with a finite sum of |g|^2")
 
 
 @dataclass(frozen=True)
@@ -102,26 +103,6 @@ class ConfigAssignment:
         object.__setattr__(self, "rx", tuple(int(c) for c in self.rx))
         if any(c < 0 for c in self.tx + self.rx):
             raise ValueError("configuration indices must be non-negative")
-
-
-def flat_index(antenna: int, state: int, n_states: int) -> int:
-    """Flatten (antenna, state) to the row/column index ``antenna * n_states + state``.
-
-    Indexing is 0-based throughout: flat index ``i`` belongs to antenna
-    ``i // n_states`` in configuration ``i % n_states``.
-    """
-    if not 0 <= state < n_states:
-        raise ValueError(f"state {state} out of range [0, {n_states})")
-    if antenna < 0:
-        raise ValueError(f"antenna index must be non-negative, got {antenna}")
-    return antenna * n_states + state
-
-
-def unflatten(i: int, n_states: int) -> tuple[int, int]:
-    """Inverse of :func:`flat_index`: return ``(antenna, state)`` for flat index ``i``."""
-    if i < 0:
-        raise ValueError(f"flat index must be non-negative, got {i}")
-    return divmod(i, n_states)
 
 
 def generate_channel(config: MimoConfig, seed: int) -> ChannelMatrix:
@@ -204,17 +185,31 @@ def read_channel(path) -> ChannelMatrix:
             raise ChannelFormatError(f"channel file {path}: missing field '{field}'")
     config = MimoConfig(n_t=raw["n_t"], n_r=raw["n_r"], n_states=raw["n_states"])
     rows = raw["entries"]
-    if len(rows) != config.rows or any(len(r) != config.cols for r in rows):
+    if not isinstance(rows, list) or len(rows) != config.rows or any(
+        not isinstance(r, list) or len(r) != config.cols for r in rows
+    ):
         raise ChannelFormatError(
             f"channel file {path}: field 'entries' must be "
             f"{config.rows} rows of {config.cols} columns"
         )
+    seed = raw["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ChannelFormatError(
+            f"channel file {path}: field 'seed' must be a non-negative integer, got {seed!r}"
+        )
     try:
         entries = np.array(
-            [[complex(v["re"], v["im"]) for v in row] for row in rows], dtype=complex
+            [[complex(_number(v["re"]), _number(v["im"])) for v in row] for row in rows],
+            dtype=complex,
         )
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, OverflowError) as exc:
         raise ChannelFormatError(
-            f"channel file {path}: field 'entries' must hold re/im objects"
+            f"channel file {path}: field 'entries' must hold re/im objects of numbers"
         ) from exc
-    return ChannelMatrix(config=config, entries=entries, seed=int(raw["seed"]))
+    return ChannelMatrix(config=config, entries=entries, seed=seed)
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return value

@@ -219,7 +219,6 @@ def cmd_solve(args) -> int:
         _fail(f"--stride must be >= 1 to dump a trajectory, got {args.stride}")
     plan, _ = _plan(_one_weight(cfg), g.config)
     lam, params, seed = plan.lambdas[0], plan.cim, plan.master_seed
-    inst = compile_instance(g, lam)
     result = bench.run_instance(g, lam, params, seed)
     report = {
         "format": 1,
@@ -236,9 +235,8 @@ def cmd_solve(args) -> int:
         "fallback_used": result.fallback_used,
         "average_objective": result.avg,
     }
-    if args.export_ising:
-        write_instance(inst, args.export_ising)
     if args.dump_trajectory:
+        inst = compile_instance(g, lam)
         # anneal 0 of a one-anneal solve is anneal 0 of the full batch
         (outcome,) = solve(
             inst, dataclasses.replace(params, n_anneals=1), bench.cim_master_seed(seed),
@@ -372,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cim_flags(p)
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--lam", type=float, help="penalty weight in [0, 1]")
-    p.add_argument("--export-ising", metavar="PATH", help="also write the compiled instance JSON")
     p.add_argument("--dump-trajectory", metavar="PATH", help="write anneal 0's readout trajectory CSV")
     p.add_argument("--stride", type=int, default=10, help="trajectory sampling stride")
     p.set_defaults(func=cmd_solve)

@@ -26,10 +26,9 @@ the compiled instance (they do not affect the argmax).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "InfeasibleDecode",
     "squared_gains",
     "qubo_matrix",
-    "binary_objective",
     "constraint_system",
     "constraint_violation",
     "qubo_to_spin",
@@ -52,13 +50,8 @@ __all__ = [
     "compile_instance",
     "decode_states",
     "decode_spins",
-    "assignment_bits",
-    "bits_to_assignment",
-    "feasible_assignments",
     "instance_to_json",
     "write_instance",
-    "coupling_from_json",
-    "read_instance",
 ]
 
 # |entries| <= 1 must hold after normalisation; allow a few ulp of slack for
@@ -88,12 +81,6 @@ def qubo_matrix(t: np.ndarray) -> np.ndarray:
     q[:n_tx, n_tx:] = t / 2.0
     q[n_tx:, :n_tx] = t.T / 2.0
     return q
-
-
-def binary_objective(q: np.ndarray, b: np.ndarray) -> float:
-    """Evaluate ``b^T q b`` for a 0/1 vector ``b``."""
-    b = _as_bits(b, len(q))
-    return float(b @ q @ b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,32 +289,6 @@ def decode_spins(
     return InfeasibleDecode(bits=bits, violation=violation)
 
 
-def assignment_bits(sel: ConfigAssignment, config: MimoConfig) -> np.ndarray:
-    """0/1 selection vector for an assignment (transmit bits first)."""
-    n = config.n_states
-    bits = np.zeros(config.d, dtype=np.int64)
-    for antenna, state in enumerate(sel.tx + sel.rx):
-        bits[antenna * n + state] = 1
-    return bits
-
-
-def bits_to_assignment(b: np.ndarray, config: MimoConfig) -> ConfigAssignment:
-    """Inverse of :func:`assignment_bits`; requires a feasible bit vector."""
-    b = _as_bits(b, config.d)
-    blocks = b.reshape(config.n_antennas, config.n_states)
-    if np.any(blocks.sum(axis=1) != 1):
-        raise ValueError("bit vector does not activate exactly one state per antenna")
-    states = blocks.argmax(axis=1)
-    return ConfigAssignment(tx=tuple(states[: config.n_t]), rx=tuple(states[config.n_t :]))
-
-
-def feasible_assignments(config: MimoConfig) -> Iterator[ConfigAssignment]:
-    """Enumerate all assignments in lexicographic (tx-major) order."""
-    n = config.n_states
-    for states in itertools.product(range(n), repeat=config.n_antennas):
-        yield ConfigAssignment(tx=states[: config.n_t], rx=states[config.n_t :])
-
-
 def instance_to_json(inst: IsingInstance) -> dict:
     """Interchange form of a compiled instance for external Ising solvers.
 
@@ -347,30 +308,6 @@ def write_instance(inst: IsingInstance, path) -> None:
     with open(path, "w") as fh:
         json.dump(instance_to_json(inst), fh, indent=1)
         fh.write("\n")
-
-
-def coupling_from_json(payload: dict) -> tuple[np.ndarray, float]:
-    """Rebuild ``(coupling matrix, lambda)`` from the interchange form."""
-    for field in ("dim", "lambda", "j"):
-        if field not in payload:
-            raise ValueError(f"instance payload: missing field '{field}'")
-    dim = int(payload["dim"])
-    flat = np.asarray(payload["j"], dtype=float)
-    if flat.shape != (dim * (dim + 1) // 2,):
-        raise ValueError(
-            f"instance payload: 'j' must hold {dim * (dim + 1) // 2} upper-triangle entries"
-        )
-    j = np.zeros((dim, dim))
-    j[np.triu_indices(dim)] = flat
-    j = j + np.triu(j, 1).T
-    if np.any(np.diagonal(j) != 0.0):
-        raise ValueError("instance payload: diagonal entries must be zero")
-    return j, float(payload["lambda"])
-
-
-def read_instance(path) -> tuple[np.ndarray, float]:
-    with open(path) as fh:
-        return coupling_from_json(json.load(fh))
 
 
 def _as_bits(b, expected_len: int) -> np.ndarray:

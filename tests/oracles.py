@@ -5,6 +5,7 @@ and plain loops) and stays independent of the library code paths it checks.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -46,12 +47,40 @@ def all_spin_vectors(d):
     return [np.array(s, dtype=np.int64) for s in itertools.product((-1, 1), repeat=d)]
 
 
+def feasible_assignments(config: MimoConfig):
+    """Every assignment, in lexicographic (tx-major) order."""
+    for states in itertools.product(range(config.n_states), repeat=config.n_antennas):
+        yield ConfigAssignment(tx=states[: config.n_t], rx=states[config.n_t:])
+
+
+def assignment_bits(sel: ConfigAssignment, config: MimoConfig):
+    """0/1 selection vector of an assignment (transmit bits first)."""
+    bits = np.zeros(config.d, dtype=np.int64)
+    for antenna, state in enumerate(sel.tx + sel.rx):
+        bits[antenna * config.n_states + state] = 1
+    return bits
+
+
+def binary_objective(q, b) -> float:
+    """The quadratic form ``b^T q b``."""
+    b = np.asarray(b, dtype=float)
+    return float(b @ q @ b)
+
+
+def read_instance(path):
+    """Rebuild ``(coupling matrix, lambda)`` from an Ising export file."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    dim = payload["dim"]
+    j = np.zeros((dim, dim))
+    j[np.triu_indices(dim)] = payload["j"]
+    return j + np.triu(j, 1).T, payload["lambda"]
+
+
 def brute_force_best(g: ChannelMatrix):
     """Constrained optimum by plain loops over every assignment."""
-    cfg = g.config
     best_val, best_sel = -np.inf, None
-    for states in itertools.product(range(cfg.n_states), repeat=cfg.n_antennas):
-        sel = ConfigAssignment(tx=states[: cfg.n_t], rx=states[cfg.n_t:])
+    for sel in feasible_assignments(g.config):
         val = trace_objective(g, sel)
         if val > best_val:
             best_val, best_sel = val, sel

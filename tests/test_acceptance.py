@@ -18,17 +18,21 @@ from cimsel.bench import (
 from cimsel.channel import MimoConfig, generate_channel
 from cimsel.cim import CimParams
 from cimsel.formulation import (
-    assignment_bits,
     constraint_coupling,
     constraint_system,
     constraint_violation,
-    feasible_assignments,
     qubo_matrix,
     qubo_to_spin,
     augment_aux,
     squared_gains,
 )
-from oracles import all_bit_vectors, all_spin_vectors, trace_objective
+from oracles import (
+    all_bit_vectors,
+    all_spin_vectors,
+    assignment_bits,
+    feasible_assignments,
+    trace_objective,
+)
 
 ACFG = MimoConfig(2, 2, 2)
 ACC_SEED = 20250808

@@ -9,9 +9,8 @@ from cimsel.baselines import (
     search_space_size,
 )
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, objective
-from cimsel.formulation import feasible_assignments
 from cimsel.rng import substream
-from oracles import brute_force_best, channel_from_amplitudes
+from oracles import brute_force_best, channel_from_amplitudes, feasible_assignments
 
 CFG222 = MimoConfig(2, 2, 2)
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from cimsel.bench import (
@@ -21,8 +25,7 @@ from cimsel.bench import (
 from cimsel.baselines import exhaustive_search
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel
 from cimsel.cim import CimParams
-from cimsel.formulation import assignment_bits, feasible_assignments
-from oracles import all_spin_vectors
+from oracles import all_spin_vectors, assignment_bits, feasible_assignments
 
 CFG222 = MimoConfig(2, 2, 2)
 FAST_CIM = CimParams(steps=300, n_anneals=40)
@@ -230,6 +233,19 @@ class TestSweepLambda:
         best = {(r.instance_id, r.lam): r.objective for r in result.rows if r.method == "cim_best"}
         assert all(best[k] >= rs[k] for k in best)
 
+    def test_cim_best_can_fall_below_random_baseline(self):
+        # cim_best >= rs needs an anneal that falls back; when every anneal
+        # decodes feasible, the best decode can score below the random draw
+        plan = small_plan(lambdas=(0.95,), n_instances=3, master_seed=3,
+                          cim=CimParams(n_anneals=1, steps=300))
+        sweep = sweep_lambda(plan)
+        record = sweep.records[2]
+        res = record.cim[0.95]
+        assert res.p_c == 1.0
+        assert res.best == pytest.approx(3.334, abs=1e-3)
+        assert record.rs_objective == pytest.approx(3.841, abs=1e-3)
+        summarize_comparison(sweep)  # correct, so no DominanceError
+
     def test_cim_best_dominates_avg_rowwise(self):
         result = sweep_lambda(small_plan(lambdas=(0.05, 0.5, 0.95)))
         best = {(r.instance_id, r.lam): r.objective for r in result.rows if r.method == "cim_best"}
@@ -298,14 +314,51 @@ class TestCompareMethods:
         }
 
 
+@st.composite
+def cim_params(draw):
+    """``CimParams`` the checks accept, at small run sizes.  Within 40 steps a
+    row aborts only when its error variable overflows, which takes a ``dt``
+    in the top decades and a negative ``beta``."""
+    a = draw(st.floats(0.01, 4.0))
+    return CimParams(
+        p=draw(st.floats(-1.0, 2.0)),
+        beta=draw(st.floats(-5.0, 5.0)),
+        a=a,
+        gamma=draw(st.floats(-100.0, 500.0)),
+        dt=10.0 ** draw(st.floats(-3.0, 8.0)),
+        steps=draw(st.integers(1, 40)),
+        n_anneals=draw(st.integers(1, 8)),
+        init_scale=draw(st.floats(1e-4, 1.0)),
+        x_clip=math.sqrt(a) + draw(st.floats(0.01, 20.0)),
+    )
+
+
+class TestDominanceProperty:
+    @given(params=cim_params(), lam=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    # every anneal aborts: the random draws reach such constants only rarely
+    @example(params=CimParams(beta=-5.0, dt=1e8, steps=40, n_anneals=8), lam=0.5, seed=0)
+    @settings(deadline=None)
+    def test_identities_hold(self, params, lam, seed):
+        plan = ExperimentPlan(config=CFG222, lambdas=(lam,), cim=params, n_instances=1,
+                              master_seed=seed)
+        sweep = sweep_lambda(plan)
+        assert not sweep.failures
+        # es >= cim_best >= cim_avg, checked with DominanceError
+        summarize_comparison(sweep)
+        (record,) = sweep.records
+        res = record.cim[plan.lambdas[0]]
+        if res.p_c < 1.0:
+            assert res.best >= record.rs_objective
+
+
 def _hand_sweep(best, avg, es):
     res = CimInstanceResult(
-        lam=0.5, best=best, best_assignment=ConfigAssignment(tx=(0, 0), rx=(0, 0)),
+        best=best, best_assignment=ConfigAssignment(tx=(0, 0), rx=(0, 0)),
         avg=avg, avg_raw=avg, p_c=1.0, n_feasible=10, n_anneals=10, n_aborted=0,
         fallback_used=False,
     )
     record = InstanceRecord(
-        instance_id=3, channel_seed=0, es_objective=es, es_assignment=None,
+        instance_id=3, channel_seed=0, es_objective=es,
         nsa_objective=1.0, rs_objective=1.0, cim={0.5: res},
     )
     return SweepResult(rows=[], summaries=[], records=[record], failures=[])

@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cimsel.channel import (
     ChannelFormatError,
     ChannelMatrix,
     ConfigAssignment,
     MimoConfig,
-    flat_index,
     generate_channel,
     objective,
     read_channel,
     score_states,
-    unflatten,
     write_channel,
 )
-from oracles import channel_from_amplitudes, trace_objective
+from oracles import channel_from_amplitudes, feasible_assignments, trace_objective
 
 CFG222 = MimoConfig(2, 2, 2)
 
@@ -79,30 +75,6 @@ class TestGenerateChannel:
             ChannelMatrix(config=CFG222, entries=bad, seed=0)
 
 
-class TestFlatIndex:
-    def test_examples(self):
-        assert flat_index(0, 0, 4) == 0
-        assert flat_index(2, 3, 4) == 11
-        assert unflatten(11, 4) == (2, 3)
-
-    def test_round_trip_exhaustive(self):
-        cfg = MimoConfig(4, 4, 4)
-        for i in range(cfg.d):
-            antenna, state = unflatten(i, cfg.n_states)
-            assert flat_index(antenna, state, cfg.n_states) == i
-
-    def test_out_of_range_state(self):
-        with pytest.raises(ValueError):
-            flat_index(0, 4, 4)
-        with pytest.raises(ValueError):
-            flat_index(-1, 0, 4)
-
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_round_trip_property(self, i, n_states):
-        antenna, state = unflatten(i, n_states)
-        assert flat_index(antenna, state, n_states) == i
-
-
 class TestObjective:
     def test_single_entry(self):
         g = channel_from_amplitudes([[2.0 + 0j]], n_t=1, n_r=1, n_states=1)
@@ -124,8 +96,6 @@ class TestObjective:
             assert objective(g, sel) == pytest.approx(trace_objective(g, sel), rel=1e-12)
 
     def test_trace_identity_every_feasible_assignment(self):
-        from cimsel.formulation import feasible_assignments
-
         g = generate_channel(CFG222, seed=21)
         for sel in feasible_assignments(CFG222):
             assert objective(g, sel) == pytest.approx(trace_objective(g, sel), rel=1e-12)
@@ -163,8 +133,6 @@ class TestObjective:
             objective(g, ConfigAssignment(tx=(0, 2), rx=(0, 1)))
 
     def test_objective_matches_batch_scorer(self):
-        from cimsel.formulation import feasible_assignments
-
         g = generate_channel(MimoConfig(2, 3, 3), seed=4)
         sels = list(feasible_assignments(g.config))
         batch = score_states(g, np.array([sel.tx + sel.rx for sel in sels]))

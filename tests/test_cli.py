@@ -1,13 +1,12 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from cimsel import cli
 from cimsel.baselines import search_space_size
 from cimsel.channel import MimoConfig, read_channel
-from cimsel.formulation import read_instance
+from oracles import read_instance
 
 
 def run_cli(*argv):
@@ -31,6 +30,16 @@ SMALL_CONFIG = {"n_t": 2, "n_r": 2, "n_states": 2, "n_instances": 1,
 def _channel_file(tmp_path):
     run_cli(*gen_args(tmp_path / "gen", n_instances=1))
     return str(tmp_path / "gen" / "channel_00000.json")
+
+
+def _edited_channel(tmp_path, edit):
+    path = _channel_file(tmp_path)
+    with open(path) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    return path
 
 
 def _config_file(tmp_path, payload):
@@ -100,16 +109,6 @@ class TestSolve:
         run_cli(*args)
         second = capsys.readouterr().out
         assert first == second
-
-    def test_export_ising(self, channel_file, tmp_path, capsys):
-        target = tmp_path / "instance.json"
-        code = run_cli("solve", str(channel_file), "--lam", "0.4", "--steps", "50",
-                       "--anneals", "5", "--seed", "1", "--export-ising", str(target))
-        assert code == 0
-        j, lam = read_instance(target)
-        assert lam == 0.4
-        assert j.shape == (9, 9)
-        assert np.array_equal(j, j.T)
 
     def test_dump_trajectory(self, channel_file, tmp_path, capsys):
         target = tmp_path / "traj.csv"
@@ -313,6 +312,27 @@ class TestBadInput:
         pytest.param(lambda tmp: ["compare", "--config", _config_file(
                          tmp, {**SMALL_CONFIG, "lambda": 0.9})], {},
                      "config key 'lambda'", id="config-lambda-compare"),
+        pytest.param(lambda tmp: ["solve", _edited_channel(tmp, lambda raw: raw.update(seed=1.7))],
+                     {}, "field 'seed' must be a non-negative integer", id="channel-seed-float"),
+        pytest.param(lambda tmp: ["solve", _edited_channel(tmp, lambda raw: raw.update(seed=True))],
+                     {}, "field 'seed' must be a non-negative integer", id="channel-seed-bool"),
+        pytest.param(lambda tmp: ["solve", _edited_channel(tmp, lambda raw: raw.update(seed=-1))],
+                     {}, "field 'seed' must be a non-negative integer", id="channel-seed-negative"),
+        pytest.param(lambda tmp: ["solve", _edited_channel(
+                         tmp, lambda raw: raw["entries"][0][0].update(re=True))], {},
+                     "re/im objects of numbers", id="channel-re-bool"),
+        pytest.param(lambda tmp: ["solve", _edited_channel(
+                         tmp, lambda raw: raw["entries"][0][0].update(re=10 ** 400))], {},
+                     "re/im objects of numbers", id="channel-re-int-overflow"),
+        pytest.param(lambda tmp: ["solve", _edited_channel(tmp, lambda raw: raw.update(entries=5))],
+                     {}, "field 'entries' must be 4 rows of 4 columns", id="channel-entries-not-list"),
+        pytest.param(lambda tmp: ["solve", _edited_channel(
+                         tmp, lambda raw: raw["entries"][0][0].update(re=1e200))], {},
+                     "finite", id="channel-entry-huge-solve"),
+        pytest.param(lambda tmp: ["export-ising", _edited_channel(
+                         tmp, lambda raw: raw["entries"][0][0].update(re=1e200)),
+                                  str(tmp / "ising.json")], {},
+                     "finite", id="channel-entry-huge-export"),
     ])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, argv, env, message):
         for name, value in env.items():

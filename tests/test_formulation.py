@@ -7,32 +7,30 @@ from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, objec
 from cimsel.formulation import (
     InfeasibleDecode,
     IsingInstance,
-    assignment_bits,
     augment_aux,
-    binary_objective,
-    bits_to_assignment,
     compile_instance,
     constraint_coupling,
     constraint_system,
     constraint_violation,
-    coupling_from_json,
     decode_spins,
     decode_states,
-    feasible_assignments,
     instance_to_json,
     normalize_couplings,
     objective_coupling,
     qubo_matrix,
     qubo_to_spin,
     squared_gains,
-    read_instance,
     write_instance,
 )
 from oracles import (
     all_bit_vectors,
     all_spin_vectors,
+    assignment_bits,
+    binary_objective,
     brute_force_best,
     channel_from_amplitudes,
+    feasible_assignments,
+    read_instance,
     violation_quadratic,
 )
 
@@ -96,11 +94,6 @@ class TestBinaryObjective:
             assert binary_objective(q, b) == pytest.approx(objective(g, sel), rel=1e-12)
             count += 1
         assert count == 16
-
-    def test_rejects_non_binary(self):
-        q = qubo_matrix(np.array([[4.0]]))
-        with pytest.raises(ValueError):
-            binary_objective(q, [2, 0])
 
 
 class TestConstraintViolation:
@@ -369,11 +362,6 @@ class TestDecode:
                 assert isinstance(decoded, InfeasibleDecode)
                 assert decoded.violation > 0
 
-    def test_bits_round_trip(self):
-        for sel in feasible_assignments(MimoConfig(2, 1, 3)):
-            cfg = MimoConfig(2, 1, 3)
-            assert bits_to_assignment(assignment_bits(sel, cfg), cfg) == sel
-
 
 class TestInstanceExport:
     def test_json_round_trip(self, tmp_path):
@@ -390,12 +378,6 @@ class TestInstanceExport:
         payload = instance_to_json(compile_instance(g, 0.5))
         assert payload["dim"] == 9
         assert len(payload["j"]) == 9 * 10 // 2
-
-    def test_rejects_bad_payload(self):
-        with pytest.raises(ValueError, match="missing field"):
-            coupling_from_json({"dim": 2, "j": [0, 0, 0]})
-        with pytest.raises(ValueError, match="upper-triangle"):
-            coupling_from_json({"dim": 2, "lambda": 0.5, "j": [0.0]})
 
 
 class TestIsingInstanceValidation:
