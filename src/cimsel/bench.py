@@ -219,7 +219,8 @@ def run_instance(
     readout alone, or the recorded trajectory, whose last sample is that same
     readout.  Trace arrays reduce the table over anneals; the final-readout
     fields come from its last column, so they do not depend on
-    ``record_every``.
+    ``record_every``.  Only readouts that differ from their anneal's previous
+    sample are decoded and scored; the others reuse that result.
     """
     config = g.config
     inst = compile_instance(g, lam)
@@ -229,18 +230,22 @@ def run_instance(
         table = np.stack([o.trajectory for o in outcomes])
     else:
         table = np.stack([o.spins for o in outcomes])[:, None, :]
-    n_anneals, n_samples, dim = table.shape
+    n_anneals, n_samples = table.shape[:2]
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
-    feasible, states = decode_states(table.reshape(-1, dim), config)
-    feasible = feasible.reshape(n_anneals, n_samples) & ~aborted[:, None]
-    scores = np.where(
-        feasible, score_states(g, states).reshape(n_anneals, n_samples), fallback.objective
-    )
+    # a sample equal to its anneal's previous one decodes and scores the
+    # same, so decode each changed readout once; ``first`` maps every sample
+    # to the row of its changed readout in the anneal-major table
+    changed = np.ones((n_anneals, n_samples), dtype=bool)
+    changed[:, 1:] = (table[:, 1:] != table[:, :-1]).any(axis=2)
+    first = (np.cumsum(changed) - 1).reshape(n_anneals, n_samples)
+    feasible, states = decode_states(table[changed], config)
+    feasible = feasible[first] & ~aborted[:, None]
+    scores = np.where(feasible, score_states(g, states)[first], fallback.objective)
 
     final, final_feasible = scores[:, -1], feasible[:, -1]
     k_best = int(np.argmax(final))
     if final_feasible[k_best]:
-        best_states = states.reshape(n_anneals, n_samples, -1)[k_best, -1]
+        best_states = states[first[k_best, -1]]
         best_assignment = ConfigAssignment(
             tx=tuple(best_states[: config.n_t]), rx=tuple(best_states[config.n_t :])
         )
@@ -296,12 +301,13 @@ def _instance_record(
 
 
 def _record_task(args):
-    """Worker entry point; failures are returned, never raised, so one bad
-    instance cannot abort a sweep."""
+    """Worker entry point.  The errors one bad instance can raise (bad
+    values, arithmetic faults) are returned, so that instance cannot abort a
+    sweep; any other exception is a bug and propagates."""
     plan, instance_id, lambdas, record_every = args
     try:
         return instance_id, _instance_record(plan, instance_id, lambdas, record_every), None
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         return instance_id, None, f"instance {instance_id} failed: {exc!r}"
 
 

@@ -39,7 +39,11 @@ Notes on the numerics:
   to a few 1e-13 after 1000 steps); on the tested plans no readout changes.
 * An anneal whose state goes non-finite (possible only with aggressive
   user-supplied parameters) is aborted: its row is frozen at zero and the
-  outcome is flagged rather than dropped.
+  outcome is flagged rather than dropped.  Where the parameters keep a
+  non-finite row non-finite (the default operating point among them), the
+  check runs only at readout steps: each recorded sample and the final
+  step.  Otherwise it runs after every step.  The argument is in
+  :func:`_integrate`; the abort flags and readouts are the same either way.
 """
 
 from __future__ import annotations
@@ -150,33 +154,41 @@ class _EulerStep:
 
     def __init__(self, jm: np.ndarray, shape, params: CimParams):
         self.jm = np.asarray(jm, dtype=float)
-        self.params = params
+        # the per-step constants, each computed by the expression the step
+        # used to evaluate on every call
+        self.dt_gamma = params.dt * params.gamma
         self.c_x = 1.0 + params.dt * (params.p - 1.0)
         self.c_e = 1.0 + params.dt * params.beta * params.a
+        self.e_rate = -params.dt * params.beta
+        self.x_rate = -params.dt
+        self.x_clip = params.x_clip
+        # the e factor over the largest reachable |x|, as the step rounds it
+        x_max = max(params.x_clip, params.init_scale)
+        self.divergence_sticks = self.c_e > 0 and x_max * x_max * self.e_rate + self.c_e > 0
         self.j_scaled = np.empty_like(self.jm)
         self.x_sq = np.empty(shape)
         self.coupling = np.empty(shape)
         self.factor = np.empty(shape)
 
     def __call__(self, x: np.ndarray, e: np.ndarray, t: float) -> None:
-        params, x_sq, coupling, factor = self.params, self.x_sq, self.coupling, self.factor
-        np.multiply(x, x, out=x_sq)
+        x_sq, coupling, factor = self.x_sq, self.coupling, self.factor
+        np.square(x, out=x_sq)
         # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
         # scaling the matmul's output
-        np.multiply(self.jm, params.dt * params.gamma * t, out=self.j_scaled)
+        np.multiply(self.jm, self.dt_gamma * t, out=self.j_scaled)
         np.matmul(x, self.j_scaled, out=coupling)
         coupling *= e
         # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
-        np.multiply(x_sq, -params.dt * params.beta, out=factor)
+        np.multiply(x_sq, self.e_rate, out=factor)
         factor += self.c_e
         e *= factor
         np.maximum(e, E_FLOOR, out=e)
         # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
-        x_sq *= -params.dt
+        x_sq *= self.x_rate
         x_sq += self.c_x
         x *= x_sq
         x += coupling
-        np.clip(x, -params.x_clip, params.x_clip, out=x)
+        x.clip(-self.x_clip, self.x_clip, out=x)
 
 
 @functools.cache
@@ -235,11 +247,31 @@ def _integrate(jm, x0, params, record_every=0):
     readouts of shape ``(n_samples, n_anneals, dim)`` taken at step indices
     ``0, record_every, 2*record_every, ...`` plus the final step.  Rows that
     go non-finite are flagged in ``aborted`` and frozen at zero so the rest
-    of the batch keeps integrating.
+    of the batch keeps integrating.  Every ``|x0|`` must be at most
+    ``params.init_scale``, as :func:`solve` draws it.
+
+    When the kernel's ``divergence_sticks`` holds, the finiteness check runs
+    only at snapshot steps and the final step; otherwise after every step.
+    The flag holds when ``c_e > 0`` and the ``e`` factor
+    ``fl(fl(fl(X*X) * (-dt*beta)) + c_e)`` is positive at
+    ``X = max(x_clip, init_scale)``.  A finite ``|x|`` never exceeds ``X``.
+    For ``beta > 0`` the factor falls as ``|x|`` grows, and for ``beta <= 0``
+    it is at least ``c_e``; rounding is monotone, so the factor is positive
+    for every finite ``x``.  After a step, ``x`` is finite or NaN (the clamp
+    maps +-inf to +-x_clip and keeps NaN) and ``e`` is finite, NaN or
+    ``+inf`` (``np.maximum`` keeps NaN and lifts ``-inf``).  A NaN ``x``
+    makes every later ``x`` and ``e`` of its entry NaN, a NaN ``e`` does the
+    same, and ``e = +inf`` times a positive factor stays ``+inf``.  So a row
+    that goes non-finite stays non-finite until the next check, which flags
+    it and zeroes it as the every-step check would have.  Rows never mix
+    (``x @ J`` is row by row), so the other rows, the aborted mask and every
+    readout are unchanged; an aborted row holds zero amplitudes at every
+    readout either way.
     """
     x = np.array(x0, dtype=float, copy=True)
     e = np.ones_like(x)
     euler_step = _EulerStep(jm, x.shape, params)
+    check_every = (record_every or params.steps) if euler_step.divergence_sticks else 1
     aborted = np.zeros(len(x), dtype=bool)
     snaps, snap_steps = [], []
     if record_every:
@@ -250,13 +282,14 @@ def _integrate(jm, x0, params, record_every=0):
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, params.steps + 1):
             euler_step(x, e, (k - 1) * params.dt)
+            last = k == params.steps
             # cheap whole-batch probe; NaN/inf contaminate the sums if present
-            if not np.isfinite(x.sum() + e.sum()):
+            if (k % check_every == 0 or last) and not np.isfinite(x.sum() + e.sum()):
                 bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(e).all(axis=1))
                 aborted |= bad
                 x[bad] = 0.0
                 e[bad] = 1.0
-            if record_every and (k % record_every == 0 or k == params.steps):
+            if record_every and (k % record_every == 0 or last):
                 snaps.append(readout(x))
                 snap_steps.append(k)
     snap_arr = np.stack(snaps) if snaps else None

@@ -134,3 +134,78 @@ def reference_integrate(jm, x0, params, record_every):
                 snaps.append(x.copy())
                 snap_steps.append(k)
     return x, aborted, np.stack(snaps), np.asarray(snap_steps)
+
+
+def every_step_integrate(jm, x0, params, record_every=0):
+    """The integrator with its finiteness check after every step: the loop
+    of ``cim._integrate`` before the check moved to readout steps, driving
+    the same ``cim._EulerStep`` kernel.  Returns ``(x, aborted, snaps,
+    snap_steps)`` like ``cim._integrate``."""
+    from cimsel.cim import _EulerStep, _one_blas_thread, readout
+
+    x = np.array(x0, dtype=float, copy=True)
+    e = np.ones_like(x)
+    euler_step = _EulerStep(jm, x.shape, params)
+    aborted = np.zeros(len(x), dtype=bool)
+    snaps, snap_steps = [], []
+    if record_every:
+        snaps.append(readout(x))
+        snap_steps.append(0)
+    # overflow is the divergence signal, caught via isfinite below; the
+    # numpy warnings would only repeat it
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, params.steps + 1):
+            euler_step(x, e, (k - 1) * params.dt)
+            # cheap whole-batch probe; NaN/inf contaminate the sums if present
+            if not np.isfinite(x.sum() + e.sum()):
+                bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(e).all(axis=1))
+                aborted |= bad
+                x[bad] = 0.0
+                e[bad] = 1.0
+            if record_every and (k % record_every == 0 or k == params.steps):
+                snaps.append(readout(x))
+                snap_steps.append(k)
+    snap_arr = np.stack(snaps) if snaps else None
+    step_arr = np.asarray(snap_steps, dtype=np.int64) if snaps else None
+    return x, aborted, snap_arr, step_arr
+
+
+def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
+    """``bench.run_instance``'s trace arrays, final ``p_c``, ``best`` and
+    ``best_assignment``, decoding and scoring every row of the readout table
+    rather than each changed readout once."""
+    from cimsel.baselines import random_selection
+    from cimsel.bench import _D_FALLBACK, cim_master_seed
+    from cimsel.channel import score_states
+    from cimsel.cim import solve
+    from cimsel.formulation import compile_instance, decode_states
+    from cimsel.rng import substream
+
+    outcomes = solve(compile_instance(g, lam), params, cim_master_seed(seed), record_every)
+    aborted = np.array([o.aborted for o in outcomes])
+    table = np.stack([o.trajectory for o in outcomes])
+    n_anneals, n_samples, dim = table.shape
+    fallback = random_selection(g, substream(seed, _D_FALLBACK))
+    feasible, states = decode_states(table.reshape(-1, dim), g.config)
+    feasible = feasible.reshape(n_anneals, n_samples) & ~aborted[:, None]
+    scores = score_states(g, states).reshape(n_anneals, n_samples)
+    scores = np.where(feasible, scores, fallback.objective)
+    k_best = int(np.argmax(scores[:, -1]))
+    if feasible[k_best, -1]:
+        best_states = states.reshape(n_anneals, n_samples, -1)[k_best, -1]
+        n_t = g.config.n_t
+        best_assignment = ConfigAssignment(tx=tuple(best_states[:n_t]),
+                                           rx=tuple(best_states[n_t:]))
+    else:
+        best_assignment = fallback.assignment
+    trace_best = scores.max(axis=0)
+    return {
+        "trace_steps": outcomes[0].trajectory_steps,
+        "trace_best": trace_best,
+        "trace_avg": np.minimum(scores.mean(axis=0), trace_best),
+        "trace_pc": feasible.mean(axis=0),
+        "p_c": float(feasible[:, -1].mean()),
+        "best": float(scores[k_best, -1]),
+        "best_assignment": best_assignment,
+        "n_aborted": int(aborted.sum()),
+    }

@@ -251,7 +251,8 @@ def test_criterion_8_dominance_invariants(acceptance, endpoint_sweep, grid_sweep
                 assert record.es_objective >= res.best >= res.avg
                 assert record.es_objective >= record.nsa_objective
                 assert record.es_objective >= record.rs_objective
-                assert res.best >= record.rs_objective  # shared fallback draw
+                if res.p_c < 1.0:  # some anneal scores the shared fallback draw
+                    assert res.best >= record.rs_objective
                 assert 0.0 <= res.p_c <= 1.0
                 checked += 1
     _, trace = star_trace

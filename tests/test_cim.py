@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from cimsel.cim import (
 from cimsel.cim import _EulerStep, _integrate
 from cimsel.formulation import InfeasibleDecode, compile_instance, decode_spins
 from cimsel.rng import substream
-from oracles import reference_integrate
+from oracles import every_step_integrate, reference_integrate
 
 FERRO2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -371,6 +373,103 @@ class TestReferenceEquivalence:
             ref_x, ref_aborted, _, _ = reference_integrate(jm, x0, params, 10)
             assert aborted.tolist() == ref_aborted.tolist() == expected
             assert np.max(np.abs(x - ref_x)) <= 1e-12
+
+
+def _sticks(**kwargs) -> bool:
+    return _EulerStep(FERRO2, (1, 2), CimParams(**kwargs)).divergence_sticks
+
+
+class TestDivergenceSticks:
+    """The condition under which a non-finite row stays non-finite, so the
+    finiteness check may wait for the next readout step."""
+
+    def test_holds_at_defaults(self):
+        assert _sticks()
+
+    def test_fails_for_large_dt(self):
+        # the e factor at x_clip is 101 - 50 * 100 < 0
+        assert not _sticks(dt=50.0)
+
+    def test_fails_for_non_positive_c_e(self):
+        # beta < 0 makes the factor at least c_e, so c_e = 1 + dt*beta*a
+        # decides: 0 here
+        assert not _sticks(beta=-1.0, dt=0.5)
+        assert _sticks(beta=-1.0, dt=0.25)
+
+    @pytest.mark.parametrize("params,sticks", [(CimParams(), True),
+                                               (CimParams(dt=50.0), False)])
+    def test_infinite_error_variable_at_the_clamp(self, params, sticks):
+        # the e factor at x = x_clip is 0.02 at the defaults and -4899 at
+        # dt = 50, where e = +inf turns -inf, is floored, and the row is
+        # finite again after one step: a later check would miss it
+        kernel = _EulerStep(FERRO2, (1, 2), params)
+        assert kernel.divergence_sticks is sticks
+        x, e = np.full((1, 2), params.x_clip), np.full((1, 2), np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel(x, e, 1.0)
+        assert x.tolist() == [[params.x_clip] * 2]
+        assert e.tolist() == [[np.inf if sticks else E_FLOOR] * 2]
+
+    def test_governed_by_init_scale_above_x_clip(self):
+        # factor 3 - X^2: 0.75 at X = x_clip = 1.5, -1 at X = init_scale = 2
+        assert _sticks(dt=1.0, x_clip=1.5)
+        assert _sticks(dt=1.0, x_clip=1.5, init_scale=1.7)
+        assert not _sticks(dt=1.0, x_clip=1.5, init_scale=2.0)
+
+
+def _sticky_divergent_x0():
+    x0 = substream(0).uniform(-0.01, 0.01, (4, 2))
+    x0[1] = 0.0
+    return x0
+
+
+def _check_schedule_cases():
+    inst = compile_instance(generate_channel(MimoConfig(2, 2, 2), seed=3), 0.8)
+    x0 = substream(9).uniform(-0.01, 0.01, (100, inst.dim))
+    sticky = CimParams(dt=1.0, x_clip=1.5, steps=1000)
+    yield "defaults", inst.j, x0, CimParams()
+    # error variables overflow near step 646 in the rows that abort
+    yield "sticky-ferro", FERRO2, _sticky_divergent_x0(), sticky
+    yield "sticky-zero-j", np.zeros((2, 2)), _sticky_divergent_x0(), sticky
+    # past step 1292 a row zeroed at its abort diverges again
+    yield "sticky-zero-j-1500", np.zeros((2, 2)), _sticky_divergent_x0(), CimParams(
+        dt=1.0, x_clip=1.5, steps=1500)
+    # beta < 0: amplitudes at the clamp grow their error variables until
+    # 16 of the 40 rows overflow near step 835
+    sticky_negative_beta = CimParams(beta=-1.0, dt=0.015, steps=835)
+    inst_07 = compile_instance(generate_channel(MimoConfig(2, 2, 2), seed=5), 0.7)
+    yield "sticky-negative-beta", inst_07.j, x0[:40], sticky_negative_beta
+    not_sticky = CimParams(dt=50.0, steps=300, n_anneals=4)
+    yield "dt50-ferro", FERRO2, _sticky_divergent_x0(), not_sticky
+    yield "dt50-zero-j", np.zeros((2, 2)), _sticky_divergent_x0(), not_sticky
+
+
+CHECK_CASES = {name: case for name, *case in _check_schedule_cases()}
+
+
+class TestCheckSchedule:
+    """``_integrate`` against the same kernel checked after every step:
+    byte-equal amplitudes, abort flags and readouts."""
+
+    @pytest.mark.parametrize("record_every", [0, 7, 10])
+    @pytest.mark.parametrize("name", sorted(CHECK_CASES))
+    def test_byte_equal_to_every_step_check(self, name, record_every):
+        jm, x0, params = CHECK_CASES[name]
+        got = _integrate(jm, x0, params, record_every)
+        want = every_step_integrate(jm, x0, params, record_every)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["sticky-ferro", "sticky-zero-j", "sticky-negative-beta"])
+    def test_sticky_cases_abort_mid_run(self, name):
+        jm, x0, params = CHECK_CASES[name]
+        assert _EulerStep(jm, x0.shape, params).divergence_sticks
+        _, aborted, _, _ = _integrate(jm, x0, params)
+        _, aborted_early, _, _ = every_step_integrate(jm, x0, replace(params, steps=600))
+        assert aborted.any() and not aborted_early.any()
 
 
 class TestTrajectoryDump:

@@ -350,6 +350,42 @@ class TestBadInput:
         assert out.exists() == existed and not out.is_dir()
 
 
+def _failing_instance(monkeypatch, exc):
+    """Make instance 0 of every run raise ``exc``; the others run as usual."""
+    real = cli.bench._instance_record
+
+    def record(plan, instance_id, lambdas, record_every):
+        if instance_id == 0:
+            raise exc
+        return real(plan, instance_id, lambdas, record_every)
+
+    monkeypatch.setattr(cli.bench, "_instance_record", record)
+
+
+class TestInstanceFailures:
+    """A sweep logs the errors one bad instance can raise and goes on; any
+    other exception is a bug and ends the command."""
+
+    ARGV = ("sweep", "--n-t", "2", "--n-r", "2", "--n-states", "2", "--n-instances", "2",
+            "--steps", "20", "--anneals", "2", "--lambdas", "0.5", "--workers", "1")
+
+    @pytest.mark.parametrize("exc", [ValueError("bad value"), FloatingPointError("overflow"),
+                                     ZeroDivisionError("empty")])
+    def test_expected_error_is_logged(self, tmp_path, monkeypatch, exc):
+        _failing_instance(monkeypatch, exc)
+        out = tmp_path / "run"
+        assert run_cli(*self.ARGV, "--out", str(out)) == 0
+        assert (out / "run.log").read_text() == f"instance 0 failed: {exc!r}\n"
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        assert rows and {row.split(",")[0] for row in rows} == {"1"}
+
+    @pytest.mark.parametrize("exc", [TypeError("bug"), AttributeError("bug"), KeyError("bug")])
+    def test_programming_error_propagates(self, tmp_path, monkeypatch, exc):
+        _failing_instance(monkeypatch, exc)
+        with pytest.raises(type(exc), match="bug"):
+            run_cli(*self.ARGV, "--out", str(tmp_path / "run"))
+
+
 class TestTrace:
     def test_sampled_steps(self, tmp_path):
         out = tmp_path / "trace"
