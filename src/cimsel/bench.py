@@ -30,9 +30,10 @@ is a pure function of the plan: worker counts and scheduling cannot change
 a byte of the output.  Channel instances are shared across penalty weights
 and methods, and the random-selection baseline scores the same draw the
 solver falls back on (common random numbers throughout).  That cuts
-variance, and makes ``cim_best >= rs`` hold on every instance where some
-anneal falls back (``P_c < 1``).  It is not an identity: when every anneal
-decodes feasible, the best decode can score below the random draw.
+variance, and makes ``cim_best >= rs`` an identity on every instance where
+some anneal falls back (``P_c < 1``).  Elsewhere it need not hold: when
+every anneal decodes feasible, the best decode can score below the random
+draw.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
-from .cim import CimParams, solve
+from .cim import CimParams, _initial_amplitudes, solve
 from .formulation import compile_instance, decode_states
 from .rng import derive_seed, substream
 
@@ -119,6 +120,8 @@ class ExperimentPlan:
             raise ValueError("lambdas must be non-empty")
         if any(not 0.0 <= v <= 1.0 for v in self.lambdas):
             raise ValueError(f"penalty weights must lie in [0, 1], got {self.lambdas}")
+        if len(set(self.lambdas)) < len(self.lambdas):
+            raise ValueError(f"penalty weights must be distinct, got {self.lambdas}")
 
 
 @dataclass
@@ -296,6 +299,9 @@ def _instance_record(
     )
     for lam in lambdas:
         record.cim[lam] = run_instance(g, lam, plan.cim, inst_seed, record_every=record_every)
+    # the start table is shared by this instance's penalty weights only; free
+    # it here so no instance runs with the previous one's table alive
+    _initial_amplitudes.cache_clear()
     record.wall_clock = time.perf_counter() - tic
     return record
 
@@ -447,16 +453,22 @@ def time_trace(plan: ExperimentPlan, lam: float, workers: int = 1) -> TraceResul
 def summarize_comparison(sweep: SweepResult) -> list[MethodSummary]:
     """Check the guaranteed orderings of a sweep and return its summaries.
 
-    The exhaustive optimum must dominate every method on every instance and
-    best-of-anneals must dominate the anneal average; both are identities of
-    the construction, so violations are bugs and raise
-    :class:`DominanceError` immediately.
+    The exhaustive optimum must dominate every method on every instance,
+    best-of-anneals must dominate the anneal average, and where some anneal
+    falls back (``P_c < 1``) it must dominate the random baseline, whose
+    draw that anneal scores.  All are identities of the construction, so
+    violations are bugs and raise :class:`DominanceError` immediately.
     """
     for record in sweep.records:
         for lam, res in record.cim.items():
             if not res.best >= res.avg:
                 raise DominanceError(
                     f"instance {record.instance_id}: best {res.best} below average {res.avg}"
+                )
+            if res.p_c < 1.0 and not res.best >= record.rs_objective:
+                raise DominanceError(
+                    f"instance {record.instance_id}, lambda {lam}: best {res.best} below "
+                    f"random baseline {record.rs_objective} although some anneal falls back"
                 )
             if record.es_objective is not None:
                 for value in (record.nsa_objective, record.rs_objective, res.best, res.avg):

@@ -21,7 +21,11 @@ Notes on the numerics:
   the ramp changes the solver.
 * All randomness lives in the initial amplitudes; the integration itself is
   deterministic.  ``(J, params, master_seed)`` fully determines every
-  outcome of :func:`solve`, independent of execution order.
+  outcome of :func:`solve`, independent of execution order.  The start
+  table depends only on ``(master_seed, n_anneals, dim, init_scale)``, not
+  on ``J``, so it is drawn once and the last one is kept: the solves of one
+  sweep instance across penalty weights share it, and the sweep drops it
+  when the instance is done.
 * ``sign(0)`` reads out as +1 (a measure-zero tie; the rule just has to be
   fixed).
 * Both state variables are updated from the pre-update amplitudes within a
@@ -297,6 +301,20 @@ def _integrate(jm, x0, params, record_every=0):
     return x, aborted, snap_arr, step_arr
 
 
+@functools.lru_cache(maxsize=1)
+def _initial_amplitudes(master_seed, n_anneals, dim, init_scale):
+    """The read-only ``(n_anneals, dim)`` start table; row ``k`` is drawn
+    from the stream ``(master_seed, k)``.  A sweep solves each instance at
+    every penalty weight with one master seed, so the last table is kept
+    until the sweep clears it at the end of the instance."""
+    x0 = np.stack(
+        [substream(master_seed, k).uniform(-init_scale, init_scale, dim)
+         for k in range(n_anneals)]
+    )
+    x0.flags.writeable = False
+    return x0
+
+
 def solve(
     j, params: CimParams, master_seed: int, record_every: int = 0
 ) -> list[AnnealOutcome]:
@@ -309,11 +327,7 @@ def solve(
     ``aborted`` instead of being dropped.
     """
     jm = _coupling_matrix(j)
-    dim = jm.shape[0]
-    x0 = np.stack(
-        [substream(master_seed, k).uniform(-params.init_scale, params.init_scale, dim)
-         for k in range(params.n_anneals)]
-    )
+    x0 = _initial_amplitudes(master_seed, params.n_anneals, jm.shape[0], params.init_scale)
     x, aborted, snaps, snap_steps = _integrate(jm, x0, params, record_every)
     spins = readout(x)
     outcomes = []

@@ -73,6 +73,8 @@ class TestExperimentPlan:
         ("lambdas", (True,), "penalty weights must be numbers"),
         ("lambdas", ("0.5",), "penalty weights must be numbers"),
         ("lambdas", (-0.1,), "penalty weights must lie in"),
+        ("lambdas", (0.5, 0.2, 0.5), "penalty weights must be distinct"),
+        ("lambdas", (1, 1.0), "penalty weights must be distinct"),
     ])
     def test_rejects(self, name, value, match):
         with pytest.raises(ValueError, match=match):
@@ -408,6 +410,15 @@ class TestDominanceChecks:
     def test_violation_raises(self, best, avg, es, match):
         with pytest.raises(DominanceError, match=match):
             summarize_comparison(_hand_sweep(best, avg, es))
+
+    @pytest.mark.parametrize("p_c", [0.0, 0.9])
+    def test_best_below_random_baseline_with_fallback_raises(self, p_c):
+        # an anneal that falls back scores the random baseline's draw, so
+        # best-of-anneals cannot sit below it
+        sweep = _hand_sweep(best=0.8, avg=0.5, es=2.0)
+        sweep.records[0].cim[0.5].p_c = p_c
+        with pytest.raises(DominanceError, match="below random baseline"):
+            summarize_comparison(sweep)
 
 
 class TestWriters:

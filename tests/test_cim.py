@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cimsel import cim
+from cimsel.bench import ExperimentPlan, sweep_lambda
 from cimsel.channel import MimoConfig, generate_channel
 from cimsel.cim import (
     E_FLOOR,
@@ -338,6 +339,54 @@ class TestSolve:
         outcomes = solve(np.zeros((2, 2)), params, master_seed=0)
         assert len(outcomes) == 4
         assert all(o.aborted for o in outcomes)
+
+
+class TestStartTable:
+    """The start table depends only on ``(master_seed, n_anneals, dim,
+    init_scale)``; the last one drawn is kept for the solves that follow,
+    until the sweep drops it at the end of the instance."""
+
+    def test_sweep_draws_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting_substream(*args):
+            calls.append(args)
+            return substream(*args)
+
+        cim._initial_amplitudes.cache_clear()
+        monkeypatch.setattr(cim, "substream", counting_substream)
+        plan = ExperimentPlan(config=MimoConfig(2, 2, 2), lambdas=(0.2, 0.5, 0.8),
+                              cim=CimParams(steps=20, n_anneals=8), n_instances=1)
+        sweep_lambda(plan)
+        # one stream per anneal, not one per anneal and penalty weight
+        assert len(calls) == 8
+        assert [path for _, *path in calls] == [[k] for k in range(8)]
+
+    def test_sweep_frees_table_after_each_instance(self):
+        plan = ExperimentPlan(config=MimoConfig(2, 2, 2), lambdas=(0.2, 0.5),
+                              cim=CimParams(steps=20, n_anneals=8), n_instances=2)
+        cim._initial_amplitudes(9, 4, 2, 0.01)
+        sweep_lambda(plan)
+        assert cim._initial_amplitudes.cache_info().currsize == 0
+
+    def test_eviction_keeps_readouts(self):
+        inst = compile_instance(generate_channel(MimoConfig(2, 2, 2), seed=4), 0.5)
+        params = CimParams(steps=200, n_anneals=8)
+        cim._initial_amplitudes.cache_clear()
+        first = solve(inst, params, master_seed=5, record_every=50)
+        solve(inst, params, master_seed=6, record_every=50)
+        again = solve(inst, params, master_seed=5, record_every=50)
+        assert cim._initial_amplitudes.cache_info().misses == 3
+        for a, b in zip(first, again, strict=True):
+            assert np.array_equal(a.spins, b.spins)
+            assert np.array_equal(a.trajectory, b.trajectory)
+            assert a.aborted == b.aborted
+
+    def test_table_is_read_only(self):
+        x0 = cim._initial_amplitudes(9, 4, 2, 0.01)
+        assert not x0.flags.writeable
+        with pytest.raises(ValueError):
+            x0[0, 0] = 1.0
 
 
 class TestReferenceEquivalence:

@@ -263,6 +263,8 @@ class TestBadInput:
                      "penalty weights must lie in [0, 1]", id="sweep-lambdas"),
         pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--lam", "1.5"], {},
                      "penalty weights must lie in [0, 1]", id="solve-lam"),
+        pytest.param(lambda tmp: ["sweep", *SMALL, "--lambdas", "0.5,0.5"], {},
+                     "penalty weights must be distinct", id="sweep-lambdas-duplicate"),
         pytest.param(lambda tmp: ["sweep", *SMALL, "--n-instances", "0"], {},
                      "n_instances must be >= 1", id="n-instances-0"),
         pytest.param(lambda tmp: ["trace", *SMALL, "--stride", "0"], {},
