@@ -23,7 +23,7 @@ import numpy as np
 from cimsel import MimoConfig, compile_instance, generate_channel
 from cimsel.formulation import (
     constraint_coupling,
-    constraint_system,
+    constraint_matrix,
     instance_to_json,
     objective_coupling,
     qubo_matrix,
@@ -41,12 +41,12 @@ q = qubo_matrix(t)
 print("bit-space coupling matrix (zero diagonal, gains split across the two blocks):")
 print(np.round(q, 3), "\n")
 
-sys = constraint_system(config)
+r = constraint_matrix(config)
 print("aggregate one-hot penalty matrix (all-ones block per antenna):")
-print(sys.r, "\n")
+print(r, "\n")
 
 j_obj = objective_coupling(q)
-j_con = constraint_coupling(sys)
+j_con = constraint_coupling(r)
 print("normalized objective couplings (auxiliary spin = row/col 0):")
 print(np.round(j_obj, 3), "\n")
 print("normalized penalty couplings:")

@@ -24,7 +24,7 @@ plan = ExperimentPlan(
     master_seed=3,
     trace_stride=50,
 )
-result = time_trace(plan, lam=0.8)
+result = time_trace(plan)
 
 print(f"penalty weight {result.lam}, {plan.n_instances} instances x "
       f"{plan.cim.n_anneals} anneals\n")

@@ -277,9 +277,7 @@ def run_instance(
     return result
 
 
-def _instance_record(
-    plan: ExperimentPlan, instance_id: int, lambdas: Sequence[float], record_every: int
-) -> InstanceRecord:
+def _instance_record(plan: ExperimentPlan, instance_id: int, record_every: int) -> InstanceRecord:
     tic = time.perf_counter()
     channel_seed = instance_channel_seed(plan.master_seed, instance_id)
     g = generate_channel(plan.config, channel_seed)
@@ -297,7 +295,7 @@ def _instance_record(
         nsa_objective=nsa(g).objective,
         rs_objective=random_selection(g, substream(inst_seed, _D_FALLBACK)).objective,
     )
-    for lam in lambdas:
+    for lam in plan.lambdas:
         record.cim[lam] = run_instance(g, lam, plan.cim, inst_seed, record_every=record_every)
     # the start table is shared by this instance's penalty weights only; free
     # it here so no instance runs with the previous one's table alive
@@ -310,18 +308,19 @@ def _record_task(args):
     """Worker entry point.  The errors one bad instance can raise (bad
     values, arithmetic faults) are returned, so that instance cannot abort a
     sweep; any other exception is a bug and propagates."""
-    plan, instance_id, lambdas, record_every = args
+    plan, instance_id, record_every = args
     try:
-        return instance_id, _instance_record(plan, instance_id, lambdas, record_every), None
+        return instance_id, _instance_record(plan, instance_id, record_every), None
     except (ValueError, ArithmeticError) as exc:
         return instance_id, None, f"instance {instance_id} failed: {exc!r}"
 
 
 def _run_records(
-    plan: ExperimentPlan, lambdas: Sequence[float], record_every: int, workers: int
+    plan: ExperimentPlan, record_every: int, workers: int
 ) -> tuple[list[InstanceRecord], list[str]]:
-    """Compute per-instance records, optionally in parallel, merged by id."""
-    tasks = [(plan, k, tuple(lambdas), record_every) for k in range(plan.n_instances)]
+    """Compute per-instance records at every weight of the plan, optionally
+    in parallel, merged by id."""
+    tasks = [(plan, k, record_every) for k in range(plan.n_instances)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -361,7 +360,7 @@ def sweep_lambda(plan: ExperimentPlan, workers: int = 1) -> SweepResult:
     are ordered by (instance, weight, method) and are a pure function of
     the plan.
     """
-    records, failures = _run_records(plan, plan.lambdas, 0, workers)
+    records, failures = _run_records(plan, 0, workers)
     rows: list[MetricRow] = []
     for record in records:
         for lam in plan.lambdas:
@@ -415,16 +414,20 @@ def _summarize(records: list[InstanceRecord], lambdas: Sequence[float]) -> list[
     return summaries
 
 
-def time_trace(plan: ExperimentPlan, lam: float, workers: int = 1) -> TraceResult:
+def time_trace(plan: ExperimentPlan, workers: int = 1) -> TraceResult:
     """Metrics from instantaneous sign readouts along the integration.
 
-    Readouts are sampled at step 0, every ``plan.trace_stride`` steps and
-    the final step; per-step scores use the same post-fallback rule as the
-    final readout, and ``P_c`` is the fraction of feasible readouts over
-    all (instance, anneal) pairs at that step.
+    The plan's one penalty weight is traced; a plan with more raises
+    ``ValueError``.  Readouts are sampled at step 0, every
+    ``plan.trace_stride`` steps and the final step; per-step scores use the
+    same post-fallback rule as the final readout, and ``P_c`` is the
+    fraction of feasible readouts over all (instance, anneal) pairs at that
+    step.
     """
-    records, failures = _run_records(plan, (float(lam),), plan.trace_stride, workers)
-    lam = float(lam)
+    if len(plan.lambdas) != 1:
+        raise ValueError(f"a trace runs one penalty weight, the plan holds {plan.lambdas}")
+    (lam,) = plan.lambdas
+    records, failures = _run_records(plan, plan.trace_stride, workers)
     rows: list[MetricRow] = []
     for record in records:
         res = record.cim[lam]

@@ -17,6 +17,7 @@ All functions here are pure; channel generation is deterministic given
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class MimoConfig:
     def __post_init__(self):
         for name in ("n_t", "n_r", "n_states"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def n_antennas(self) -> int:
@@ -180,6 +182,8 @@ def read_channel(path) -> ChannelMatrix:
     """Read and validate a channel instance written by :func:`write_channel`."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ChannelFormatError(f"channel file {path}: the top level must be a JSON object")
     for field in ("n_t", "n_r", "n_states", "seed", "entries"):
         if field not in raw:
             raise ChannelFormatError(f"channel file {path}: missing field '{field}'")

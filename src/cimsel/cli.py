@@ -106,12 +106,6 @@ def _resolved_config(args) -> dict:
     return cfg
 
 
-def _one_weight(cfg: dict) -> dict:
-    # a single-weight command runs ``lambda`` as the plan's only weight, so
-    # the plan checks it; without one it runs the plan's first weight
-    return dict(cfg, lambdas=[cfg["lambda"]]) if "lambda" in cfg else cfg
-
-
 def _plan(cfg: dict, config: MimoConfig | None = None) -> tuple[bench.ExperimentPlan, int]:
     """The experiment plan and worker count of a command.
 
@@ -133,6 +127,17 @@ def _plan(cfg: dict, config: MimoConfig | None = None) -> tuple[bench.Experiment
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         _fail(f"workers must be an integer >= 1, got {workers!r}")
     return plan, workers
+
+
+def _one_weight_plan(
+    cfg: dict, config: MimoConfig | None = None
+) -> tuple[bench.ExperimentPlan, int]:
+    """The plan of a single-weight command, holding ``lambda`` if given,
+    else the first of ``lambdas``; the plan checks the weights either way."""
+    if "lambda" in cfg:
+        cfg = dict(cfg, lambdas=[cfg["lambda"]])
+    plan, workers = _plan(cfg, config)
+    return dataclasses.replace(plan, lambdas=plan.lambdas[:1]), workers
 
 
 def _read_channel(path):
@@ -217,7 +222,7 @@ def cmd_solve(args) -> int:
     g = _read_channel(args.channel)
     if args.dump_trajectory and args.stride < 1:
         _fail(f"--stride must be >= 1 to dump a trajectory, got {args.stride}")
-    plan, _ = _plan(_one_weight(cfg), g.config)
+    plan, _ = _one_weight_plan(cfg, g.config)
     lam, params, seed = plan.lambdas[0], plan.cim, plan.master_seed
     result = bench.run_instance(g, lam, params, seed)
     report = {
@@ -245,7 +250,10 @@ def cmd_solve(args) -> int:
         if outcome.aborted:
             print("error: anneal 0 aborted", file=sys.stderr)
             return 3
-        write_trajectory_csv(outcome, inst, params, args.dump_trajectory)
+        try:
+            write_trajectory_csv(outcome, inst, params, args.dump_trajectory)
+        except OSError as exc:
+            _fail(f"cannot write {args.dump_trajectory}: {exc}")
     text = json.dumps(report, indent=1)
     if args.out:
         out = _out_dir(args, "solve")
@@ -295,10 +303,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = _resolved_config(args)
-    plan, workers = _plan(_one_weight(cfg))
-    lam = plan.lambdas[0]
+    plan, workers = _one_weight_plan(cfg)
     out = _out_dir(args, "trace")
-    result = bench.time_trace(plan, lam, workers=workers)
+    result = bench.time_trace(plan, workers=workers)
     bench.write_metric_rows(result.rows, out / "trace.csv")
     bench.write_trace_summary_json(result, out / "trace_summary.json")
     if args.plot_data:
@@ -307,17 +314,20 @@ def cmd_trace(args) -> int:
                       for method, value in (("cim_best", s.e_rho_best), ("cim_avg", s.e_rho_avg))))
         _write_table(out / "plot_step_pc.csv", "step,p_c",
                      (f"{s.step},{s.p_c!r}" for s in result.step_summaries))
-    print(f"traced {len(result.step_summaries)} sampled steps at lambda={lam} -> {out}")
+    print(f"traced {len(result.step_summaries)} sampled steps at lambda={result.lam} -> {out}")
     return _finish_harness(args, cfg, plan, out, result)
 
 
 def cmd_export_ising(args) -> int:
     cfg = _resolved_config(args)
     g = _read_channel(args.channel)
-    plan, _ = _plan(_one_weight(cfg), g.config)
+    plan, _ = _one_weight_plan(cfg, g.config)
     inst = compile_instance(g, plan.lambdas[0])
-    write_instance(inst, args.output)
-    print(f"wrote Ising instance (dim {inst.dim}, lambda {plan.lambdas[0]}) to {args.output}")
+    try:
+        write_instance(inst, args.output)
+    except OSError as exc:
+        _fail(f"cannot write {args.output}: {exc}")
+    print(f"wrote Ising instance (dim {inst.dim}, lambda {inst.lam}) to {args.output}")
     return 0
 
 
@@ -351,6 +361,18 @@ def _parse_lambdas(raw: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse lambda list {raw!r}")
 
 
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    """The flag set of ``sweep`` and ``compare``, which both run :func:`cmd_sweep`."""
+    _add_common_flags(p)
+    _add_problem_flags(p)
+    _add_cim_flags(p)
+    p.add_argument("--n-instances", dest="n_instances", type=int)
+    p.add_argument("--lambdas", type=_parse_lambdas, help="comma-separated weights, e.g. 0.1,0.5,0.9")
+    p.add_argument("--es-budget", dest="es_budget", type=int)
+    p.add_argument("--plot-data", action="store_true", help="also emit tidy plot tables")
+    p.set_defaults(func=cmd_sweep)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cimsel",
@@ -374,15 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=10, help="trajectory sampling stride")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", help="sweep penalty weights over many instances")
-    _add_common_flags(p)
-    _add_problem_flags(p)
-    _add_cim_flags(p)
-    p.add_argument("--n-instances", dest="n_instances", type=int)
-    p.add_argument("--lambdas", type=_parse_lambdas, help="comma-separated weights, e.g. 0.1,0.5,0.9")
-    p.add_argument("--es-budget", dest="es_budget", type=int)
-    p.add_argument("--plot-data", action="store_true", help="also emit tidy plot tables")
-    p.set_defaults(func=cmd_sweep)
+    _add_sweep_flags(sub.add_parser("sweep", help="sweep penalty weights over many instances"))
 
     p = sub.add_parser("trace", help="per-step metrics along the solver dynamics")
     _add_common_flags(p)
@@ -394,15 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", action="store_true")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("compare", help="method comparison table at fixed weights")
-    _add_common_flags(p)
-    _add_problem_flags(p)
-    _add_cim_flags(p)
-    p.add_argument("--n-instances", dest="n_instances", type=int)
-    p.add_argument("--lambdas", type=_parse_lambdas)
-    p.add_argument("--es-budget", dest="es_budget", type=int)
-    p.add_argument("--plot-data", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    _add_sweep_flags(sub.add_parser("compare", help="method comparison table at fixed weights"))
 
     p = sub.add_parser("export-ising", help="compile a channel file to an Ising instance JSON")
     _add_common_flags(p)

@@ -5,8 +5,9 @@ The pipeline, in order:
 1. ``squared_gains`` / ``qubo_matrix`` lift the received-power objective to a
    quadratic form ``b^T Q b`` over the 0/1 selection vector ``b`` (transmit
    bits first, then receive bits).
-2. ``constraint_system`` builds the aggregate one-hot penalty: each antenna
-   contributes ``(sum of its block of b - 1)^2``, which in matrix form is
+2. ``constraint_matrix`` builds the aggregate one-hot penalty from the
+   config's antenna blocks: each antenna contributes
+   ``(sum of its block of b - 1)^2``, which in matrix form is
    ``b^T R b - 2*1^T b + n_antennas`` with ``R`` block-diagonal all-ones.
 3. ``qubo_to_spin`` substitutes ``b = (s + 1) / 2`` to reach spin variables,
    splitting each form into a quadratic part, a linear part and a constant.
@@ -35,12 +36,11 @@ import numpy as np
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig
 
 __all__ = [
-    "ConstraintSystem",
     "IsingInstance",
     "InfeasibleDecode",
     "squared_gains",
     "qubo_matrix",
-    "constraint_system",
+    "constraint_matrix",
     "constraint_violation",
     "qubo_to_spin",
     "augment_aux",
@@ -83,39 +83,27 @@ def qubo_matrix(t: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintSystem:
-    """Aggregate one-hot penalty over all antennas.
-
-    ``r`` is block-diagonal with ``n_blocks`` all-ones blocks of size
-    ``n_states``; every row sums to ``n_states``.
-    """
-
-    r: np.ndarray
-    n_states: int
-    n_blocks: int
-
-
 @functools.lru_cache(maxsize=None)
-def constraint_system(config: MimoConfig) -> ConstraintSystem:
-    """Build the penalty matrix for ``config`` (cached; configs are tiny)."""
-    n = config.n_states
-    r = np.zeros((config.d, config.d))
-    for k in range(config.n_antennas):
-        r[k * n : (k + 1) * n, k * n : (k + 1) * n] = 1.0
+def constraint_matrix(config: MimoConfig) -> np.ndarray:
+    """Read-only penalty matrix ``R`` of ``config`` (cached; configs are tiny).
+
+    Block-diagonal with one all-ones ``n_states`` block per antenna; every
+    row sums to ``n_states``.
+    """
+    r = np.kron(np.eye(config.n_antennas), np.ones((config.n_states, config.n_states)))
     r.setflags(write=False)
-    return ConstraintSystem(r=r, n_states=n, n_blocks=config.n_antennas)
+    return r
 
 
-def constraint_violation(b: np.ndarray, sys: ConstraintSystem) -> float:
+def constraint_violation(b: np.ndarray, config: MimoConfig) -> float:
     """Total one-hot violation ``sum_k (block_sum_k - 1)^2``.
 
     Zero exactly when ``b`` activates one state per antenna, i.e. encodes a
     valid :class:`ConfigAssignment`.  Equals the quadratic form
-    ``b^T R b - 2*1^T b + n_blocks`` with the dropped constant restored.
+    ``b^T R b - 2*1^T b + n_antennas`` with the dropped constant restored.
     """
-    b = _as_bits(b, sys.n_blocks * sys.n_states)
-    block_sums = b.reshape(sys.n_blocks, sys.n_states).sum(axis=1)
+    b = _as_bits(b, config.d)
+    block_sums = b.reshape(config.n_antennas, config.n_states).sum(axis=1)
     return float(np.sum((block_sums - 1.0) ** 2))
 
 
@@ -175,14 +163,12 @@ class IsingInstance:
     """Compiled coupling matrix over ``d + 1`` spins (index 0 = auxiliary).
 
     The solver's task is to maximise ``s0^T j s0``.  ``lam`` records the
-    penalty weight used in the blend; ``config`` and ``channel_seed`` record
-    provenance.
+    penalty weight used in the blend and ``config`` the problem dimensions.
     """
 
     j: np.ndarray
     lam: float
     config: MimoConfig
-    channel_seed: int
 
     def __post_init__(self):
         j = self.j
@@ -206,16 +192,15 @@ def objective_coupling(q: np.ndarray) -> np.ndarray:
     return normalize_couplings(augment_aux(s_mat, s_lin))
 
 
-def constraint_coupling(sys: ConstraintSystem) -> np.ndarray:
+def constraint_coupling(r: np.ndarray) -> np.ndarray:
     """Normalized aux-augmented spin form of the aggregate one-hot penalty.
 
-    Built from ``b^T R b - 2*1^T b``; the linear spin coefficients come out
+    Built from ``b^T r b - 2*1^T b``; the linear spin coefficients come out
     as ``n_states/2 - 1`` on every index.  Minimisers of
     ``s0^T (result) s0`` are exactly the gauge-paired encodings of feasible
     assignments.
     """
-    d = len(sys.r)
-    s_mat, s_lin, _ = qubo_to_spin(sys.r, -2.0 * np.ones(d))
+    s_mat, s_lin, _ = qubo_to_spin(r, -2.0 * np.ones(len(r)))
     return normalize_couplings(augment_aux(s_mat, s_lin))
 
 
@@ -232,11 +217,11 @@ def compile_instance(g: ChannelMatrix, lam: float) -> IsingInstance:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"penalty weight must lie in [0, 1], got {lam}")
     j_obj = objective_coupling(qubo_matrix(squared_gains(g)))
-    j_con = constraint_coupling(constraint_system(g.config))
+    j_con = constraint_coupling(constraint_matrix(g.config))
     j = (1.0 - lam) * j_obj - lam * j_con
     # the diagonal is zero by construction; IsingInstance rejects a non-zero
     # one with a ValueError, which unlike an assert survives python -O
-    return IsingInstance(j=j, lam=lam, config=g.config, channel_seed=g.seed)
+    return IsingInstance(j=j, lam=lam, config=g.config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +270,7 @@ def decode_spins(
     if feasible[0]:
         return ConfigAssignment(tx=states[0, : config.n_t], rx=states[0, config.n_t :])
     bits = (s0[0] * s0[1:] > 0).astype(np.int64)
-    violation = constraint_violation(bits, constraint_system(config))
+    violation = constraint_violation(bits, config)
     return InfeasibleDecode(bits=bits, violation=violation)
 
 

@@ -19,7 +19,7 @@ from cimsel.channel import MimoConfig, generate_channel
 from cimsel.cim import CimParams
 from cimsel.formulation import (
     constraint_coupling,
-    constraint_system,
+    constraint_matrix,
     constraint_violation,
     qubo_matrix,
     qubo_to_spin,
@@ -82,14 +82,14 @@ def star_trace(lambda_star):
         master_seed=ACC_SEED + 2,
         trace_stride=20,
     )
-    return plan, time_trace(plan, lambda_star)
+    return plan, time_trace(plan)
 
 
 def test_criterion_1_oracle_equivalence(acceptance):
     bits = np.stack(all_bit_vectors(ACFG.d))          # (256, 8)
     spins = 2.0 * bits - 1.0
     aux_spins = np.hstack([np.ones((len(bits), 1)), spins])
-    sys = constraint_system(ACFG)
+    r = constraint_matrix(ACFG)
     n_checked = 0
     for seed in range(50):
         g = generate_channel(ACFG, seed=1000 + seed)
@@ -105,7 +105,7 @@ def test_criterion_1_oracle_equivalence(acceptance):
         # every bit vector: violation equals the block-sum definition
         for k, b in enumerate(bits):
             block_sums = b.reshape(ACFG.n_antennas, ACFG.n_states).sum(axis=1)
-            assert constraint_violation(b.astype(int), sys) == np.sum((block_sums - 1.0) ** 2)
+            assert constraint_violation(b.astype(int), ACFG) == np.sum((block_sums - 1.0) ** 2)
 
         # spin and auxiliary-spin forms match up to tracked constants
         s_obj, q_obj, c_obj = qubo_to_spin(q, np.zeros(ACFG.d))
@@ -115,9 +115,9 @@ def test_criterion_1_oracle_equivalence(acceptance):
         assert np.allclose(spin_vals, quad, atol=1e-9)
         assert np.allclose(aux_vals, quad, atol=1e-9)
 
-        s_con, q_con, c_con = qubo_to_spin(sys.r, -2.0 * np.ones(ACFG.d))
+        s_con, q_con, c_con = qubo_to_spin(r, -2.0 * np.ones(ACFG.d))
         j_con_raw = augment_aux(s_con, q_con)
-        viol = np.array([constraint_violation(b.astype(int), sys) for b in bits])
+        viol = np.array([constraint_violation(b.astype(int), ACFG) for b in bits])
         spin_con = (
             np.einsum("ki,ij,kj->k", spins, s_con, spins) + spins @ q_con + c_con + ACFG.n_antennas
         )
@@ -129,7 +129,7 @@ def test_criterion_1_oracle_equivalence(acceptance):
 
 
 def test_criterion_2_penalty_ground_states(acceptance):
-    j_con = constraint_coupling(constraint_system(ACFG))
+    j_con = constraint_coupling(constraint_matrix(ACFG))
     spins = all_spin_vectors(ACFG.d + 1)
     vals = np.array([s @ j_con @ s for s in spins])
     minimum = vals.min()

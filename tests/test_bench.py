@@ -84,6 +84,11 @@ class TestExperimentPlan:
         plan = small_plan(n_instances=np.int64(3), master_seed=np.int32(0), es_budget=0)
         assert plan.n_instances == 3
 
+    def test_config_takes_the_plan_integer_rule(self):
+        config = MimoConfig(np.int64(2), np.int32(2), np.uint8(2))
+        assert config == CFG222 and type(config.n_t) is int
+        assert small_plan(config=config).config == CFG222
+
 
 class TestRunInstance:
     def test_degenerate_single_state(self):
@@ -286,12 +291,23 @@ class TestSweepLambda:
 
 class TestTimeTrace:
     def test_bookkeeping(self):
-        plan = small_plan(n_instances=3, trace_stride=50, cim=CimParams(steps=200, n_anneals=10))
-        result = time_trace(plan, 0.7)
+        plan = small_plan(lambdas=(0.7,), n_instances=3, trace_stride=50,
+                          cim=CimParams(steps=200, n_anneals=10))
+        result = time_trace(plan)
+        assert result.lam == 0.7
         expected_steps = [0, 50, 100, 150, 200]
         assert [s.step for s in result.step_summaries] == expected_steps
         # one best and one avg row per instance per sampled step
         assert len(result.rows) == 3 * len(expected_steps) * 2
+
+    def test_two_weight_plan_rejected_before_any_instance(self, monkeypatch):
+        from cimsel import bench
+
+        ran = []
+        monkeypatch.setattr(bench, "_instance_record", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="one penalty weight"):
+            time_trace(small_plan())
+        assert ran == []
 
     def test_initial_feasibility_matches_enumeration(self):
         # random signs at step 0: the feasibility probability equals the
@@ -307,18 +323,19 @@ class TestTimeTrace:
         assert exact == pytest.approx(1 / 16)
 
         plan = small_plan(
-            n_instances=20, trace_stride=100, cim=CimParams(steps=100, n_anneals=100)
+            lambdas=(0.6,), n_instances=20, trace_stride=100,
+            cim=CimParams(steps=100, n_anneals=100),
         )
-        result = time_trace(plan, 0.6)
+        result = time_trace(plan)
         p0 = result.step_summaries[0].p_c
         n_samples = 20 * 100
         sigma = np.sqrt(exact * (1 - exact) / n_samples)
         assert abs(p0 - exact) < 5 * sigma
 
     def test_trace_values_settle(self):
-        plan = small_plan(n_instances=10, trace_stride=100,
+        plan = small_plan(lambdas=(0.8,), n_instances=10, trace_stride=100,
                           cim=CimParams(steps=1000, n_anneals=30))
-        result = time_trace(plan, 0.8)
+        result = time_trace(plan)
         tail = [s for s in result.step_summaries if s.step >= 800]
         e_vals = [s.e_rho_best for s in tail]
         assert (max(e_vals) - min(e_vals)) / abs(e_vals[-1]) < 0.05

@@ -28,7 +28,8 @@ class TestMimoConfig:
     @pytest.mark.parametrize(
         "bad",
         [dict(n_t=0), dict(n_r=0), dict(n_states=0), dict(n_t=-1),
-         dict(n_t=True), dict(n_r=True), dict(n_states=False), dict(n_t=2.0)],
+         dict(n_t=True), dict(n_r=True), dict(n_states=False), dict(n_t=2.0),
+         dict(n_t=np.bool_(True)), dict(n_t=np.float64(2.0)), dict(n_t=np.int64(0))],
     )
     def test_rejects_nonpositive_dimensions(self, bad):
         kwargs = dict(n_t=1, n_r=1, n_states=1)

@@ -48,6 +48,12 @@ def _config_file(tmp_path, payload):
     return str(path)
 
 
+def _channel_payload(tmp_path, payload):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 def _file_at_out(tmp_path, argv):
     # TestBadInput passes ``tmp_path / "run"`` as ``--out``
     (tmp_path / "run").write_text("not a directory\n")
@@ -335,6 +341,23 @@ class TestBadInput:
                          tmp, lambda raw: raw["entries"][0][0].update(re=1e200)),
                                   str(tmp / "ising.json")], {},
                      "finite", id="channel-entry-huge-export"),
+        pytest.param(lambda tmp: ["solve", _channel_payload(tmp, 5)], {},
+                     "the top level must be a JSON object", id="channel-top-level-int"),
+        pytest.param(lambda tmp: ["solve", _channel_payload(tmp, "channel")], {},
+                     "the top level must be a JSON object", id="channel-top-level-string"),
+        pytest.param(lambda tmp: ["solve", _channel_payload(tmp, [1, 2])], {},
+                     "the top level must be a JSON object", id="channel-top-level-list"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--steps", "20", "--anneals", "2",
+                                  "--dump-trajectory", str(tmp / "absent" / "t.csv")], {},
+                     "cannot write", id="trajectory-missing-directory"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--steps", "20", "--anneals", "2",
+                                  "--dump-trajectory", str(tmp)], {},
+                     "cannot write", id="trajectory-is-a-directory"),
+        pytest.param(lambda tmp: ["export-ising", _channel_file(tmp),
+                                  str(tmp / "absent" / "inst.json")], {},
+                     "cannot write", id="export-missing-directory"),
+        pytest.param(lambda tmp: ["export-ising", _channel_file(tmp), str(tmp)], {},
+                     "cannot write", id="export-is-a-directory"),
     ])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, argv, env, message):
         for name, value in env.items():
@@ -356,10 +379,10 @@ def _failing_instance(monkeypatch, exc):
     """Make instance 0 of every run raise ``exc``; the others run as usual."""
     real = cli.bench._instance_record
 
-    def record(plan, instance_id, lambdas, record_every):
+    def record(plan, instance_id, record_every):
         if instance_id == 0:
             raise exc
-        return real(plan, instance_id, lambdas, record_every)
+        return real(plan, instance_id, record_every)
 
     monkeypatch.setattr(cli.bench, "_instance_record", record)
 
@@ -404,6 +427,25 @@ class TestTrace:
         pc_lines = (out / "plot_step_pc.csv").read_text().splitlines()
         assert pc_lines[0] == "step,p_c"
         assert len(pc_lines) == 1 + len(steps)
+
+
+class TestOneWeight:
+    """``solve``, ``trace`` and ``export-ising`` run ``lambda`` when given,
+    else the first of ``lambdas``."""
+
+    def test_trace_runs_first_of_lambdas(self, tmp_path):
+        config = _config_file(tmp_path, dict(SMALL_CONFIG, lambdas=[0.3, 0.7]))
+        out = tmp_path / "trace"
+        assert run_cli("trace", "--config", config, "--out", str(out)) == 0
+        assert json.load(open(out / "trace_summary.json"))["lambda"] == 0.3
+
+    @pytest.mark.parametrize("flags,lam", [((), 0.3), (("--lam", "0.6"), 0.6)])
+    def test_export_runs_lambda_else_first_of_lambdas(self, tmp_path, capsys, flags, lam):
+        config = _config_file(tmp_path, {"lambdas": [0.3, 0.7]})
+        target = tmp_path / "ising.json"
+        assert run_cli("export-ising", _channel_file(tmp_path), str(target),
+                       "--config", config, *flags) == 0
+        assert read_instance(target)[1] == lam
 
 
 class TestCompare:

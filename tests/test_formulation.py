@@ -10,7 +10,7 @@ from cimsel.formulation import (
     augment_aux,
     compile_instance,
     constraint_coupling,
-    constraint_system,
+    constraint_matrix,
     constraint_violation,
     decode_spins,
     decode_states,
@@ -98,36 +98,47 @@ class TestBinaryObjective:
 
 class TestConstraintViolation:
     def test_feasible_is_zero(self):
-        sys = constraint_system(CFG222)
         for sel in feasible_assignments(CFG222):
-            assert constraint_violation(assignment_bits(sel, CFG222), sys) == 0.0
+            assert constraint_violation(assignment_bits(sel, CFG222), CFG222) == 0.0
 
     def test_single_block_double_activation(self):
-        sys = constraint_system(MimoConfig(1, 1, 2))
-        assert constraint_violation([1, 1, 1, 0], sys) == 1.0
+        assert constraint_violation([1, 1, 1, 0], MimoConfig(1, 1, 2)) == 1.0
 
     def test_all_zero_bits(self):
-        sys = constraint_system(CFG222)
-        assert constraint_violation(np.zeros(8, dtype=int), sys) == CFG222.n_antennas
+        assert constraint_violation(np.zeros(8, dtype=int), CFG222) == CFG222.n_antennas
 
     def test_zero_iff_one_hot_exhaustive_d12(self):
         cfg = MimoConfig(3, 3, 2)  # d = 12
-        sys = constraint_system(cfg)
         for b in all_bit_vectors(cfg.d):
             one_hot = all(b[k * 2 : (k + 1) * 2].sum() == 1 for k in range(cfg.n_antennas))
-            assert (constraint_violation(b, sys) == 0.0) == one_hot
+            assert (constraint_violation(b, cfg) == 0.0) == one_hot
 
     def test_equals_quadratic_form_exhaustive(self):
-        sys = constraint_system(CFG222)
+        r = constraint_matrix(CFG222)
         for b in all_bit_vectors(CFG222.d):
-            assert constraint_violation(b, sys) == pytest.approx(
-                violation_quadratic(b, sys.r, sys.n_blocks), abs=1e-12
+            assert constraint_violation(b, CFG222) == pytest.approx(
+                violation_quadratic(b, r, CFG222.n_antennas), abs=1e-12
             )
 
     def test_block_structure(self):
-        sys = constraint_system(MimoConfig(2, 1, 3))
-        assert np.count_nonzero(sys.r) == sys.n_blocks * sys.n_states ** 2
-        assert np.array_equal(sys.r.sum(axis=1), np.full(9, 3.0))
+        cfg = MimoConfig(2, 1, 3)
+        r = constraint_matrix(cfg)
+        assert np.count_nonzero(r) == cfg.n_antennas * cfg.n_states ** 2
+        assert np.array_equal(r.sum(axis=1), np.full(9, 3.0))
+
+    def test_matrix_is_cached_and_read_only(self):
+        r = constraint_matrix(CFG222)
+        assert constraint_matrix(MimoConfig(2, 2, 2)) is r
+        with pytest.raises(ValueError):
+            r[0, 0] = 0.0
+
+    @pytest.mark.parametrize("bits,match", [
+        ([0] * 9, r"expected \(8,\)"),
+        ([0, 2, 0, 0, 0, 0, 0, 0], "must be 0 or 1"),
+    ])
+    def test_rejects_bad_bits(self, bits, match):
+        with pytest.raises(ValueError, match=match):
+            constraint_violation(bits, CFG222)
 
 
 class TestQuboToSpin:
@@ -142,8 +153,7 @@ class TestQuboToSpin:
     @pytest.mark.parametrize("n_states", [2, 3, 5])
     def test_constraint_linear_coefficients(self, n_states):
         cfg = MimoConfig(2, 2, n_states)
-        sys = constraint_system(cfg)
-        _, s_lin, _ = qubo_to_spin(sys.r, -2.0 * np.ones(cfg.d))
+        _, s_lin, _ = qubo_to_spin(constraint_matrix(cfg), -2.0 * np.ones(cfg.d))
         assert np.allclose(s_lin, n_states / 2.0 - 1.0)
 
     def test_zero_input(self):
@@ -233,7 +243,7 @@ class TestCompile:
     def test_blend_endpoints(self):
         g = generate_channel(CFG222, seed=2)
         j_obj = objective_coupling(qubo_matrix(squared_gains(g)))
-        j_con = constraint_coupling(constraint_system(CFG222))
+        j_con = constraint_coupling(constraint_matrix(CFG222))
         assert np.array_equal(compile_instance(g, 0.0).j, j_obj)
         assert np.array_equal(compile_instance(g, 1.0).j, -j_con)
 
@@ -251,18 +261,17 @@ class TestCompile:
         assert np.array_equal(inst.j, inst.j.T)
         assert not np.diagonal(inst.j).any()
         assert np.max(np.abs(inst.j)) <= 1.0 + 1e-12
-        assert inst.channel_seed == g.seed
 
     def test_normalized_parts_reach_unit_magnitude(self):
         g = generate_channel(CFG222, seed=13)
         j_obj = objective_coupling(qubo_matrix(squared_gains(g)))
-        j_con = constraint_coupling(constraint_system(CFG222))
+        j_con = constraint_coupling(constraint_matrix(CFG222))
         assert np.max(np.abs(j_obj)) == 1.0
         assert np.max(np.abs(j_con)) == 1.0
 
     def test_penalty_ground_states_are_feasible_set(self):
         # brute force over all 2^9 spin vectors at (2, 2, 2)
-        j_con = constraint_coupling(constraint_system(CFG222))
+        j_con = constraint_coupling(constraint_matrix(CFG222))
         spins = all_spin_vectors(9)
         vals = np.array([s @ j_con @ s for s in spins])
         minimum = vals.min()
@@ -300,8 +309,8 @@ class TestCompile:
         # penalty work is one all-ones block per antenna; objective work is
         # one dense coupling matrix
         for cfg in (CFG222, MimoConfig(3, 2, 4)):
-            sys = constraint_system(cfg)
-            assert np.count_nonzero(sys.r) == cfg.n_antennas * cfg.n_states ** 2
+            r = constraint_matrix(cfg)
+            assert np.count_nonzero(r) == cfg.n_antennas * cfg.n_states ** 2
             g = generate_channel(cfg, seed=0)
             inst = compile_instance(g, 0.5)
             assert inst.j.size == (cfg.d + 1) ** 2
@@ -385,16 +394,16 @@ class TestIsingInstanceValidation:
         j = np.zeros((9, 9))
         j[0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            IsingInstance(j=j, lam=0.5, config=CFG222, channel_seed=0)
+            IsingInstance(j=j, lam=0.5, config=CFG222)
 
     def test_rejects_nonzero_diagonal(self):
         j = np.zeros((9, 9))
         j[2, 2] = 0.1
         with pytest.raises(ValueError, match="diagonal"):
-            IsingInstance(j=j, lam=0.5, config=CFG222, channel_seed=0)
+            IsingInstance(j=j, lam=0.5, config=CFG222)
 
     def test_rejects_oversized_entries(self):
         j = np.zeros((9, 9))
         j[0, 1] = j[1, 0] = 1.5
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            IsingInstance(j=j, lam=0.5, config=CFG222, channel_seed=0)
+            IsingInstance(j=j, lam=0.5, config=CFG222)

@@ -1,4 +1,4 @@
-"""Golden output digests of small fixed plans.
+"""Golden output digests of small fixed plans and of one fixed channel.
 
 Any change to the solver, the harness or the writers that alters a single
 output byte fails here.  The digests were recorded before the in-place
@@ -59,3 +59,29 @@ def test_output_digests(name, tmp_path):
     assert (out / "run.log").read_text() == "all instances completed\n"
     got = {fname: _sha256(out / fname) for fname in digests}
     assert got == digests
+
+
+# single-file outputs of one fixed generated channel: ``channel`` and
+# ``target`` are the channel file and the path the command writes
+SINGLE_FILE = {
+    "export-ising": (
+        lambda channel, target: ["export-ising", channel, target, "--lam", "0.3"],
+        "a66b16276f07b249876eafc4c205fea4c4453adace3e717d7935c3f9d41a8686",
+    ),
+    "solve-trajectory": (
+        lambda channel, target: ["solve", channel, "--lam", "0.8", "--anneals", "200",
+                                 "--seed", "5", "--stride", "10", "--dump-trajectory", target],
+        "a73882228e4bd248b2516baa77c4f5af049ce36c37f1d4f6af30e93f6503eaae",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_FILE))
+def test_single_file_digests(name, tmp_path):
+    argv, digest = SINGLE_FILE[name]
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--n-t", "2", "--n-r", "2", "--n-states", "2", "--seed", "5",
+                     "--out", str(gen)]) == 0
+    target = tmp_path / "output"
+    assert cli.main(argv(str(gen / "channel_00000.json"), str(target))) == 0
+    assert _sha256(target) == digest
