@@ -46,6 +46,6 @@ from .formulation import (
     decode_states,
     write_instance,
 )
-from .rng import derive_seed, substream
+from .rng import derive_seed, substream, uniform_table
 
 __version__ = "0.1.0"

@@ -49,7 +49,7 @@ import numpy as np
 
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
-from .cim import CimParams, _initial_amplitudes, solve
+from .cim import CimParams, solve
 from .formulation import compile_instance, decode_states
 from .rng import derive_seed, substream
 
@@ -297,9 +297,6 @@ def _instance_record(plan: ExperimentPlan, instance_id: int, record_every: int) 
     )
     for lam in plan.lambdas:
         record.cim[lam] = run_instance(g, lam, plan.cim, inst_seed, record_every=record_every)
-    # the start table is shared by this instance's penalty weights only; free
-    # it here so no instance runs with the previous one's table alive
-    _initial_amplitudes.cache_clear()
     record.wall_clock = time.perf_counter() - tic
     return record
 

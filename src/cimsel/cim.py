@@ -21,11 +21,11 @@ Notes on the numerics:
   the ramp changes the solver.
 * All randomness lives in the initial amplitudes; the integration itself is
   deterministic.  ``(J, params, master_seed)`` fully determines every
-  outcome of :func:`solve`, independent of execution order.  The start
-  table depends only on ``(master_seed, n_anneals, dim, init_scale)``, not
-  on ``J``, so it is drawn once and the last one is kept: the solves of one
-  sweep instance across penalty weights share it, and the sweep drops it
-  when the instance is done.
+  outcome of :func:`solve`, independent of execution order.  Anneal ``k``
+  starts from ``substream(master_seed, k).uniform(-init_scale, init_scale,
+  dim)``; :func:`rng.uniform_table` draws all of these rows at once, bit for
+  bit equal to that loop (``tests/test_rng.py`` checks it), on every call,
+  so no table is kept between solves.
 * ``sign(0)`` reads out as +1 (a measure-zero tie; the rule just has to be
   fixed).
 * Both state variables are updated from the pre-update amplitudes within a
@@ -63,7 +63,8 @@ from typing import Optional
 import numpy as np
 
 from .formulation import IsingInstance
-from .rng import substream
+# unused here; perfbench/tracing.py wraps cimsel.cim.substream until ROADMAP item 1
+from .rng import substream, uniform_table
 
 __all__ = [
     "E_FLOOR",
@@ -135,8 +136,12 @@ def _coupling_matrix(j) -> np.ndarray:
 
 
 def readout(x: np.ndarray) -> np.ndarray:
-    """Spin readout ``sign(x)`` with zeros mapped to +1."""
-    return np.where(x >= 0.0, 1, -1).astype(np.int8)
+    """Spin readout ``sign(x)`` with zeros mapped to +1 (and NaN to -1)."""
+    spins = np.empty(np.shape(x), dtype=np.int8)
+    np.greater_equal(x, 0.0, out=spins.view(np.bool_))
+    spins *= 2
+    spins -= 1
+    return spins
 
 
 def ising_energy(j, spins: np.ndarray) -> float:
@@ -301,20 +306,6 @@ def _integrate(jm, x0, params, record_every=0):
     return x, aborted, snap_arr, step_arr
 
 
-@functools.lru_cache(maxsize=1)
-def _initial_amplitudes(master_seed, n_anneals, dim, init_scale):
-    """The read-only ``(n_anneals, dim)`` start table; row ``k`` is drawn
-    from the stream ``(master_seed, k)``.  A sweep solves each instance at
-    every penalty weight with one master seed, so the last table is kept
-    until the sweep clears it at the end of the instance."""
-    x0 = np.stack(
-        [substream(master_seed, k).uniform(-init_scale, init_scale, dim)
-         for k in range(n_anneals)]
-    )
-    x0.flags.writeable = False
-    return x0
-
-
 def solve(
     j, params: CimParams, master_seed: int, record_every: int = 0
 ) -> list[AnnealOutcome]:
@@ -327,7 +318,9 @@ def solve(
     ``aborted`` instead of being dropped.
     """
     jm = _coupling_matrix(j)
-    x0 = _initial_amplitudes(master_seed, params.n_anneals, jm.shape[0], params.init_scale)
+    x0 = uniform_table(
+        master_seed, params.n_anneals, -params.init_scale, params.init_scale, jm.shape[0]
+    )
     x, aborted, snaps, snap_steps = _integrate(jm, x0, params, record_every)
     spins = readout(x)
     outcomes = []

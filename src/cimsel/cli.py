@@ -145,6 +145,20 @@ def _read_channel(path):
         return read_channel(path)
 
 
+def _check_writable(path) -> None:
+    """Reject now a file that could not be written later: ``path`` names a
+    directory, its directory is missing, or either refuses writes."""
+    path = Path(path)
+    if path.is_dir():
+        _fail(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        _fail(f"cannot write {path}: no directory {path.parent}")
+    if not os.access(path.parent, os.W_OK | os.X_OK) or (
+        path.exists() and not os.access(path, os.W_OK)
+    ):
+        _fail(f"cannot write {path}: permission denied")
+
+
 def _out_dir(args, default_name: str) -> Path:
     out = Path(args.out) if args.out else Path("runs") / default_name
     try:
@@ -223,6 +237,9 @@ def cmd_solve(args) -> int:
     if args.dump_trajectory and args.stride < 1:
         _fail(f"--stride must be >= 1 to dump a trajectory, got {args.stride}")
     plan, _ = _one_weight_plan(cfg, g.config)
+    if args.dump_trajectory:
+        # checked before solving, but not created: exit 3 writes nothing
+        _check_writable(args.dump_trajectory)
     lam, params, seed = plan.lambdas[0], plan.cim, plan.master_seed
     result = bench.run_instance(g, lam, params, seed)
     report = {

@@ -209,3 +209,13 @@ def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
         "best_assignment": best_assignment,
         "n_aborted": int(aborted.sum()),
     }
+
+
+def substream_table(master_seed, n_streams, low, high, size):
+    """The start table the slow way: one generator per stream, row ``k``
+    drawn from ``substream(master_seed, k)``."""
+    from cimsel.rng import substream
+
+    return np.stack(
+        [substream(master_seed, k).uniform(low, high, size) for k in range(n_streams)]
+    )

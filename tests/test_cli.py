@@ -140,6 +140,19 @@ class TestSolve:
         assert "error: anneal 0 aborted" in capsys.readouterr().err
         assert not target.exists()
 
+    def test_unwritable_trajectory_fails_before_solving(self, channel_file, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise RuntimeError("run_instance ran before the path check")
+
+        monkeypatch.setattr(cli.bench, "run_instance", no_solve)
+        target = tmp_path / "absent" / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", str(channel_file), "--lam", "0.5", "--dump-trajectory", str(target))
+        assert exc.value.code == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+        assert not target.parent.exists()
+
     def test_malformed_file_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n_t": 1, "n_r": 1, "seed": 0, "entries": [[]]}))
