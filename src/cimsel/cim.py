@@ -16,9 +16,13 @@ Notes on the numerics:
 
 * ``eps = gamma * t`` grows without bound over a run (with the default
   constants it reaches 1000 by the last step).  Late in the run the
-  coupling term dominates and the amplitude clamp ``x_clip`` plus the decay
-  of ``e`` are what keep the state bounded.  This is deliberate; changing
-  the ramp changes the solver.
+  coupling term dominates, and the decay of ``e`` alone keeps the state
+  bounded.  On the default solves of the paper-scale benchmark commands
+  (2x2x2 and 4x4x4, 42 solves of 1000 anneals) the clamp ``x_clip``
+  changed a value on 0-11 steps per solve, all between steps 25 and 58;
+  the floor ``E_FLOOR`` never did (the smallest ``e`` was 2.2e-4), and
+  ``max|x|`` after the last step was 1.45-2.73.  This is deliberate;
+  changing the ramp changes the solver.
 * All randomness lives in the initial amplitudes; the integration itself is
   deterministic.  ``(J, params, master_seed)`` fully determines every
   outcome of :func:`solve`, independent of execution order.  Anneal ``k``
@@ -41,6 +45,26 @@ Notes on the numerics:
   single step path and a single entry point.  Against the unfolded
   form the regrouped arithmetic moves amplitudes in the last few bits (up
   to a few 1e-13 after 1000 steps); on the tested plans no readout changes.
+* The kernel skips the passes of that step that provably change no bit;
+  ``tests/test_cim.py::TestCheckSchedule`` checks it byte for byte against
+  the kernel that runs every pass, on plans where each of them binds.
+
+  - *Floor.*  For ``|x| <= X = max(x_clip, init_scale)`` the ``e`` factor
+    is at least ``f_lo = min(c_e, fl(fl(X*X) * (-dt beta)) + c_e)`` as the
+    step rounds it (0.02 at the defaults).  Products of positive numbers
+    and rounding are monotone, so with ``y_0 = e.min()`` and
+    ``y_i = fl(y_(i-1) * f_lo)`` every non-NaN ``e`` is at least ``y_i``
+    after ``i`` more steps, and ``max(e, E_FLOOR)`` is skipped while
+    ``y_i >= E_FLOOR``; NaN and ``+inf`` pass through it unchanged anyway.
+    At the defaults about 200 ``e.min()`` reductions per 1000 steps
+    replace all maxima but the first step's.
+  - *Clamp.*  The step squares the new ``x`` at its end, for the next
+    step.  Rounding is monotone, so ``fl(x^2) < fl(x_clip^2)`` implies
+    ``|x| <= x_clip``, and ``clip`` runs only when the batch maximum of
+    ``x^2`` fails that test (NaN fails it too).
+  - *Shared product.*  At ``beta = 1`` the two rates ``-dt beta`` and
+    ``-dt`` are equal, so ``fl(x^2 * rate)`` is computed once for both
+    factors.
 * An anneal whose state goes non-finite (possible only with aggressive
   user-supplied parameters) is aborted: its row is frozen at zero and the
   outcome is flagged rather than dropped.  Where the parameters keep a
@@ -158,8 +182,13 @@ class _EulerStep:
     calling it advances ``x`` and ``e`` in place from model time ``t`` to
     ``t + dt`` with no array allocation.  ``eps`` uses the time at the start
     of the step, so the coupling term vanishes on the very first step, and
-    both updates read the pre-update amplitudes.
+    both updates read the pre-update amplitudes.  Between calls on the same
+    arrays the kernel carries ``x^2`` and the floor window (module notes);
+    a caller that writes ``x`` or ``e`` between calls must then call
+    :meth:`restart`.  New arrays start afresh on their own.
     """
+
+    FLOOR_RECHECK = 16
 
     def __init__(self, jm: np.ndarray, shape, params: CimParams):
         self.jm = np.asarray(jm, dtype=float)
@@ -171,9 +200,20 @@ class _EulerStep:
         self.e_rate = -params.dt * params.beta
         self.x_rate = -params.dt
         self.x_clip = params.x_clip
-        # the e factor over the largest reachable |x|, as the step rounds it
+        self.clip_sq = params.x_clip * params.x_clip
+        # at beta = 1 both factors share the product fl(x^2 * rate)
+        self.shared_rate = self.e_rate == self.x_rate
+        # the smallest e factor any reachable |x| gives, as the step rounds
+        # it: at |x| = X for beta >= 0, at x = 0 (c_e) for beta < 0
         x_max = max(params.x_clip, params.init_scale)
-        self.divergence_sticks = self.c_e > 0 and x_max * x_max * self.e_rate + self.c_e > 0
+        self.f_lo = min(self.c_e, x_max * x_max * self.e_rate + self.c_e)
+        self.divergence_sticks = self.f_lo > 0
+        # the (x, e) of the last call, whose x is clamped and squared into
+        # x_sq, and how many more steps on them keep every e >= E_FLOOR
+        self.last = None
+        self.window = 0
+        # caps the window count, which never ends where f_lo >= 1 (beta = 0)
+        self.max_window = params.steps
         self.j_scaled = np.empty_like(self.jm)
         self.x_sq = np.empty(shape)
         self.coupling = np.empty(shape)
@@ -181,23 +221,67 @@ class _EulerStep:
 
     def __call__(self, x: np.ndarray, e: np.ndarray, t: float) -> None:
         x_sq, coupling, factor = self.x_sq, self.coupling, self.factor
-        np.square(x, out=x_sq)
+        carried = self.last is not None and x is self.last[0] and e is self.last[1]
+        if not carried:
+            self.last, self.window = (x, e), 0
+            np.square(x, out=x_sq)
+        floor_free = carried and self._floor_free(e)
         # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
         # scaling the matmul's output
         np.multiply(self.jm, self.dt_gamma * t, out=self.j_scaled)
         np.matmul(x, self.j_scaled, out=coupling)
         coupling *= e
         # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
-        np.multiply(x_sq, self.e_rate, out=factor)
-        factor += self.c_e
+        if self.shared_rate:
+            x_sq *= self.x_rate
+            np.add(x_sq, self.c_e, out=factor)
+        else:
+            np.multiply(x_sq, self.e_rate, out=factor)
+            factor += self.c_e
+            x_sq *= self.x_rate
         e *= factor
-        np.maximum(e, E_FLOOR, out=e)
+        if not floor_free:
+            np.maximum(e, E_FLOOR, out=e)
         # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
-        x_sq *= self.x_rate
         x_sq += self.c_x
         x *= x_sq
         x += coupling
-        x.clip(-self.x_clip, self.x_clip, out=x)
+        # the next step's x^2; fl(x^2) < fl(x_clip^2) implies |x| <= x_clip,
+        # and NaN fails the test, so a non-finite x still goes through clip
+        np.square(x, out=x_sq)
+        if not x_sq.max() < self.clip_sq:
+            x.clip(-self.x_clip, self.x_clip, out=x)
+            np.square(x, out=x_sq)
+
+    def restart(self) -> None:
+        """Forget the carried ``x^2`` and floor window of the last call."""
+        self.last = None
+
+    def _floor_free(self, e: np.ndarray) -> bool:
+        """Whether this step's ``max(e, E_FLOOR)`` provably changes nothing.
+
+        Called on the arrays of the previous call, whose ``x`` this kernel
+        clamped to ``|x| <= x_clip``.  A window opens at ``m = e.min()`` and
+        spans the ``n`` steps whose bounds ``y_i = fl(y_(i-1) * f_lo)``,
+        ``y_0 = m``, all stay at or above ``E_FLOOR``; this step is the one
+        bounded by ``y_1``.  Where ``n = 0`` the floor may bind, and the
+        next ``FLOOR_RECHECK`` steps run it without looking.
+        """
+        if not self.divergence_sticks:
+            return False
+        if not self.window:
+            y, n = float(e.min()), 0
+            while n < self.max_window:
+                y *= self.f_lo
+                if not y >= E_FLOOR:
+                    break
+                n += 1
+            self.window = n or -self.FLOOR_RECHECK
+        if self.window > 0:
+            self.window -= 1
+            return True
+        self.window += 1
+        return False
 
 
 @functools.cache
@@ -268,7 +352,8 @@ def _integrate(jm, x0, params, record_every=0):
     it is at least ``c_e``; rounding is monotone, so the factor is positive
     for every finite ``x``.  After a step, ``x`` is finite or NaN (the clamp
     maps +-inf to +-x_clip and keeps NaN) and ``e`` is finite, NaN or
-    ``+inf`` (``np.maximum`` keeps NaN and lifts ``-inf``).  A NaN ``x``
+    ``+inf`` (``np.maximum`` keeps NaN and lifts ``-inf``, and where the
+    kernel skips it every other ``e`` is at least ``E_FLOOR``).  A NaN ``x``
     makes every later ``x`` and ``e`` of its entry NaN, a NaN ``e`` does the
     same, and ``e = +inf`` times a positive factor stays ``+inf``.  So a row
     that goes non-finite stays non-finite until the next check, which flags
@@ -298,6 +383,8 @@ def _integrate(jm, x0, params, record_every=0):
                 aborted |= bad
                 x[bad] = 0.0
                 e[bad] = 1.0
+                # x_sq is stale and e = 1 may lie below the window's bound
+                euler_step.restart()
             if record_every and (k % record_every == 0 or last):
                 snaps.append(readout(x))
                 snap_steps.append(k)

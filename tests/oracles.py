@@ -10,6 +10,7 @@ import json
 import numpy as np
 
 from cimsel.channel import ChannelMatrix, ConfigAssignment, MimoConfig
+from cimsel.cim import _EulerStep, _one_blas_thread, readout
 
 
 def selection_diagonals(config: MimoConfig, sel: ConfigAssignment):
@@ -136,16 +137,56 @@ def reference_integrate(jm, x0, params, record_every):
     return x, aborted, np.stack(snaps), np.asarray(snap_steps)
 
 
-def every_step_integrate(jm, x0, params, record_every=0):
-    """The integrator with its finiteness check after every step: the loop
-    of ``cim._integrate`` before the check moved to readout steps, driving
-    the same ``cim._EulerStep`` kernel.  Returns ``(x, aborted, snaps,
-    snap_steps)`` like ``cim._integrate``."""
-    from cimsel.cim import _EulerStep, _one_blas_thread, readout
+class EveryPassStep(_EulerStep):
+    """The Euler step with every pass run on every call: the body of
+    ``cim._EulerStep.__call__`` before it skipped the floor and clamp passes
+    that change nothing, over the same constants and buffers.
 
+    ``floored`` and ``clamped`` list the calls (1-based) on which the floor
+    or the clamp changed at least one value.
+    """
+
+    def __init__(self, jm, shape, params):
+        super().__init__(jm, shape, params)
+        self.calls = 0
+        self.floored, self.clamped = [], []
+
+    def __call__(self, x, e, t):
+        self.calls += 1
+        x_sq, coupling, factor = self.x_sq, self.coupling, self.factor
+        np.square(x, out=x_sq)
+        # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
+        # scaling the matmul's output
+        np.multiply(self.jm, self.dt_gamma * t, out=self.j_scaled)
+        np.matmul(x, self.j_scaled, out=coupling)
+        coupling *= e
+        # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
+        np.multiply(x_sq, self.e_rate, out=factor)
+        factor += self.c_e
+        e *= factor
+        if (e < E_FLOOR).any():
+            self.floored.append(self.calls)
+        np.maximum(e, E_FLOOR, out=e)
+        # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
+        x_sq *= self.x_rate
+        x_sq += self.c_x
+        x *= x_sq
+        x += coupling
+        if (np.abs(x) > self.x_clip).any():
+            self.clamped.append(self.calls)
+        x.clip(-self.x_clip, self.x_clip, out=x)
+
+
+def every_step_integrate(jm, x0, params, record_every=0, internals=None):
+    """The integrator as it was before it skipped work: every pass of the
+    step (``EveryPassStep``) and the finiteness check after every step.
+    Returns ``(x, aborted, snaps, snap_steps)`` like ``cim._integrate``.  An
+    ``internals`` dict gets the final error variables under ``"e"`` and the
+    steps on which the floor and the clamp changed a value under
+    ``"floor"`` and ``"clamp"``."""
     x = np.array(x0, dtype=float, copy=True)
     e = np.ones_like(x)
-    euler_step = _EulerStep(jm, x.shape, params)
+    euler_step = EveryPassStep(jm, x.shape, params)
     aborted = np.zeros(len(x), dtype=bool)
     snaps, snap_steps = [], []
     if record_every:
@@ -165,6 +206,8 @@ def every_step_integrate(jm, x0, params, record_every=0):
             if record_every and (k % record_every == 0 or k == params.steps):
                 snaps.append(readout(x))
                 snap_steps.append(k)
+    if internals is not None:
+        internals.update(e=e, floor=euler_step.floored, clamp=euler_step.clamped)
     snap_arr = np.stack(snaps) if snaps else None
     step_arr = np.asarray(snap_steps, dtype=np.int64) if snaps else None
     return x, aborted, snap_arr, step_arr

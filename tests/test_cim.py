@@ -292,6 +292,18 @@ class TestSolve:
         assert np.array_equal(batch[0].trajectory, single.trajectory)
         assert np.array_equal(batch[0].trajectory_steps, single.trajectory_steps)
 
+    @pytest.mark.parametrize("dims,lam", [((2, 2, 2), 0.9), ((4, 4, 4), 0.7)])
+    def test_paper_scale_anneal_0_readouts_match_single_anneal(self, dims, lam):
+        # OpenBLAS rounds x @ J by row count, so anneal 0's amplitudes may
+        # differ in the last bits between batch sizes; its readouts, which
+        # cimsel solve --dump-trajectory writes, agree at every sample
+        inst = compile_instance(generate_channel(MimoConfig(*dims), seed=7), lam)
+        batch = solve(inst, CimParams(), master_seed=1, record_every=10)
+        (single,) = solve(inst, CimParams(n_anneals=1), master_seed=1, record_every=10)
+        assert np.array_equal(batch[0].trajectory, single.trajectory)
+        assert np.array_equal(batch[0].spins, single.spins)
+        assert not batch[0].aborted and not single.aborted
+
     def test_each_anneal_matches_its_derived_stream(self):
         params = CimParams(steps=300, n_anneals=5)
         batch = solve(FERRO2, params, master_seed=23)
@@ -451,26 +463,108 @@ def _check_schedule_cases():
     not_sticky = CimParams(dt=50.0, steps=300, n_anneals=4)
     yield "dt50-ferro", FERRO2, _sticky_divergent_x0(), not_sticky
     yield "dt50-zero-j", np.zeros((2, 2)), _sticky_divergent_x0(), not_sticky
+    # the floor binds from step 23 on; at gamma = 1000 from step 13, and the
+    # clamp binds again at steps 277-278
+    yield "floor-binds", inst.j, x0, CimParams(beta=5.0)
+    yield "late-clamp", inst.j, x0, CimParams(beta=5.0, gamma=1000.0)
+    # beta != 1: the two factors take separate x^2 products; at beta = 0
+    # every factor is 1 and the floor window only ends at its cap
+    yield "beta-0.5", inst.j, x0, CimParams(beta=0.5)
+    yield "beta-0", inst.j, x0, CimParams(beta=0.0)
+    # every e grows past 1e290 before the rows overflow near step 1140,
+    # inside an open floor window; their reset e = 1 then decays by
+    # c_e = 0.4 a step and meets the floor from step 1168
+    yield "abort-in-window", np.zeros((2, 2)), substream(0).uniform(-0.01, 0.01, (4, 2)), \
+        CimParams(p=6.0, beta=-3.0, dt=0.1, gamma=1.0, x_clip=3.0, steps=1200)
+    for dims, n_anneals in (((1, 1, 2), 1), ((3, 3, 4), 7), ((5, 5, 4), 1000)):
+        big = compile_instance(generate_channel(MimoConfig(*dims), seed=3), 0.8)
+        x0_big = substream(9).uniform(-0.01, 0.01, (n_anneals, big.dim))
+        yield f"dim{big.dim}-n{n_anneals}", big.j, x0_big, CimParams()
 
 
 CHECK_CASES = {name: case for name, *case in _check_schedule_cases()}
 
 
+@pytest.fixture()
+def kernel_e(monkeypatch):
+    """The error variables of every ``_integrate`` run, read from its kernel."""
+    seen = []
+
+    class RememberingStep(_EulerStep):
+        def __call__(self, x, e, t):
+            if not seen or seen[-1] is not e:
+                seen.append(e)
+            super().__call__(x, e, t)
+
+    monkeypatch.setattr(cim, "_EulerStep", RememberingStep)
+    return seen
+
+
 class TestCheckSchedule:
-    """``_integrate`` against the same kernel checked after every step:
-    byte-equal amplitudes, abort flags and readouts."""
+    """``_integrate`` against the kernel that runs every pass on every step,
+    checked after every step: byte-equal amplitudes, abort flags, readouts
+    and error variables."""
 
     @pytest.mark.parametrize("record_every", [0, 7, 10])
     @pytest.mark.parametrize("name", sorted(CHECK_CASES))
-    def test_byte_equal_to_every_step_check(self, name, record_every):
+    def test_byte_equal_to_every_step_check(self, name, record_every, kernel_e):
         jm, x0, params = CHECK_CASES[name]
         got = _integrate(jm, x0, params, record_every)
-        want = every_step_integrate(jm, x0, params, record_every)
+        internals = {}
+        want = every_step_integrate(jm, x0, params, record_every, internals)
         for a, b in zip(got, want):
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+        # an aborted row restarts from e = 1 at its check step, which the
+        # schedule may move; its amplitudes stay zero either way
+        live = ~got[1]
+        assert len(kernel_e) == 1
+        assert kernel_e[0][live].tobytes() == internals["e"][live].tobytes()
+
+    def test_floor_and_late_clamp_bind(self):
+        internals = {}
+        every_step_integrate(*CHECK_CASES["floor-binds"], internals=internals)
+        assert internals["floor"]
+        every_step_integrate(*CHECK_CASES["late-clamp"], internals=internals)
+        assert max(internals["clamp"]) > 100
+        every_step_integrate(*CHECK_CASES["defaults"], internals=internals)
+        assert not internals["floor"] and max(internals["clamp"], default=0) < 100
+
+    def test_abort_inside_open_floor_window(self, monkeypatch):
+        restarts, final_e = [], []
+
+        class RecordingStep(_EulerStep):
+            def restart(self):
+                restarts.append((self.window, self.last[1].min()))
+                super().restart()
+
+            def __call__(self, x, e, t):
+                super().__call__(x, e, t)
+                final_e[:] = [e.copy()]
+
+        monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
+        jm, x0, params = CHECK_CASES["abort-in-window"]
+        _, aborted, _, _ = _integrate(jm, x0, params, record_every=10)
+        # after the first reset every e is at least 1, and the window still
+        # spans the 30 steps that e = 1 takes to decay to the floor at
+        # c_e = 0.4: only the restart keeps the reset rows' e at the floor
+        assert aborted.all() and len(restarts) == 2
+        window, e_min = restarts[0]
+        assert window > 30 and e_min >= 1.0
+        assert final_e[0].tolist() == [[E_FLOOR] * 2] * 4
+
+    def test_fresh_arrays_do_not_inherit_a_window(self):
+        kernel = _EulerStep(np.zeros((1, 1)), (1, 1), CimParams())
+        x, e = np.full((1, 1), 0.5), np.ones((1, 1))
+        kernel(x, e, 0.0)
+        kernel(x, e, 0.01)
+        assert kernel.window > 0
+        # factor 1.02 - 0.01 * 25 = 0.77 takes e below the floor
+        x, e = np.full((1, 1), 5.0), np.full((1, 1), E_FLOOR)
+        kernel(x, e, 0.02)
+        assert e.tolist() == [[E_FLOOR]]
 
     @pytest.mark.parametrize("name", ["sticky-ferro", "sticky-zero-j", "sticky-negative-beta"])
     def test_sticky_cases_abort_mid_run(self, name):
