@@ -16,17 +16,17 @@ import numpy as np
 
 from cimsel import (
     CimParams,
+    ConfigAssignment,
     MimoConfig,
     compile_instance,
-    decode_spins,
+    decode_states,
     exhaustive_search,
     generate_channel,
-    objective,
+    score_states,
     solve,
     substream,
 )
 from cimsel.cim import _EulerStep
-from cimsel.formulation import InfeasibleDecode
 
 config = MimoConfig(n_t=2, n_r=2, n_states=2)
 g = generate_channel(config, seed=99)
@@ -46,35 +46,28 @@ for k in range(1, params.steps + 1):
     if k in (1, 10, 100, 300, 500, 1000):
         print(f"{k:>4}  {np.abs(x).max():8.4f}  {e.min():8.4f}  {e.max():8.4f}")
 
-spins = np.where(x[0] >= 0, 1, -1)
-decoded = decode_spins(spins, config)
-print(f"\nfinal readout {spins} -> "
-      f"{'infeasible' if isinstance(decoded, InfeasibleDecode) else decoded}")
+spins = np.where(x >= 0, 1, -1)
+(feasible,), (states,) = decode_states(spins, config)
+decoded = ConfigAssignment(tx=states[: config.n_t], rx=states[config.n_t :])
+print(f"\nfinal readout {spins[0]} -> {decoded if feasible else 'infeasible'}")
 
 # ---------------------------------------------------------------------------
 # a trajectory: when does the readout settle?
 # ---------------------------------------------------------------------------
-(outcome,) = solve(inst, CimParams(n_anneals=1), master_seed=2, record_every=100)
-flips = [
-    int(np.sum(a != b))
-    for a, b in zip(outcome.trajectory[:-1], outcome.trajectory[1:])
-]
+(anneal,) = solve(inst, CimParams(n_anneals=1), master_seed=2, record_every=100)
+flips = (anneal.trajectory[1:] != anneal.trajectory[:-1]).sum(axis=1).tolist()
 print("\nreadout sign flips between consecutive samples (every 100 steps):", flips)
 
 # ---------------------------------------------------------------------------
 # many anneals: best decode vs the exhaustive optimum
 # ---------------------------------------------------------------------------
-outcomes = solve(inst, CimParams(n_anneals=100), master_seed=7)
-best_obj, best_sel = -np.inf, None
-n_feasible = 0
-for out in outcomes:
-    sel = decode_spins(out.spins, config)
-    if isinstance(sel, InfeasibleDecode):
-        continue
-    n_feasible += 1
-    val = objective(g, sel)
-    if val > best_obj:
-        best_obj, best_sel = val, sel
+anneals = solve(inst, CimParams(n_anneals=100), master_seed=7)
+feasible, states = decode_states(anneals.spins, config)  # one row per anneal
+n_feasible = int(feasible.sum())
+scores = score_states(g, states[feasible])
+best = states[feasible][scores.argmax()]
+best_obj = scores.max()
+best_sel = ConfigAssignment(tx=best[: config.n_t], rx=best[config.n_t :])
 
 es = exhaustive_search(g)
 print(f"\n{n_feasible}/100 anneals decoded feasible")

@@ -37,12 +37,10 @@ from .channel import (
     score_states,
     write_channel,
 )
-from .cim import AnnealOutcome, CimParams, solve
+from .cim import CimParams, solve
 from .formulation import (
-    InfeasibleDecode,
     IsingInstance,
     compile_instance,
-    decode_spins,
     decode_states,
     write_instance,
 )

@@ -49,7 +49,7 @@ import numpy as np
 
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
-from .cim import CimParams, solve
+from .cim import CimParams, readout_steps, solve
 from .formulation import compile_instance, decode_states
 from .rng import derive_seed, substream
 
@@ -168,7 +168,6 @@ class CimInstanceResult:
     n_feasible: int
     n_anneals: int
     n_aborted: int
-    fallback_used: bool
     trace_steps: Optional[np.ndarray] = None
     trace_best: Optional[np.ndarray] = None
     trace_avg: Optional[np.ndarray] = None
@@ -227,12 +226,9 @@ def run_instance(
     """
     config = g.config
     inst = compile_instance(g, lam)
-    outcomes = solve(inst, cim_params, cim_master_seed(seed), record_every=record_every)
-    aborted = np.array([o.aborted for o in outcomes], dtype=bool)
-    if record_every:
-        table = np.stack([o.trajectory for o in outcomes])
-    else:
-        table = np.stack([o.spins for o in outcomes])[:, None, :]
+    anneals = solve(inst, cim_params, cim_master_seed(seed), record_every=record_every)
+    aborted = anneals.aborted
+    table = anneals.trajectory if record_every else anneals.spins[:, None, :]
     n_anneals, n_samples = table.shape[:2]
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
     # a sample equal to its anneal's previous one decodes and scores the
@@ -267,10 +263,9 @@ def run_instance(
         n_feasible=n_feasible,
         n_anneals=n_anneals,
         n_aborted=int(aborted.sum()),
-        fallback_used=n_feasible == 0,
     )
     if record_every:
-        result.trace_steps = outcomes[0].trajectory_steps
+        result.trace_steps = readout_steps(cim_params.steps, record_every)
         result.trace_best = scores.max(axis=0)
         result.trace_avg = np.minimum(scores.mean(axis=0), result.trace_best)
         result.trace_pc = feasible.mean(axis=0)

@@ -25,7 +25,7 @@ Notes on the numerics:
   changing the ramp changes the solver.
 * All randomness lives in the initial amplitudes; the integration itself is
   deterministic.  ``(J, params, master_seed)`` fully determines every
-  outcome of :func:`solve`, independent of execution order.  Anneal ``k``
+  record of :func:`solve`, independent of execution order.  Anneal ``k``
   starts from ``substream(master_seed, k).uniform(-init_scale, init_scale,
   dim)``; :func:`rng.uniform_table` draws all of these rows at once, bit for
   bit equal to that loop (``tests/test_rng.py`` checks it), on every call,
@@ -67,9 +67,9 @@ Notes on the numerics:
     factors.
 * An anneal whose state goes non-finite (possible only with aggressive
   user-supplied parameters) is aborted: its row is frozen at zero and the
-  outcome is flagged rather than dropped.  Where the parameters keep a
+  anneal is flagged rather than dropped.  Where the parameters keep a
   non-finite row non-finite (the default operating point among them), the
-  check runs only at readout steps: each recorded sample and the final
+  check runs only at readout steps (:func:`readout_steps`) and the final
   step.  Otherwise it runs after every step.  The argument is in
   :func:`_integrate`; the abort flags and readouts are the same either way.
 """
@@ -82,7 +82,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -93,8 +92,8 @@ from .rng import substream, uniform_table
 __all__ = [
     "E_FLOOR",
     "CimParams",
-    "AnnealOutcome",
     "solve",
+    "readout_steps",
     "readout",
     "ising_energy",
     "write_trajectory_csv",
@@ -143,16 +142,6 @@ class CimParams:
             raise ValueError(
                 f"x_clip must exceed sqrt(a) = {np.sqrt(self.a):.4g}, got {self.x_clip}"
             )
-
-
-@dataclass(eq=False)
-class AnnealOutcome:
-    """Readout of one anneal: final spins, optional trajectory."""
-
-    spins: np.ndarray
-    aborted: bool = False
-    trajectory: Optional[np.ndarray] = None
-    trajectory_steps: Optional[np.ndarray] = None
 
 
 def _coupling_matrix(j) -> np.ndarray:
@@ -333,14 +322,21 @@ def _one_blas_thread():
         set_(caller)
 
 
+def readout_steps(steps: int, record_every: int) -> np.ndarray:
+    """Steps at which a run recording every ``record_every`` steps samples
+    its readout: ``0, record_every, 2*record_every, ...`` and the final step
+    ``steps``, once each."""
+    return np.append(np.arange(0, steps, record_every, dtype=np.int64), np.int64(steps))
+
+
 def _integrate(jm, x0, params, record_every=0):
     """Integrate a batch of anneals (rows of ``x0``) for ``params.steps`` steps.
 
-    Returns ``(x, aborted, snaps, snap_steps)`` where ``snaps`` stacks sign
-    readouts of shape ``(n_samples, n_anneals, dim)`` taken at step indices
-    ``0, record_every, 2*record_every, ...`` plus the final step.  Rows that
-    go non-finite are flagged in ``aborted`` and frozen at zero so the rest
-    of the batch keeps integrating.  Every ``|x0|`` must be at most
+    Returns ``(x, aborted, snaps)`` where ``snaps`` stacks sign readouts of
+    shape ``(n_samples, n_anneals, dim)`` taken at the
+    :func:`readout_steps`, or is ``None`` when ``record_every`` is 0.  Rows
+    that go non-finite are flagged in ``aborted`` and frozen at zero so the
+    rest of the batch keeps integrating.  Every ``|x0|`` must be at most
     ``params.init_scale``, as :func:`solve` draws it.
 
     When the kernel's ``divergence_sticks`` holds, the finiteness check runs
@@ -367,10 +363,7 @@ def _integrate(jm, x0, params, record_every=0):
     euler_step = _EulerStep(jm, x.shape, params)
     check_every = (record_every or params.steps) if euler_step.divergence_sticks else 1
     aborted = np.zeros(len(x), dtype=bool)
-    snaps, snap_steps = [], []
-    if record_every:
-        snaps.append(readout(x))
-        snap_steps.append(0)
+    snaps = [readout(x)] if record_every else []
     # overflow is the divergence signal, caught via isfinite below; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -387,51 +380,44 @@ def _integrate(jm, x0, params, record_every=0):
                 euler_step.restart()
             if record_every and (k % record_every == 0 or last):
                 snaps.append(readout(x))
-                snap_steps.append(k)
-    snap_arr = np.stack(snaps) if snaps else None
-    step_arr = np.asarray(snap_steps, dtype=np.int64) if snaps else None
-    return x, aborted, snap_arr, step_arr
+    return x, aborted, np.stack(snaps) if snaps else None
 
 
-def solve(
-    j, params: CimParams, master_seed: int, record_every: int = 0
-) -> list[AnnealOutcome]:
-    """Run ``params.n_anneals`` independent anneals and return all outcomes.
+def solve(j, params: CimParams, master_seed: int, record_every: int = 0) -> np.recarray:
+    """Run ``params.n_anneals`` independent anneals; one record per anneal.
 
     Anneal ``k`` draws its initialisation from the stream
-    ``(master_seed, k)``, so the result list is ordered by ``k`` and is a
-    pure function of ``(j, params, master_seed)``.  The batch is integrated
-    as one vectorised system; anneals that diverge come back flagged
-    ``aborted`` instead of being dropped.
+    ``(master_seed, k)``, so record ``k`` is anneal ``k`` and the result is
+    a pure function of ``(j, params, master_seed)``.  The batch is
+    integrated as one vectorised system.  Each record holds the final
+    readout ``spins`` (``dim`` int8 signs) and ``aborted``, set where the
+    anneal diverged instead of dropping it; with ``record_every > 0`` also
+    ``trajectory``, the readouts at :func:`readout_steps` (``(S, dim)``
+    int8).  Columns such as ``solve(...).spins`` are whole-batch arrays.
     """
     jm = _coupling_matrix(j)
-    x0 = uniform_table(
-        master_seed, params.n_anneals, -params.init_scale, params.init_scale, jm.shape[0]
-    )
-    x, aborted, snaps, snap_steps = _integrate(jm, x0, params, record_every)
-    spins = readout(x)
-    outcomes = []
-    for k in range(params.n_anneals):
-        outcomes.append(
-            AnnealOutcome(
-                spins=spins[k],
-                aborted=bool(aborted[k]),
-                trajectory=snaps[:, k, :] if snaps is not None else None,
-                trajectory_steps=snap_steps,
-            )
-        )
-    return outcomes
+    dim = jm.shape[0]
+    x0 = uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim)
+    x, aborted, snaps = _integrate(jm, x0, params, record_every)
+    fields = [("spins", np.int8, (dim,)), ("aborted", np.bool_)]
+    columns = [readout(x), aborted]
+    if snaps is not None:
+        fields.append(("trajectory", np.int8, (len(snaps), dim)))
+        columns.append(snaps.transpose(1, 0, 2))
+    return np.rec.fromarrays(columns, dtype=fields)
 
 
-def write_trajectory_csv(outcome: AnnealOutcome, j, params: CimParams, path) -> None:
-    """Dump one anneal's recorded readouts: step, t, per-spin sign, energy."""
-    if outcome.trajectory is None:
-        raise ValueError("outcome has no recorded trajectory")
+def write_trajectory_csv(steps, trajectory, j, params: CimParams, path) -> None:
+    """Dump one anneal's recorded readouts: step, t, per-spin sign, energy.
+
+    ``trajectory`` holds the readout at each of ``steps``, as a record of
+    :func:`solve` does at :func:`readout_steps`.
+    """
     jm = _coupling_matrix(j)
     dim = jm.shape[1]
     with open(path, "w") as fh:
         fh.write("step,t," + ",".join(f"s{i}" for i in range(dim)) + ",energy\n")
-        for k, spins in zip(outcome.trajectory_steps, outcome.trajectory):
+        for k, spins in zip(steps, trajectory):
             energy = ising_energy(jm, spins)
             cells = [str(int(k)), repr(float(k) * params.dt)]
             cells += [str(int(s)) for s in spins]

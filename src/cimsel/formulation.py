@@ -29,19 +29,16 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .channel import ChannelMatrix, ConfigAssignment, MimoConfig
+from .channel import ChannelMatrix, MimoConfig
 
 __all__ = [
     "IsingInstance",
-    "InfeasibleDecode",
     "squared_gains",
     "qubo_matrix",
     "constraint_matrix",
-    "constraint_violation",
     "qubo_to_spin",
     "augment_aux",
     "normalize_couplings",
@@ -49,7 +46,6 @@ __all__ = [
     "constraint_coupling",
     "compile_instance",
     "decode_states",
-    "decode_spins",
     "instance_to_json",
     "write_instance",
 ]
@@ -93,18 +89,6 @@ def constraint_matrix(config: MimoConfig) -> np.ndarray:
     r = np.kron(np.eye(config.n_antennas), np.ones((config.n_states, config.n_states)))
     r.setflags(write=False)
     return r
-
-
-def constraint_violation(b: np.ndarray, config: MimoConfig) -> float:
-    """Total one-hot violation ``sum_k (block_sum_k - 1)^2``.
-
-    Zero exactly when ``b`` activates one state per antenna, i.e. encodes a
-    valid :class:`ConfigAssignment`.  Equals the quadratic form
-    ``b^T R b - 2*1^T b + n_antennas`` with the dropped constant restored.
-    """
-    b = _as_bits(b, config.d)
-    block_sums = b.reshape(config.n_antennas, config.n_states).sum(axis=1)
-    return float(np.sum((block_sums - 1.0) ** 2))
 
 
 def qubo_to_spin(qlike: np.ndarray, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -224,18 +208,6 @@ def compile_instance(g: ChannelMatrix, lam: float) -> IsingInstance:
     return IsingInstance(j=j, lam=lam, config=g.config)
 
 
-@dataclass(frozen=True, eq=False)
-class InfeasibleDecode:
-    """Decode result whose bits violate the one-hot constraints.
-
-    Carries the raw bit vector for diagnostics; any fallback policy (for
-    example random selection) is the caller's job.
-    """
-
-    bits: np.ndarray
-    violation: float
-
-
 def decode_states(spins: np.ndarray, config: MimoConfig) -> tuple[np.ndarray, np.ndarray]:
     """Decode spin rows: ``(feasible mask, per-antenna states)``.
 
@@ -244,34 +216,12 @@ def decode_states(spins: np.ndarray, config: MimoConfig) -> tuple[np.ndarray, np
     ``(spin + 1) / 2``; a row is feasible when every one-hot block holds
     exactly one set bit, and its states (transmit antennas first) are the
     positions of those bits.  States are only meaningful where the row is
-    feasible.  Rows are not validated; :func:`decode_spins` is the checked
-    one-row form.
+    feasible.  Rows are not validated.
     """
     shat = spins[:, 1:] * spins[:, :1]
     blocks = (shat > 0).reshape(len(spins), config.n_antennas, config.n_states)
     feasible = (blocks.sum(axis=2) == 1).all(axis=1)
     return feasible, blocks.argmax(axis=2)
-
-
-def decode_spins(
-    s0: np.ndarray, config: MimoConfig
-) -> Union[ConfigAssignment, InfeasibleDecode]:
-    """Map one solver spin vector back to a configuration assignment.
-
-    Decodes through :func:`decode_states`; an infeasible vector comes back
-    as an :class:`InfeasibleDecode` carrying its bits and violation.
-    """
-    s0 = np.asarray(s0)
-    if s0.shape != (config.d + 1,):
-        raise ValueError(f"spin vector has shape {s0.shape}, expected ({config.d + 1},)")
-    if not np.all(np.abs(s0) == 1):
-        raise ValueError("spins must be +1 or -1")
-    feasible, states = decode_states(s0[None, :], config)
-    if feasible[0]:
-        return ConfigAssignment(tx=states[0, : config.n_t], rx=states[0, config.n_t :])
-    bits = (s0[0] * s0[1:] > 0).astype(np.int64)
-    violation = constraint_violation(bits, config)
-    return InfeasibleDecode(bits=bits, violation=violation)
 
 
 def instance_to_json(inst: IsingInstance) -> dict:
@@ -294,11 +244,3 @@ def write_instance(inst: IsingInstance, path) -> None:
         json.dump(instance_to_json(inst), fh, indent=1)
         fh.write("\n")
 
-
-def _as_bits(b, expected_len: int) -> np.ndarray:
-    b = np.asarray(b)
-    if b.shape != (expected_len,):
-        raise ValueError(f"bit vector has shape {b.shape}, expected ({expected_len},)")
-    if not np.all((b == 0) | (b == 1)):
-        raise ValueError("bit vector entries must be 0 or 1")
-    return b.astype(float)

@@ -31,6 +31,13 @@ def trace_objective(g: ChannelMatrix, sel: ConfigAssignment) -> float:
     return float(np.trace(h @ h.conj().T).real)
 
 
+def constraint_violation(b, config: MimoConfig) -> float:
+    """Total one-hot violation ``sum_k (block_sum_k - 1)^2`` of a bit vector,
+    summed block by block."""
+    block_sums = np.asarray(b, dtype=float).reshape(config.n_antennas, config.n_states).sum(axis=1)
+    return float(np.sum((block_sums - 1.0) ** 2))
+
+
 def violation_quadratic(b, r, n_blocks) -> float:
     """One-hot violation via the quadratic form with its constant restored."""
     b = np.asarray(b, dtype=float)
@@ -180,7 +187,7 @@ class EveryPassStep(_EulerStep):
 def every_step_integrate(jm, x0, params, record_every=0, internals=None):
     """The integrator as it was before it skipped work: every pass of the
     step (``EveryPassStep``) and the finiteness check after every step.
-    Returns ``(x, aborted, snaps, snap_steps)`` like ``cim._integrate``.  An
+    Returns ``(x, aborted, snaps)`` like ``cim._integrate``.  An
     ``internals`` dict gets the final error variables under ``"e"`` and the
     steps on which the floor and the clamp changed a value under
     ``"floor"`` and ``"clamp"``."""
@@ -188,10 +195,7 @@ def every_step_integrate(jm, x0, params, record_every=0, internals=None):
     e = np.ones_like(x)
     euler_step = EveryPassStep(jm, x.shape, params)
     aborted = np.zeros(len(x), dtype=bool)
-    snaps, snap_steps = [], []
-    if record_every:
-        snaps.append(readout(x))
-        snap_steps.append(0)
+    snaps = [readout(x)] if record_every else []
     # overflow is the divergence signal, caught via isfinite below; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -205,12 +209,9 @@ def every_step_integrate(jm, x0, params, record_every=0, internals=None):
                 e[bad] = 1.0
             if record_every and (k % record_every == 0 or k == params.steps):
                 snaps.append(readout(x))
-                snap_steps.append(k)
     if internals is not None:
         internals.update(e=e, floor=euler_step.floored, clamp=euler_step.clamped)
-    snap_arr = np.stack(snaps) if snaps else None
-    step_arr = np.asarray(snap_steps, dtype=np.int64) if snaps else None
-    return x, aborted, snap_arr, step_arr
+    return x, aborted, np.stack(snaps) if snaps else None
 
 
 def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
@@ -224,9 +225,8 @@ def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
     from cimsel.formulation import compile_instance, decode_states
     from cimsel.rng import substream
 
-    outcomes = solve(compile_instance(g, lam), params, cim_master_seed(seed), record_every)
-    aborted = np.array([o.aborted for o in outcomes])
-    table = np.stack([o.trajectory for o in outcomes])
+    anneals = solve(compile_instance(g, lam), params, cim_master_seed(seed), record_every)
+    aborted, table = anneals.aborted, anneals.trajectory
     n_anneals, n_samples, dim = table.shape
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
     feasible, states = decode_states(table.reshape(-1, dim), g.config)
@@ -243,7 +243,8 @@ def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
         best_assignment = fallback.assignment
     trace_best = scores.max(axis=0)
     return {
-        "trace_steps": outcomes[0].trajectory_steps,
+        "trace_steps": np.array([k for k in range(params.steps + 1)
+                                 if k % record_every == 0 or k == params.steps]),
         "trace_best": trace_best,
         "trace_avg": np.minimum(scores.mean(axis=0), trace_best),
         "trace_pc": feasible.mean(axis=0),

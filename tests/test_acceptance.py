@@ -20,7 +20,6 @@ from cimsel.cim import CimParams
 from cimsel.formulation import (
     constraint_coupling,
     constraint_matrix,
-    constraint_violation,
     qubo_matrix,
     qubo_to_spin,
     augment_aux,
@@ -30,8 +29,10 @@ from oracles import (
     all_bit_vectors,
     all_spin_vectors,
     assignment_bits,
+    constraint_violation,
     feasible_assignments,
     trace_objective,
+    violation_quadratic,
 )
 
 ACFG = MimoConfig(2, 2, 2)
@@ -102,10 +103,10 @@ def test_criterion_1_oracle_equivalence(acceptance):
             k = int(np.dot(b, 1 << np.arange(ACFG.d)[::-1]))  # row index in `bits`
             assert quad[k] == pytest.approx(trace_objective(g, sel), abs=1e-9)
 
-        # every bit vector: violation equals the block-sum definition
-        for k, b in enumerate(bits):
-            block_sums = b.reshape(ACFG.n_antennas, ACFG.n_states).sum(axis=1)
-            assert constraint_violation(b.astype(int), ACFG) == np.sum((block_sums - 1.0) ** 2)
+        # every bit vector: the penalty form of constraint_matrix equals the
+        # block-sum violation
+        for b in bits:
+            assert violation_quadratic(b, r, ACFG.n_antennas) == constraint_violation(b, ACFG)
 
         # spin and auxiliary-spin forms match up to tracked constants
         s_obj, q_obj, c_obj = qubo_to_spin(q, np.zeros(ACFG.d))
@@ -117,7 +118,7 @@ def test_criterion_1_oracle_equivalence(acceptance):
 
         s_con, q_con, c_con = qubo_to_spin(r, -2.0 * np.ones(ACFG.d))
         j_con_raw = augment_aux(s_con, q_con)
-        viol = np.array([constraint_violation(b.astype(int), ACFG) for b in bits])
+        viol = np.array([constraint_violation(b, ACFG) for b in bits])
         spin_con = (
             np.einsum("ki,ij,kj->k", spins, s_con, spins) + spins @ q_con + c_con + ACFG.n_antennas
         )

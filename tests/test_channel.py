@@ -156,9 +156,9 @@ class TestChannelFile:
         g = generate_channel(CFG222, seed=1)
         path = tmp_path / "channel.json"
         write_channel(g, path)
-        raw = json.load(open(path))
+        raw = json.loads(path.read_text())
         del raw["n_states"]
-        json.dump(raw, open(path, "w"))
+        path.write_text(json.dumps(raw))
         with pytest.raises(ChannelFormatError, match="n_states"):
             read_channel(path)
 
@@ -168,8 +168,8 @@ class TestChannelFile:
         g = generate_channel(CFG222, seed=1)
         path = tmp_path / "channel.json"
         write_channel(g, path)
-        raw = json.load(open(path))
+        raw = json.loads(path.read_text())
         raw["entries"] = raw["entries"][:-1]
-        json.dump(raw, open(path, "w"))
+        path.write_text(json.dumps(raw))
         with pytest.raises(ChannelFormatError, match="entries"):
             read_channel(path)

@@ -7,16 +7,16 @@ from cimsel import cim
 from cimsel.channel import MimoConfig, generate_channel
 from cimsel.cim import (
     E_FLOOR,
-    AnnealOutcome,
     CimParams,
     ising_energy,
     readout,
+    readout_steps,
     solve,
     write_trajectory_csv,
 )
 from cimsel.cim import _EulerStep, _integrate
-from cimsel.formulation import InfeasibleDecode, compile_instance, decode_spins
-from cimsel.rng import substream
+from cimsel.formulation import compile_instance, decode_states
+from cimsel.rng import substream, uniform_table
 from oracles import every_step_integrate, reference_integrate
 
 FERRO2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -223,8 +223,7 @@ class TestBlasThreads:
         found = solve(FERRO2, params, master_seed=4)
         monkeypatch.setattr(cim, "_openblas_threads", lambda: None)
         absent = solve(FERRO2, params, master_seed=4)
-        for a, b in zip(found, absent):
-            assert np.array_equal(a.spins, b.spins)
+        assert np.array_equal(found.spins, absent.spins)
 
 
 class TestRunAnneal:
@@ -241,9 +240,8 @@ class TestRunAnneal:
         pairs = [np.array(s) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
         vals = [ising_energy(FERRO2, s) for s in pairs]
         assert sorted(vals) == [-2.0, -2.0, 2.0, 2.0]
-        outcomes = solve(FERRO2, CimParams(steps=1000, n_anneals=100), master_seed=100)
-        aligned = sum(int(out.spins[0] == out.spins[1]) for out in outcomes)
-        assert aligned >= 99
+        spins = solve(FERRO2, CimParams(steps=1000, n_anneals=100), master_seed=100).spins
+        assert np.sum(spins[:, 0] == spins[:, 1]) >= 99
 
     def test_determinism(self):
         params = CimParams(steps=300, n_anneals=1)
@@ -253,13 +251,21 @@ class TestRunAnneal:
         assert ising_energy(FERRO2, a.spins) == ising_energy(FERRO2, b.spins)
 
     def test_trajectory_sampling(self):
-        (out,) = solve(FERRO2, CimParams(steps=100, n_anneals=1), master_seed=1, record_every=30)
-        assert list(out.trajectory_steps) == [0, 30, 60, 90, 100]
-        assert out.trajectory.shape == (5, 2)
-        assert np.array_equal(out.trajectory[-1], out.spins)
-        (out,) = solve(FERRO2, CimParams(steps=1000, n_anneals=1), master_seed=1, record_every=10)
-        assert len(out.trajectory_steps) == 101  # both endpoints included
-        assert out.trajectory_steps[0] == 0 and out.trajectory_steps[-1] == 1000
+        # the sample schedule against the reference integrator's
+        for steps, record_every, expected in [
+            (100, 30, [0, 30, 60, 90, 100]),        # stride does not divide steps
+            (100, 100, [0, 100]),                   # stride equal to steps
+            (100, 250, [0, 100]),                   # stride larger than steps
+            (1000, 10, list(range(0, 1001, 10))),   # both endpoints included
+        ]:
+            params = CimParams(steps=steps, n_anneals=1)
+            (out,) = solve(FERRO2, params, master_seed=1, record_every=record_every)
+            x0 = uniform_table(1, 1, -params.init_scale, params.init_scale, 2)
+            _, _, ref_snaps, ref_steps = reference_integrate(FERRO2, x0, params, record_every)
+            assert readout_steps(steps, record_every).tolist() == ref_steps.tolist() == expected
+            assert out.trajectory.shape == (len(expected), 2)
+            assert np.array_equal(out.trajectory, np.where(ref_snaps[:, 0] >= 0.0, 1, -1))
+            assert np.array_equal(out.trajectory[-1], out.spins)
 
 
 class TestSaturationAndGauge:
@@ -273,8 +279,8 @@ class TestSaturationAndGauge:
     def test_flip_of_initialisation_flips_readout(self):
         params = CimParams(steps=400)
         x0 = substream(5).uniform(-0.01, 0.01, (1, 2))
-        xa, _, _, _ = _integrate(FERRO2, x0, params)
-        xb, _, _, _ = _integrate(FERRO2, -x0, params)
+        xa, _, _ = _integrate(FERRO2, x0, params)
+        xb, _, _ = _integrate(FERRO2, -x0, params)
         sa, sb = readout(xa[0]), readout(xb[0])
         assert np.array_equal(sa, -sb)
         assert ising_energy(FERRO2, sa) == ising_energy(FERRO2, sb)
@@ -290,7 +296,6 @@ class TestSolve:
         assert np.array_equal(batch[0].spins, single.spins)
         assert ising_energy(FERRO2, batch[0].spins) == ising_energy(FERRO2, single.spins)
         assert np.array_equal(batch[0].trajectory, single.trajectory)
-        assert np.array_equal(batch[0].trajectory_steps, single.trajectory_steps)
 
     @pytest.mark.parametrize("dims,lam", [((2, 2, 2), 0.9), ((4, 4, 4), 0.7)])
     def test_paper_scale_anneal_0_readouts_match_single_anneal(self, dims, lam):
@@ -307,11 +312,11 @@ class TestSolve:
     def test_each_anneal_matches_its_derived_stream(self):
         params = CimParams(steps=300, n_anneals=5)
         batch = solve(FERRO2, params, master_seed=23)
-        for k, outcome in enumerate(batch):
+        for k, anneal in enumerate(batch):
             x0 = substream(23, k).uniform(-params.init_scale, params.init_scale, (1, 2))
-            x, aborted, _, _ = _integrate(FERRO2, x0, params)
-            assert np.array_equal(outcome.spins, readout(x[0]))
-            assert ising_energy(FERRO2, outcome.spins) == ising_energy(FERRO2, readout(x[0]))
+            x, aborted, _ = _integrate(FERRO2, x0, params)
+            assert np.array_equal(anneal.spins, readout(x[0]))
+            assert ising_energy(FERRO2, anneal.spins) == ising_energy(FERRO2, readout(x[0]))
             assert not aborted[0]
 
     def test_determinism_across_calls(self):
@@ -337,19 +342,33 @@ class TestSolve:
         for k in range(n_instances):
             g = generate_channel(cfg, seed=k)
             inst = compile_instance(g, 0.6)
-            outcomes = solve(inst, params, master_seed=k)
-            any_feasible = any(
-                not isinstance(decode_spins(o.spins, cfg), InfeasibleDecode)
-                for o in outcomes
-            )
-            hits += int(any_feasible)
+            feasible, _ = decode_states(solve(inst, params, master_seed=k).spins, cfg)
+            hits += int(feasible.any())
         assert hits >= 0.99 * n_instances
 
     def test_aborted_anneals_flagged_not_dropped(self):
         params = CimParams(dt=50.0, steps=300, n_anneals=4)
-        outcomes = solve(np.zeros((2, 2)), params, master_seed=0)
-        assert len(outcomes) == 4
-        assert all(o.aborted for o in outcomes)
+        anneals = solve(np.zeros((2, 2)), params, master_seed=0)
+        assert anneals.aborted.tolist() == [True] * 4
+        assert anneals.spins.shape == (4, 2)
+
+    def test_records_are_rows_of_the_columns(self, monkeypatch):
+        # iterating the result, as a per-anneal reader does, gives record k
+        # equal to row k of every column; the row started at zero aborts alone
+        monkeypatch.setattr(cim, "uniform_table", lambda *args: _sticky_divergent_x0())
+        params = CimParams(dt=50.0, steps=300, n_anneals=4)
+        anneals = solve(FERRO2, params, master_seed=0, record_every=7)
+        assert anneals.dtype.names == ("spins", "aborted", "trajectory")
+        assert anneals.aborted.tolist() == [False, True, False, False]
+        assert anneals.trajectory.shape == (4, len(readout_steps(300, 7)), 2)
+        assert anneals.spins.dtype == anneals.trajectory.dtype == np.int8
+        assert sum(bool(o.aborted) for o in anneals) == 1
+        for k, record in enumerate(anneals):
+            assert np.array_equal(record.spins, anneals.spins[k])
+            assert record.aborted == anneals.aborted[k]
+            assert np.array_equal(record.trajectory, anneals.trajectory[k])
+            assert np.array_equal(record.trajectory[-1], record.spins)
+        assert solve(FERRO2, params, master_seed=0).dtype.names == ("spins", "aborted")
 
 
 class TestReadout:
@@ -374,11 +393,11 @@ class TestReferenceEquivalence:
         inst = compile_instance(generate_channel(MimoConfig(*dims), seed=3), lam)
         params = CimParams(n_anneals=200)
         x0 = substream(9).uniform(-params.init_scale, params.init_scale, (200, inst.dim))
-        x, aborted, snaps, snap_steps = _integrate(inst.j, x0, params, record_every=10)
+        x, aborted, snaps = _integrate(inst.j, x0, params, record_every=10)
         ref_x, ref_aborted, ref_snaps, ref_steps = reference_integrate(inst.j, x0, params, 10)
         assert inst.dim in (9, 33)
         assert np.max(np.abs(x - ref_x)) <= 1e-12
-        assert np.array_equal(snap_steps, ref_steps)
+        assert np.array_equal(readout_steps(params.steps, 10), ref_steps)
         assert np.array_equal(snaps, np.where(ref_snaps >= 0.0, 1, -1))
         assert np.array_equal(aborted, ref_aborted) and not aborted.any()
 
@@ -390,7 +409,7 @@ class TestReferenceEquivalence:
         x0 = substream(0).uniform(-0.01, 0.01, (4, 2))
         x0[1] = 0.0
         for jm, expected in ((np.zeros((2, 2)), [True] * 4), (FERRO2, [False, True, False, False])):
-            x, aborted, _, _ = _integrate(jm, x0, params)
+            x, aborted, _ = _integrate(jm, x0, params)
             ref_x, ref_aborted, _, _ = reference_integrate(jm, x0, params, 10)
             assert aborted.tolist() == ref_aborted.tolist() == expected
             assert np.max(np.abs(x - ref_x)) <= 1e-12
@@ -546,7 +565,7 @@ class TestCheckSchedule:
 
         monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
         jm, x0, params = CHECK_CASES["abort-in-window"]
-        _, aborted, _, _ = _integrate(jm, x0, params, record_every=10)
+        _, aborted, _ = _integrate(jm, x0, params, record_every=10)
         # after the first reset every e is at least 1, and the window still
         # spans the 30 steps that e = 1 takes to decay to the floor at
         # c_e = 0.4: only the restart keeps the reset rows' e at the floor
@@ -570,8 +589,8 @@ class TestCheckSchedule:
     def test_sticky_cases_abort_mid_run(self, name):
         jm, x0, params = CHECK_CASES[name]
         assert _EulerStep(jm, x0.shape, params).divergence_sticks
-        _, aborted, _, _ = _integrate(jm, x0, params)
-        _, aborted_early, _, _ = every_step_integrate(jm, x0, replace(params, steps=600))
+        _, aborted, _ = _integrate(jm, x0, params)
+        _, aborted_early, _ = every_step_integrate(jm, x0, replace(params, steps=600))
         assert aborted.any() and not aborted_early.any()
 
 
@@ -580,15 +599,10 @@ class TestTrajectoryDump:
         params = CimParams(steps=100, n_anneals=1)
         (out,) = solve(FERRO2, params, master_seed=1, record_every=50)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(out, FERRO2, params, path)
+        write_trajectory_csv(readout_steps(100, 50), out.trajectory, FERRO2, params, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,t,s0,s1,energy"
-        assert len(lines) == 1 + len(out.trajectory_steps)
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "50", "100"]
         first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.0
-
-    def test_requires_trajectory(self):
-        with pytest.raises(ValueError):
-            write_trajectory_csv(
-                AnnealOutcome(spins=np.array([1, 1])), FERRO2, CimParams(), "x"
-            )
+        assert float(first[1]) == 0.0
+        assert [int(v) for v in lines[-1].split(",")[2:4]] == out.spins.tolist()

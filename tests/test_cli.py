@@ -66,7 +66,7 @@ class TestGen:
         assert run_cli(*gen_args(out)) == 0
         files = sorted(p.name for p in out.glob("channel_*.json"))
         assert files == ["channel_00000.json", "channel_00001.json", "channel_00002.json"]
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["format"] == 1
         assert len(manifest["seeds"]) == manifest["n_instances"] == 3
         assert manifest["files"] == files
@@ -82,7 +82,7 @@ class TestGen:
     def test_files_parse_and_match_manifest_seeds(self, tmp_path):
         out = tmp_path / "gen"
         run_cli(*gen_args(out))
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         for name, seed in zip(manifest["files"], manifest["seeds"]):
             g = read_channel(out / name)
             assert g.seed == seed
@@ -176,10 +176,10 @@ class TestSweep:
         for method in ("es", "nsa", "rs", "cim_best", "cim_avg"):
             lams = {row[2] for row in body if row[1] == method}
             assert lams == {"0.0", "0.5", "1.0"}
-        summary = json.load(open(out / "summary.json"))
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["format"] == 1
         assert (out / "run.log").read_text().strip() == "all instances completed"
-        echoed = json.load(open(out / "run_config.json"))
+        echoed = json.loads((out / "run_config.json").read_text())
         assert echoed["command"] == "sweep" and echoed["master_seed"] == 4
         plot = (out / "plot_lambda_e.csv").read_text().splitlines()
         assert plot[0] == "lambda,method,e_rho"
@@ -221,7 +221,7 @@ class TestSweep:
         out = tmp_path / "run"
         code = run_cli("sweep", "--config", str(cfg), "--n-instances", "3", "--out", str(out))
         assert code == 0
-        echoed = json.load(open(out / "run_config.json"))
+        echoed = json.loads((out / "run_config.json").read_text())
         assert echoed["n_instances"] == 3  # flag wins
         assert echoed["cim"]["steps"] == 100
         lines = (out / "results.csv").read_text().splitlines()
@@ -270,7 +270,8 @@ class TestConfigFile:
         # an echoed config names the command of the run that loads it
         code = run_cli("trace", "--config", str(echoed), "--out", str(tmp_path / "trace"))
         assert code == 0
-        assert json.load(open(tmp_path / "trace" / "run_config.json"))["command"] == "trace"
+        echoed_trace = json.loads((tmp_path / "trace" / "run_config.json").read_text())
+        assert echoed_trace["command"] == "trace"
 
 
 class TestBadInput:
@@ -434,7 +435,7 @@ class TestTrace:
             "--out", str(out), "--plot-data",
         )
         assert code == 0
-        summary = json.load(open(out / "trace_summary.json"))
+        summary = json.loads((out / "trace_summary.json").read_text())
         steps = [row["step"] for row in summary["rows"]]
         assert steps == list(range(0, 1001, 100))
         pc_lines = (out / "plot_step_pc.csv").read_text().splitlines()
@@ -450,7 +451,7 @@ class TestOneWeight:
         config = _config_file(tmp_path, dict(SMALL_CONFIG, lambdas=[0.3, 0.7]))
         out = tmp_path / "trace"
         assert run_cli("trace", "--config", config, "--out", str(out)) == 0
-        assert json.load(open(out / "trace_summary.json"))["lambda"] == 0.3
+        assert json.loads((out / "trace_summary.json").read_text())["lambda"] == 0.3
 
     @pytest.mark.parametrize("flags,lam", [((), 0.3), (("--lam", "0.6"), 0.6)])
     def test_export_runs_lambda_else_first_of_lambdas(self, tmp_path, capsys, flags, lam):
@@ -471,7 +472,7 @@ class TestCompare:
             "--anneals", "10", "--seed", "3", "--out", str(out),
         )
         assert code == 0
-        summary = json.load(open(out / "summary.json"))
+        summary = json.loads((out / "summary.json").read_text())
         assert "es" in {row["method"] for row in summary["rows"]}
 
     def test_es_skipped_over_budget(self, tmp_path, capsys):
@@ -484,7 +485,7 @@ class TestCompare:
         assert code == 0
         captured = capsys.readouterr().out
         assert "exhaustive search skipped" in captured
-        summary = json.load(open(out / "summary.json"))
+        summary = json.loads((out / "summary.json").read_text())
         assert "es" not in {row["method"] for row in summary["rows"]}
 
 

@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, objective
 from cimsel.formulation import (
-    InfeasibleDecode,
     IsingInstance,
     augment_aux,
     compile_instance,
     constraint_coupling,
     constraint_matrix,
-    constraint_violation,
-    decode_spins,
     decode_states,
     instance_to_json,
     normalize_couplings,
@@ -29,12 +26,26 @@ from oracles import (
     binary_objective,
     brute_force_best,
     channel_from_amplitudes,
+    constraint_violation,
     feasible_assignments,
     read_instance,
     violation_quadratic,
 )
 
 CFG222 = MimoConfig(2, 2, 2)
+
+
+def penalty(b, config):
+    """The one-hot penalty of ``b`` as the quadratic form of ``constraint_matrix``."""
+    return violation_quadratic(b, constraint_matrix(config), config.n_antennas)
+
+
+def decode_one(s0, config):
+    """The assignment one spin vector decodes to, or ``None`` if infeasible."""
+    feasible, states = decode_states(np.asarray(s0)[None, :], config)
+    if not feasible[0]:
+        return None
+    return ConfigAssignment(tx=states[0, : config.n_t], rx=states[0, config.n_t :])
 
 
 def spin_encodings(bits):
@@ -97,21 +108,26 @@ class TestBinaryObjective:
 
 
 class TestConstraintViolation:
+    """``constraint_matrix``'s penalty form against the block-sum violation."""
+
     def test_feasible_is_zero(self):
         for sel in feasible_assignments(CFG222):
+            assert penalty(assignment_bits(sel, CFG222), CFG222) == 0.0
             assert constraint_violation(assignment_bits(sel, CFG222), CFG222) == 0.0
 
     def test_single_block_double_activation(self):
-        assert constraint_violation([1, 1, 1, 0], MimoConfig(1, 1, 2)) == 1.0
+        cfg = MimoConfig(1, 1, 2)
+        assert penalty([1, 1, 1, 0], cfg) == constraint_violation([1, 1, 1, 0], cfg) == 1.0
 
     def test_all_zero_bits(self):
-        assert constraint_violation(np.zeros(8, dtype=int), CFG222) == CFG222.n_antennas
+        zeros = np.zeros(8, dtype=int)
+        assert penalty(zeros, CFG222) == constraint_violation(zeros, CFG222) == CFG222.n_antennas
 
     def test_zero_iff_one_hot_exhaustive_d12(self):
         cfg = MimoConfig(3, 3, 2)  # d = 12
         for b in all_bit_vectors(cfg.d):
             one_hot = all(b[k * 2 : (k + 1) * 2].sum() == 1 for k in range(cfg.n_antennas))
-            assert (constraint_violation(b, cfg) == 0.0) == one_hot
+            assert (penalty(b, cfg) == 0.0) == one_hot
 
     def test_equals_quadratic_form_exhaustive(self):
         r = constraint_matrix(CFG222)
@@ -131,14 +147,6 @@ class TestConstraintViolation:
         assert constraint_matrix(MimoConfig(2, 2, 2)) is r
         with pytest.raises(ValueError):
             r[0, 0] = 0.0
-
-    @pytest.mark.parametrize("bits,match", [
-        ([0] * 9, r"expected \(8,\)"),
-        ([0, 2, 0, 0, 0, 0, 0, 0], "must be 0 or 1"),
-    ])
-    def test_rejects_bad_bits(self, bits, match):
-        with pytest.raises(ValueError, match=match):
-            constraint_violation(bits, CFG222)
 
 
 class TestQuboToSpin:
@@ -297,8 +305,8 @@ class TestCompile:
                 inst = compile_instance(g, lam)
                 vals = np.array([s @ inst.j @ s for s in spins])
                 top = spins[int(np.argmax(vals))]
-                decoded = decode_spins(top, CFG222)
-                if isinstance(decoded, InfeasibleDecode):
+                decoded = decode_one(top, CFG222)
+                if decoded is None:
                     continue
                 if objective(g, decoded) == pytest.approx(best_val, rel=1e-12):
                     found = True
@@ -319,42 +327,39 @@ class TestCompile:
 class TestDecode:
     def test_hand_example(self):
         cfg = MimoConfig(1, 1, 2)
-        sel = decode_spins(np.array([1, 1, -1, -1, 1]), cfg)
-        assert sel == ConfigAssignment(tx=(0,), rx=(1,))
+        feasible, states = decode_states(np.array([[1, 1, -1, -1, 1]]), cfg)
+        assert feasible.tolist() == [True] and states.tolist() == [[0, 1]]
+        assert decode_one([1, 1, -1, -1, 1], cfg) == ConfigAssignment(tx=(0,), rx=(1,))
 
     def test_gauge_symmetry_hand(self):
         cfg = MimoConfig(1, 1, 2)
         s0 = np.array([1, 1, -1, -1, 1])
-        assert decode_spins(s0, cfg) == decode_spins(-s0, cfg)
+        feasible, states = decode_states(np.stack([s0, -s0]), cfg)
+        assert feasible.tolist() == [True, True]
+        assert np.array_equal(states[0], states[1])
 
     @given(st.lists(st.sampled_from([-1, 1]), min_size=9, max_size=9))
     def test_gauge_symmetry_property(self, spins):
-        s0 = np.array(spins)
-        a = decode_spins(s0, CFG222)
-        b = decode_spins(-s0, CFG222)
-        if isinstance(a, InfeasibleDecode):
-            assert isinstance(b, InfeasibleDecode)
-            assert np.array_equal(a.bits, b.bits)
-        else:
-            assert a == b
+        s0 = np.array(spins, dtype=np.int8)
+        feasible, states = decode_states(np.stack([s0, -s0]), CFG222)
+        assert feasible[0] == feasible[1]
+        if feasible[0]:
+            assert np.array_equal(states[0], states[1])
+        # a row is feasible exactly when its gauge-fixed bits violate no block
+        bits = (s0[0] * s0[1:] > 0).astype(int)
+        assert (constraint_violation(bits, CFG222) == 0.0) == feasible[0]
 
     def test_all_plus_one_is_infeasible(self):
-        out = decode_spins(np.ones(9, dtype=int), CFG222)
-        assert isinstance(out, InfeasibleDecode)
-        assert np.array_equal(out.bits, np.ones(8, dtype=int))
-        assert out.violation == CFG222.n_antennas  # each block sums to 2
+        feasible, _ = decode_states(np.ones((1, 9), dtype=np.int8), CFG222)
+        assert feasible.tolist() == [False]
+        # the gauge-fixed bits are all ones: each block sums to 2
+        assert constraint_violation(np.ones(8, dtype=int), CFG222) == CFG222.n_antennas
 
     def test_round_trip_all_feasible(self):
         for sel in feasible_assignments(CFG222):
             bits = assignment_bits(sel, CFG222)
             for s0 in spin_encodings(bits):
-                assert decode_spins(s0, CFG222) == sel
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            decode_spins(np.ones(8, dtype=int), CFG222)
-        with pytest.raises(ValueError):
-            decode_spins(np.array([1, 1, -1, -1, 2, 1, 1, 1, 1]), CFG222)
+                assert decode_one(s0, CFG222) == sel
 
     def test_agrees_with_batch_decoder(self):
         spins = all_spin_vectors(9)
@@ -363,13 +368,10 @@ class TestDecode:
         for k, s0 in enumerate(spins):
             feasible, states = decode_states(s0[None, :], CFG222)
             assert feasible[0] == batch_feasible[k]
-            decoded = decode_spins(s0, CFG222)
             if feasible[0]:
                 assert np.array_equal(states[0], batch_states[k])
-                assert decoded == ConfigAssignment(tx=states[0, :2], rx=states[0, 2:])
             else:
-                assert isinstance(decoded, InfeasibleDecode)
-                assert decoded.violation > 0
+                assert constraint_violation((s0[0] * s0[1:] > 0).astype(int), CFG222) > 0
 
 
 class TestInstanceExport:
