@@ -19,10 +19,9 @@ from .baselines import (
 )
 from .bench import (
     ExperimentPlan,
+    HarnessResult,
     MethodSummary,
     MetricRow,
-    SweepResult,
-    TraceResult,
     run_instance,
     sweep_lambda,
     time_trace,

@@ -8,8 +8,10 @@ headline metrics
 * ``E_rho`` - expected objective value per method, and
 * ``P_c``  - probability that a raw solver readout is feasible,
 
-either at the final step (penalty-weight sweeps) or at sampled steps along
-the integration (time traces).
+over ``(penalty weight, step)`` samples.  One path serves both paper
+figures: a penalty-weight sweep samples each weight once, at the final
+readout, and a time trace samples its one weight at every recorded readout;
+the same rows, summaries, result type and writers come out of either.
 
 Scoring rules
 -------------
@@ -58,11 +60,9 @@ __all__ = [
     "ExperimentPlan",
     "MetricRow",
     "MethodSummary",
-    "TraceStepSummary",
     "CimInstanceResult",
     "InstanceRecord",
-    "SweepResult",
-    "TraceResult",
+    "HarnessResult",
     "CSV_COLUMNS",
     "run_instance",
     "sweep_lambda",
@@ -140,20 +140,16 @@ class MetricRow:
 
 @dataclass
 class MethodSummary:
+    """``E_rho`` of one method at one (penalty weight, step) sample, over
+    instances; ``p_c`` is the solver's for the ``cim`` methods, else 1."""
+
     method: str
     lam: float
+    step: int
     e_rho: float
     p_c: float
     stderr: float
     n: int
-
-
-@dataclass
-class TraceStepSummary:
-    step: int
-    e_rho_best: float
-    e_rho_avg: float
-    p_c: float
 
 
 @dataclass
@@ -188,18 +184,13 @@ class InstanceRecord:
 
 
 @dataclass
-class SweepResult:
+class HarnessResult:
+    """A sweep or trace: its rows and summaries, the per-instance records
+    they reduce, and one line per failed instance."""
+
+    plan: ExperimentPlan
     rows: list[MetricRow]
     summaries: list[MethodSummary]
-    records: list[InstanceRecord]
-    failures: list[str]
-
-
-@dataclass
-class TraceResult:
-    lam: float
-    rows: list[MetricRow]
-    step_summaries: list[TraceStepSummary]
     records: list[InstanceRecord]
     failures: list[str]
 
@@ -326,88 +317,86 @@ def _run_records(
     return records, failures
 
 
-def _baseline_rows(record: InstanceRecord, common: dict) -> list[MetricRow]:
-    common = dict(common, feasible=True, fallback=False)
-    rows = []
-    if record.es_objective is not None:
-        rows.append(MetricRow(method="es", objective=record.es_objective, **common))
-    rows.append(MetricRow(method="nsa", objective=record.nsa_objective, **common))
-    rows.append(MetricRow(method="rs", objective=record.rs_objective, **common))
-    return rows
+def _harness(plan: ExperimentPlan, record_every: int, workers: int) -> HarnessResult:
+    """Rows and summaries of the plan over (penalty weight, step) samples.
 
-
-def _cim_rows(common: dict, best: float, avg: float, p_c: float) -> list[MetricRow]:
-    """The ``cim_best``/``cim_avg`` rows of one readout: best-of-anneals
-    falls back only when no anneal is feasible, the average when any is not."""
-    return [
-        MetricRow(method="cim_best", objective=best, feasible=True, fallback=p_c == 0.0, **common),
-        MetricRow(method="cim_avg", objective=avg, feasible=True, fallback=p_c < 1.0, **common),
-    ]
-
-
-def sweep_lambda(plan: ExperimentPlan, workers: int = 1) -> SweepResult:
-    """Final-readout metrics for every (method, penalty weight) pair.
-
-    Channel instances are shared across penalty weights and methods; rows
-    are ordered by (instance, weight, method) and are a pure function of
-    the plan.
+    A sweep (``record_every`` 0) samples each weight at the final readout
+    only, and adds the baseline rows and ``cim_avg_raw``; a trace samples at
+    every readout it recorded.  Rows are ordered by (instance, weight, step,
+    method) and are a pure function of the plan.
     """
-    records, failures = _run_records(plan, 0, workers)
+    records, failures = _run_records(plan, record_every, workers)
+    sweep = not record_every
     rows: list[MetricRow] = []
+    p_c: dict[tuple[float, int], list[float]] = {}
     for record in records:
         for lam in plan.lambdas:
             res = record.cim[lam]
-            common = dict(
-                instance_id=record.instance_id, lam=lam, step=plan.cim.steps,
-                seed=record.channel_seed,
-            )
-            rows.extend(_baseline_rows(record, common))
-            rows.extend(_cim_rows(common, res.best, res.avg, res.p_c))
-            rows.append(
-                MetricRow(
-                    method="cim_avg_raw", objective=res.avg_raw,
-                    feasible=res.n_feasible > 0, fallback=False, **common,
-                )
-            )
-    summaries = _summarize(records, plan.lambdas)
-    return SweepResult(rows=rows, summaries=summaries, records=records, failures=failures)
+            if sweep:
+                samples = [(plan.cim.steps, res.best, res.avg, res.p_c)]
+            else:
+                samples = zip(*(a.tolist() for a in (
+                    res.trace_steps, res.trace_best, res.trace_avg, res.trace_pc)))
+            for step, best, avg, pc in samples:
+                # (method, objective, feasible, fallback) of each row:
+                # best-of-anneals falls back only when no anneal is
+                # feasible, the average when any is not
+                methods = [("cim_best", best, True, pc == 0.0), ("cim_avg", avg, True, pc < 1.0)]
+                if sweep:
+                    baselines = (("es", record.es_objective), ("nsa", record.nsa_objective),
+                                 ("rs", record.rs_objective))
+                    methods[:0] = [(m, v, True, False) for m, v in baselines if v is not None]
+                    methods.append(("cim_avg_raw", res.avg_raw, res.n_feasible > 0, False))
+                rows += [MetricRow(record.instance_id, method, lam, step, objective, feasible,
+                                   fallback, record.channel_seed)
+                         for method, objective, feasible, fallback in methods]
+                p_c.setdefault((lam, step), []).append(pc)
+    return HarnessResult(plan, rows, _summarize(rows, p_c), records, failures)
 
 
-def _summarize(records: list[InstanceRecord], lambdas: Sequence[float]) -> list[MethodSummary]:
+def _summarize(rows: Sequence[MetricRow], p_c: dict) -> list[MethodSummary]:
+    """One summary per (weight, step, method) group of rows, in row order.
+
+    NaN objectives (``cim_avg_raw`` where no anneal is feasible) are left
+    out, and a group with none left is skipped.  ``p_c`` maps each
+    (weight, step) to its per-instance ``P_c``.
+    """
+    groups: dict[tuple[float, int, str], list[float]] = {}
+    for row in rows:
+        groups.setdefault((row.lam, row.step, row.method), []).append(row.objective)
     summaries = []
-    for lam in lambdas:
-        per_method = {
-            "es": np.array([r.es_objective for r in records if r.es_objective is not None]),
-            "nsa": np.array([r.nsa_objective for r in records]),
-            "rs": np.array([r.rs_objective for r in records]),
-            "cim_best": np.array([r.cim[lam].best for r in records]),
-            "cim_avg": np.array([r.cim[lam].avg for r in records]),
-            "cim_avg_raw": np.array([r.cim[lam].avg_raw for r in records]),
-        }
-        pc = float(np.mean([r.cim[lam].p_c for r in records])) if records else float("nan")
-        for method in METHOD_ORDER:
-            vals = per_method[method]
-            vals = vals[~np.isnan(vals)] if len(vals) else vals
-            n = len(vals)
-            if n == 0:
-                continue
-            e_rho = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            summaries.append(
-                MethodSummary(
-                    method=method,
-                    lam=lam,
-                    e_rho=e_rho,
-                    p_c=pc if method.startswith("cim") else 1.0,
-                    stderr=stderr,
-                    n=n,
-                )
+    for (lam, step, method), values in groups.items():
+        vals = np.array(values)
+        vals = vals[~np.isnan(vals)]
+        n = len(vals)
+        if n == 0:
+            continue
+        summaries.append(
+            MethodSummary(
+                method=method,
+                lam=lam,
+                step=step,
+                e_rho=float(vals.mean()),
+                p_c=float(np.mean(p_c[lam, step])) if method.startswith("cim") else 1.0,
+                stderr=float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                n=n,
             )
+        )
     return summaries
 
 
-def time_trace(plan: ExperimentPlan, workers: int = 1) -> TraceResult:
-    """Metrics from instantaneous sign readouts along the integration.
+def sweep_lambda(plan: ExperimentPlan, workers: int = 1) -> HarnessResult:
+    """Final-readout metrics for every (method, penalty weight) pair.
+
+    Channel instances are shared across penalty weights and methods; rows
+    are ordered by (instance, weight, method).
+    """
+    return _harness(plan, 0, workers)
+
+
+def time_trace(plan: ExperimentPlan, workers: int = 1) -> HarnessResult:
+    """``cim_best``/``cim_avg`` metrics from sign readouts along the
+    integration.
 
     The plan's one penalty weight is traced; a plan with more raises
     ``ValueError``.  Readouts are sampled at step 0, every
@@ -418,34 +407,10 @@ def time_trace(plan: ExperimentPlan, workers: int = 1) -> TraceResult:
     """
     if len(plan.lambdas) != 1:
         raise ValueError(f"a trace runs one penalty weight, the plan holds {plan.lambdas}")
-    (lam,) = plan.lambdas
-    records, failures = _run_records(plan, plan.trace_stride, workers)
-    rows: list[MetricRow] = []
-    for record in records:
-        res = record.cim[lam]
-        samples = zip(res.trace_steps, res.trace_best, res.trace_avg, res.trace_pc)
-        for step, best, avg, p_c in samples:
-            common = dict(
-                instance_id=record.instance_id, lam=lam, step=int(step), seed=record.channel_seed
-            )
-            rows.extend(_cim_rows(common, float(best), float(avg), p_c))
-    steps = records[0].cim[lam].trace_steps if records else np.array([], dtype=int)
-    step_summaries = []
-    for i, step in enumerate(steps):
-        step_summaries.append(
-            TraceStepSummary(
-                step=int(step),
-                e_rho_best=float(np.mean([r.cim[lam].trace_best[i] for r in records])),
-                e_rho_avg=float(np.mean([r.cim[lam].trace_avg[i] for r in records])),
-                p_c=float(np.mean([r.cim[lam].trace_pc[i] for r in records])),
-            )
-        )
-    return TraceResult(
-        lam=lam, rows=rows, step_summaries=step_summaries, records=records, failures=failures
-    )
+    return _harness(plan, plan.trace_stride, workers)
 
 
-def summarize_comparison(sweep: SweepResult) -> list[MethodSummary]:
+def summarize_comparison(sweep: HarnessResult) -> list[MethodSummary]:
     """Check the guaranteed orderings of a sweep and return its summaries.
 
     The exhaustive optimum must dominate every method on every instance,
@@ -529,40 +494,38 @@ def _none_if_nan(v: float):
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
+def _write_summary(path, header: dict, rows: list[dict]) -> None:
+    payload = {"format": 1, **header, "rows": rows}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
 def write_summary_json(summaries: Sequence[MethodSummary], path) -> None:
-    payload = {
-        "format": 1,
-        "rows": [
-            {
-                "method": s.method,
-                "lambda": s.lam,
-                "e_rho": _none_if_nan(s.e_rho),
-                "p_c": _none_if_nan(s.p_c),
-                "stderr": _none_if_nan(s.stderr),
-                "n": s.n,
-            }
-            for s in summaries
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    """Write a sweep's per-(method, weight) summaries."""
+    _write_summary(path, {}, [
+        {
+            "method": s.method,
+            "lambda": s.lam,
+            "e_rho": _none_if_nan(s.e_rho),
+            "p_c": _none_if_nan(s.p_c),
+            "stderr": _none_if_nan(s.stderr),
+            "n": s.n,
+        }
+        for s in summaries
+    ])
 
 
-def write_trace_summary_json(trace: TraceResult, path) -> None:
-    payload = {
-        "format": 1,
-        "lambda": trace.lam,
-        "rows": [
-            {
-                "step": s.step,
-                "e_rho_best": _none_if_nan(s.e_rho_best),
-                "e_rho_avg": _none_if_nan(s.e_rho_avg),
-                "p_c": _none_if_nan(s.p_c),
-            }
-            for s in trace.step_summaries
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+def write_trace_summary_json(trace: HarnessResult, path) -> None:
+    """Write a trace's per-step ``cim_best``/``cim_avg`` means and ``P_c``."""
+    avg = {s.step: s.e_rho for s in trace.summaries if s.method == "cim_avg"}
+    _write_summary(path, {"lambda": trace.plan.lambdas[0]}, [
+        {
+            "step": s.step,
+            "e_rho_best": _none_if_nan(s.e_rho),
+            "e_rho_avg": _none_if_nan(avg[s.step]),
+            "p_c": _none_if_nan(s.p_c),
+        }
+        for s in trace.summaries
+        if s.method == "cim_best"
+    ])

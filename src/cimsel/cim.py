@@ -329,12 +329,13 @@ def readout_steps(steps: int, record_every: int) -> np.ndarray:
     return np.append(np.arange(0, steps, record_every, dtype=np.int64), np.int64(steps))
 
 
-def _integrate(jm, x0, params, record_every=0):
+def _integrate(jm, x0, params, record_every=0, trajectory=None):
     """Integrate a batch of anneals (rows of ``x0``) for ``params.steps`` steps.
 
-    Returns ``(x, aborted, snaps)`` where ``snaps`` stacks sign readouts of
-    shape ``(n_samples, n_anneals, dim)`` taken at the
-    :func:`readout_steps`, or is ``None`` when ``record_every`` is 0.  Rows
+    Returns ``(x, aborted, trajectory)``.  With ``record_every > 0`` the
+    sign readouts taken at the :func:`readout_steps` are written into
+    ``trajectory``, an anneal-major ``(n_anneals, n_samples, dim)`` int8
+    array (allocated when not given); else it is ``None``.  Rows
     that go non-finite are flagged in ``aborted`` and frozen at zero so the
     rest of the batch keeps integrating.  Every ``|x0|`` must be at most
     ``params.init_scale``, as :func:`solve` draws it.
@@ -363,7 +364,12 @@ def _integrate(jm, x0, params, record_every=0):
     euler_step = _EulerStep(jm, x.shape, params)
     check_every = (record_every or params.steps) if euler_step.divergence_sticks else 1
     aborted = np.zeros(len(x), dtype=bool)
-    snaps = [readout(x)] if record_every else []
+    if record_every:
+        if trajectory is None:
+            n_samples = len(readout_steps(params.steps, record_every))
+            trajectory = np.empty((len(x), n_samples, x.shape[1]), dtype=np.int8)
+        trajectory[:, 0] = readout(x)
+        sample = 1
     # overflow is the divergence signal, caught via isfinite below; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -379,8 +385,9 @@ def _integrate(jm, x0, params, record_every=0):
                 # x_sq is stale and e = 1 may lie below the window's bound
                 euler_step.restart()
             if record_every and (k % record_every == 0 or last):
-                snaps.append(readout(x))
-    return x, aborted, np.stack(snaps) if snaps else None
+                trajectory[:, sample] = readout(x)
+                sample += 1
+    return x, aborted, trajectory
 
 
 def solve(j, params: CimParams, master_seed: int, record_every: int = 0) -> np.recarray:
@@ -398,13 +405,17 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0) -> np.r
     jm = _coupling_matrix(j)
     dim = jm.shape[0]
     x0 = uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim)
-    x, aborted, snaps = _integrate(jm, x0, params, record_every)
     fields = [("spins", np.int8, (dim,)), ("aborted", np.bool_)]
-    columns = [readout(x), aborted]
-    if snaps is not None:
-        fields.append(("trajectory", np.int8, (len(snaps), dim)))
-        columns.append(snaps.transpose(1, 0, 2))
-    return np.rec.fromarrays(columns, dtype=fields)
+    if record_every:
+        n_samples = len(readout_steps(params.steps, record_every))
+        fields.append(("trajectory", np.int8, (n_samples, dim)))
+    anneals = np.recarray(params.n_anneals, dtype=fields)
+    # the readouts go straight into the records' trajectory field
+    x, anneals.aborted, _ = _integrate(
+        jm, x0, params, record_every, anneals.trajectory if record_every else None
+    )
+    anneals.spins = readout(x)
+    return anneals
 
 
 def write_trajectory_csv(steps, trajectory, j, params: CimParams, path) -> None:

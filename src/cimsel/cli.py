@@ -184,6 +184,22 @@ def _write_table(path: Path, header: str, lines) -> None:
             fh.write(line + "\n")
 
 
+def _write_plot_data(out: Path, summaries, axis: str) -> None:
+    """The ``--plot-data`` tables: ``E_rho`` and ``P_c`` against ``axis``,
+    ``lambda`` for a sweep or ``step`` for a trace, whose methods share one
+    ``P_c`` per step."""
+    sweep = axis == "lambda"
+    key = (lambda s: repr(s.lam)) if sweep else (lambda s: str(s.step))
+    _write_table(out / f"plot_{axis}_e.csv", f"{axis},method,e_rho",
+                 (f"{key(s)},{s.method},{s.e_rho!r}" for s in summaries))
+    if sweep:
+        pc_lines = (f"{key(s)},{s.method},{s.p_c!r}" for s in summaries)
+    else:
+        pc_lines = (f"{key(s)},{s.p_c!r}" for s in summaries if s.method == "cim_best")
+    _write_table(out / f"plot_{axis}_pc.csv", f"{axis},method,p_c" if sweep else "step,p_c",
+                 pc_lines)
+
+
 def _finish_harness(args, cfg: dict, plan: bench.ExperimentPlan, out: Path, result) -> int:
     """Shared tail of ``sweep``/``trace``/``compare``: write ``run.log`` and
     ``run_config.json``, and exit 4 when every instance failed."""
@@ -302,10 +318,7 @@ def cmd_sweep(args) -> int:
     bench.write_metric_rows(result.rows, out / "results.csv")
     bench.write_summary_json(summaries, out / "summary.json")
     if args.plot_data:
-        _write_table(out / "plot_lambda_e.csv", "lambda,method,e_rho",
-                     (f"{s.lam!r},{s.method},{s.e_rho!r}" for s in summaries))
-        _write_table(out / "plot_lambda_pc.csv", "lambda,method,p_c",
-                     (f"{s.lam!r},{s.method},{s.p_c!r}" for s in summaries))
+        _write_plot_data(out, summaries, "lambda")
     if args.command == "sweep":
         print(f"swept {len(plan.lambdas)} penalty weights over {len(result.records)} "
               f"instances -> {out}")
@@ -330,12 +343,9 @@ def cmd_trace(args) -> int:
     bench.write_metric_rows(result.rows, out / "trace.csv")
     bench.write_trace_summary_json(result, out / "trace_summary.json")
     if args.plot_data:
-        _write_table(out / "plot_step_e.csv", "step,method,e_rho",
-                     (f"{s.step},{method},{value!r}" for s in result.step_summaries
-                      for method, value in (("cim_best", s.e_rho_best), ("cim_avg", s.e_rho_avg))))
-        _write_table(out / "plot_step_pc.csv", "step,p_c",
-                     (f"{s.step},{s.p_c!r}" for s in result.step_summaries))
-    print(f"traced {len(result.step_summaries)} sampled steps at lambda={result.lam} -> {out}")
+        _write_plot_data(out, result.summaries, "step")
+    n_steps = len({s.step for s in result.summaries})
+    print(f"traced {n_steps} sampled steps at lambda={plan.lambdas[0]} -> {out}")
     return _finish_harness(args, cfg, plan, out, result)
 
 

@@ -187,7 +187,7 @@ class EveryPassStep(_EulerStep):
 def every_step_integrate(jm, x0, params, record_every=0, internals=None):
     """The integrator as it was before it skipped work: every pass of the
     step (``EveryPassStep``) and the finiteness check after every step.
-    Returns ``(x, aborted, snaps)`` like ``cim._integrate``.  An
+    Returns ``(x, aborted, trajectory)`` like ``cim._integrate``.  An
     ``internals`` dict gets the final error variables under ``"e"`` and the
     steps on which the floor and the clamp changed a value under
     ``"floor"`` and ``"clamp"``."""
@@ -211,7 +211,7 @@ def every_step_integrate(jm, x0, params, record_every=0, internals=None):
                 snaps.append(readout(x))
     if internals is not None:
         internals.update(e=e, floor=euler_step.floored, clamp=euler_step.clamped)
-    return x, aborted, np.stack(snaps) if snaps else None
+    return x, aborted, np.stack(snaps, axis=1) if snaps else None
 
 
 def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):

@@ -197,18 +197,21 @@ def test_criterion_5_near_optimality(acceptance, grid_sweep, lambda_star):
 
 def test_criterion_6_steady_state(acceptance, star_trace, lambda_star):
     _, trace = star_trace
-    rows = trace.step_summaries
-    by_step = {s.step: s for s in rows}
+    # (method, summary field) of each metric along the trace
+    metrics = {"e_rho_best": ("cim_best", "e_rho"), "e_rho_avg": ("cim_avg", "e_rho"),
+               "p_c": ("cim_best", "p_c")}
 
     def spans(metric):
-        tail = [getattr(by_step[k], metric) for k in sorted(by_step) if k >= 900]
-        final = getattr(by_step[1000], metric)
-        mid = getattr(by_step[500], metric)
+        method, field = metrics[metric]
+        by_step = {s.step: getattr(s, field) for s in trace.summaries if s.method == method}
+        tail = [by_step[k] for k in sorted(by_step) if k >= 900]
+        final = by_step[1000]
+        mid = by_step[500]
         late = (max(tail) - min(tail)) / abs(final)
         settle = abs(final - mid) / abs(final)
         return late, settle
 
-    results = {m: spans(m) for m in ("e_rho_best", "e_rho_avg", "p_c")}
+    results = {m: spans(m) for m in metrics}
     ok = all(late < 0.01 and settle < 0.05 for late, settle in results.values())
     detail = "; ".join(
         f"{m}: last-100-steps {100 * late:.3f}%, step-500 {100 * settle:.3f}%"

@@ -12,8 +12,8 @@ from cimsel.bench import (
     DominanceError,
     ExperimentPlan,
     InstanceRecord,
+    HarnessResult,
     MethodSummary,
-    SweepResult,
     instance_channel_seed,
     run_instance,
     summarize_comparison,
@@ -294,10 +294,13 @@ class TestTimeTrace:
         plan = small_plan(lambdas=(0.7,), n_instances=3, trace_stride=50,
                           cim=CimParams(steps=200, n_anneals=10))
         result = time_trace(plan)
-        assert result.lam == 0.7
+        assert result.plan == plan
         expected_steps = [0, 50, 100, 150, 200]
-        assert [s.step for s in result.step_summaries] == expected_steps
-        # one best and one avg row per instance per sampled step
+        # one best and one avg summary per sampled step, one row of each per
+        # instance per sampled step
+        assert [(s.lam, s.step, s.method) for s in result.summaries] == [
+            (0.7, step, method) for step in expected_steps for method in ("cim_best", "cim_avg")
+        ]
         assert len(result.rows) == 3 * len(expected_steps) * 2
 
     def test_two_weight_plan_rejected_before_any_instance(self, monkeypatch):
@@ -327,7 +330,7 @@ class TestTimeTrace:
             cim=CimParams(steps=100, n_anneals=100),
         )
         result = time_trace(plan)
-        p0 = result.step_summaries[0].p_c
+        p0 = result.summaries[0].p_c
         n_samples = 20 * 100
         sigma = np.sqrt(exact * (1 - exact) / n_samples)
         assert abs(p0 - exact) < 5 * sigma
@@ -336,8 +339,7 @@ class TestTimeTrace:
         plan = small_plan(lambdas=(0.8,), n_instances=10, trace_stride=100,
                           cim=CimParams(steps=1000, n_anneals=30))
         result = time_trace(plan)
-        tail = [s for s in result.step_summaries if s.step >= 800]
-        e_vals = [s.e_rho_best for s in tail]
+        e_vals = [s.e_rho for s in result.summaries if s.method == "cim_best" and s.step >= 800]
         assert (max(e_vals) - min(e_vals)) / abs(e_vals[-1]) < 0.05
 
 
@@ -407,7 +409,8 @@ def _hand_sweep(best, avg, es):
         instance_id=3, channel_seed=0, es_objective=es,
         nsa_objective=1.0, rs_objective=1.0, cim={0.5: res},
     )
-    return SweepResult(rows=[], summaries=[], records=[record], failures=[])
+    plan = ExperimentPlan(config=CFG222)
+    return HarnessResult(plan=plan, rows=[], summaries=[], records=[record], failures=[])
 
 
 class TestDominanceChecks:
@@ -464,7 +467,7 @@ class TestWriters:
     def test_nan_becomes_null(self, tmp_path):
         import json
 
-        rows = [MethodSummary(method="cim_avg_raw", lam=0.1, e_rho=float("nan"),
+        rows = [MethodSummary(method="cim_avg_raw", lam=0.1, step=1000, e_rho=float("nan"),
                               p_c=0.0, stderr=0.0, n=0)]
         path = tmp_path / "summary.json"
         write_summary_json(rows, path)

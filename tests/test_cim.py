@@ -393,12 +393,13 @@ class TestReferenceEquivalence:
         inst = compile_instance(generate_channel(MimoConfig(*dims), seed=3), lam)
         params = CimParams(n_anneals=200)
         x0 = substream(9).uniform(-params.init_scale, params.init_scale, (200, inst.dim))
-        x, aborted, snaps = _integrate(inst.j, x0, params, record_every=10)
+        x, aborted, trajectory = _integrate(inst.j, x0, params, record_every=10)
         ref_x, ref_aborted, ref_snaps, ref_steps = reference_integrate(inst.j, x0, params, 10)
         assert inst.dim in (9, 33)
         assert np.max(np.abs(x - ref_x)) <= 1e-12
         assert np.array_equal(readout_steps(params.steps, 10), ref_steps)
-        assert np.array_equal(snaps, np.where(ref_snaps >= 0.0, 1, -1))
+        # the trajectory is anneal-major, the reference's snapshots step-major
+        assert np.array_equal(trajectory, np.where(ref_snaps >= 0.0, 1, -1).transpose(1, 0, 2))
         assert np.array_equal(aborted, ref_aborted) and not aborted.any()
 
     def test_aborted_mask(self):

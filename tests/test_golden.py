@@ -61,6 +61,40 @@ def test_output_digests(name, tmp_path):
     assert got == digests
 
 
+# the --plot-data tables of the plans above: keyed by the plan's name
+PLOT_DATA = {
+    "sweep": {
+        "plot_lambda_e.csv":
+            "abcd445f23ab6f780ee5a27130487fd7e3acad83555cc0756998d0d639056449",
+        "plot_lambda_pc.csv":
+            "ca8c9b08a8453749cb2bde5ee8115686711e2fee165d1d2b34ea40095d2d0fb4",
+    },
+    "trace": {
+        "plot_step_e.csv":
+            "a02340ab2dde7e0e163f9f47b3d86eab7394ab93ad7f482e79104ed760e3f41b",
+        "plot_step_pc.csv":
+            "2979cabb9b5c00e8a83294c0310a0d8a0d6fb5c4c2b0753204c8ff73b70f334f",
+    },
+    "compare": {
+        "plot_lambda_e.csv":
+            "9f5847ae40b42de5805359d27487a9b15703276efb09c51073c78479ebe41dde",
+        "plot_lambda_pc.csv":
+            "48769ffbd88cc86afc95ae986113f8a860dff7befa30a6d9ebf26c5e08957f8c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_DATA))
+def test_plot_data_digests(name, tmp_path):
+    argv, digests = GOLDEN[name]
+    out = tmp_path / name
+    assert cli.main(argv + ["--workers", "1", "--out", str(out), "--plot-data"]) == 0
+    # the plot tables are extra files: the pinned outputs stay as they are
+    assert {fname: _sha256(out / fname) for fname in digests} == digests
+    got = {path.name: _sha256(path) for path in out.glob("plot_*.csv")}
+    assert got == PLOT_DATA[name]
+
+
 # single-file outputs of one fixed generated channel: ``channel`` and
 # ``target`` are the channel file and the path the command writes
 SINGLE_FILE = {
