@@ -12,6 +12,8 @@ over ``(penalty weight, step)`` samples.  One path serves both paper
 figures: a penalty-weight sweep samples each weight once, at the final
 readout, and a time trace samples its one weight at every recorded readout;
 the same rows, summaries, result type and writers come out of either.
+Each readout is decoded and scored as the solver takes it, so a trace
+keeps a score and a feasibility bit per (anneal, sample), not the readouts.
 
 Scoring rules
 -------------
@@ -195,6 +197,40 @@ class HarnessResult:
     failures: list[str]
 
 
+class _ReadoutScorer:
+    """Decode and score each readout of a solve as it arrives.
+
+    Called with sample ``s``'s ``(n_anneals, dim)`` readout, it fills column
+    ``s`` of ``scores`` (the raw score of each anneal's decoded readout)
+    and ``feasible`` (whether it decodes feasible).  Only rows that differ
+    from their anneal's previous readout are decoded and scored; ``states``
+    keeps each anneal's latest decode.  Everything is allocated at the
+    first readout, which a one-sample solve hands over only after the
+    integrator's work buffers are freed, so it adds nothing to their peak.
+    """
+
+    def __init__(self, g: ChannelMatrix, n_samples: int):
+        self.g, self.n_samples = g, n_samples
+        self.sample = 0
+        self.latest = None
+
+    def __call__(self, spins: np.ndarray) -> None:
+        g, s = self.g, self.sample
+        if self.latest is None:
+            self.scores = np.empty((len(spins), self.n_samples))
+            self.feasible = np.empty((len(spins), self.n_samples), dtype=bool)
+            self.ok, self.states = decode_states(spins, g.config)
+            self.raw = score_states(g, self.states)
+        else:
+            changed = (spins != self.latest).any(axis=1)
+            if changed.any():
+                self.ok[changed], self.states[changed] = decode_states(spins[changed], g.config)
+                self.raw[changed] = score_states(g, self.states[changed])
+        self.latest = spins
+        self.scores[:, s], self.feasible[:, s] = self.raw, self.ok
+        self.sample = s + 1
+
+
 def run_instance(
     g: ChannelMatrix,
     lam: float,
@@ -208,34 +244,29 @@ def run_instance(
     and the fallback draw are derived from it, so results are independent
     of scheduling and of the other penalty weights being swept.
 
-    Scoring works on one ``(n_anneals, n_samples)`` readout table: the final
-    readout alone, or the recorded trajectory, whose last sample is that same
-    readout.  Trace arrays reduce the table over anneals; the final-readout
-    fields come from its last column, so they do not depend on
-    ``record_every``.  Only readouts that differ from their anneal's previous
-    sample are decoded and scored; the others reuse that result.
+    Readouts are scored as the solver takes them (:class:`_ReadoutScorer`)
+    into one ``(n_anneals, n_samples)`` score matrix and one feasibility
+    matrix: the final readout alone, or every recorded sample, whose last is
+    that same readout; no readout table is kept.  Trace arrays reduce the
+    matrices over anneals; the final-readout fields come from their last
+    column, so they do not depend on ``record_every``.  Aborts and the
+    fallback are applied once the solve has ended, so an aborted anneal
+    falls back at every sample.
     """
     config = g.config
     inst = compile_instance(g, lam)
-    anneals = solve(inst, cim_params, cim_master_seed(seed), record_every=record_every)
-    aborted = anneals.aborted
-    table = anneals.trajectory if record_every else anneals.spins[:, None, :]
-    n_anneals, n_samples = table.shape[:2]
+    n_samples = len(readout_steps(cim_params.steps, record_every)) if record_every else 1
+    scorer = _ReadoutScorer(g, n_samples)
+    anneals = solve(inst, cim_params, cim_master_seed(seed), record_every, on_readout=scorer)
+    aborted, scores, feasible = anneals.aborted, scorer.scores, scorer.feasible
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
-    # a sample equal to its anneal's previous one decodes and scores the
-    # same, so decode each changed readout once; ``first`` maps every sample
-    # to the row of its changed readout in the anneal-major table
-    changed = np.ones((n_anneals, n_samples), dtype=bool)
-    changed[:, 1:] = (table[:, 1:] != table[:, :-1]).any(axis=2)
-    first = (np.cumsum(changed) - 1).reshape(n_anneals, n_samples)
-    feasible, states = decode_states(table[changed], config)
-    feasible = feasible[first] & ~aborted[:, None]
-    scores = np.where(feasible, score_states(g, states)[first], fallback.objective)
+    feasible &= ~aborted[:, None]
+    np.copyto(scores, fallback.objective, where=~feasible)
 
     final, final_feasible = scores[:, -1], feasible[:, -1]
     k_best = int(np.argmax(final))
     if final_feasible[k_best]:
-        best_states = states[first[k_best, -1]]
+        best_states = scorer.states[k_best]
         best_assignment = ConfigAssignment(
             tx=tuple(best_states[: config.n_t]), rx=tuple(best_states[config.n_t :])
         )
@@ -252,7 +283,7 @@ def run_instance(
         avg_raw=float(final[final_feasible].mean()) if n_feasible else float("nan"),
         p_c=float(final_feasible.mean()),
         n_feasible=n_feasible,
-        n_anneals=n_anneals,
+        n_anneals=len(anneals),
         n_aborted=int(aborted.sum()),
     )
     if record_every:

@@ -72,6 +72,9 @@ Notes on the numerics:
   check runs only at readout steps (:func:`readout_steps`) and the final
   step.  Otherwise it runs after every step.  The argument is in
   :func:`_integrate`; the abort flags and readouts are the same either way.
+* Sampled readouts leave the integrator through one ``on_readout``
+  callback, which also fills :func:`solve`'s ``trajectory`` field, so a
+  caller that scores them as they arrive keeps no readout table.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ import ctypes
 import functools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,15 +333,18 @@ def readout_steps(steps: int, record_every: int) -> np.ndarray:
     return np.append(np.arange(0, steps, record_every, dtype=np.int64), np.int64(steps))
 
 
-def _integrate(jm, x0, params, record_every=0, trajectory=None):
+def _integrate(jm, x0, params, record_every=0, on_readout=None):
     """Integrate a batch of anneals (rows of ``x0``) for ``params.steps`` steps.
 
-    Returns ``(x, aborted, trajectory)``.  With ``record_every > 0`` the
-    sign readouts taken at the :func:`readout_steps` are written into
-    ``trajectory``, an anneal-major ``(n_anneals, n_samples, dim)`` int8
-    array (allocated when not given); else it is ``None``.  Rows
+    Returns ``(x, aborted)``.  ``on_readout``, when given, is called with
+    each sampled sign readout, a fresh ``(n_anneals, dim)`` int8 array the
+    callee may keep: at every :func:`readout_steps` step with
+    ``record_every > 0``, else once with the final readout.  The final
+    readout is handed over only after the kernel's work buffers and ``e``
+    are released, so scoring it adds nothing to the kernel's peak.  Rows
     that go non-finite are flagged in ``aborted`` and frozen at zero so the
-    rest of the batch keeps integrating.  Every ``|x0|`` must be at most
+    rest of the batch keeps integrating; they read out as +1 from the
+    sample at which they are flagged.  Every ``|x0|`` must be at most
     ``params.init_scale``, as :func:`solve` draws it.
 
     When the kernel's ``divergence_sticks`` holds, the finiteness check runs
@@ -363,13 +370,10 @@ def _integrate(jm, x0, params, record_every=0, trajectory=None):
     e = np.ones_like(x)
     euler_step = _EulerStep(jm, x.shape, params)
     check_every = (record_every or params.steps) if euler_step.divergence_sticks else 1
+    sample_every = record_every if on_readout is not None else 0
     aborted = np.zeros(len(x), dtype=bool)
-    if record_every:
-        if trajectory is None:
-            n_samples = len(readout_steps(params.steps, record_every))
-            trajectory = np.empty((len(x), n_samples, x.shape[1]), dtype=np.int8)
-        trajectory[:, 0] = readout(x)
-        sample = 1
+    if sample_every:
+        on_readout(readout(x))
     # overflow is the divergence signal, caught via isfinite below; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -384,13 +388,16 @@ def _integrate(jm, x0, params, record_every=0, trajectory=None):
                 e[bad] = 1.0
                 # x_sq is stale and e = 1 may lie below the window's bound
                 euler_step.restart()
-            if record_every and (k % record_every == 0 or last):
-                trajectory[:, sample] = readout(x)
-                sample += 1
-    return x, aborted, trajectory
+            if sample_every and k % sample_every == 0 and not last:
+                on_readout(readout(x))
+    del euler_step, e
+    if on_readout is not None:
+        on_readout(readout(x))
+    return x, aborted
 
 
-def solve(j, params: CimParams, master_seed: int, record_every: int = 0) -> np.recarray:
+def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
+          on_readout: Callable[[np.ndarray], object] | None = None) -> np.recarray:
     """Run ``params.n_anneals`` independent anneals; one record per anneal.
 
     Anneal ``k`` draws its initialisation from the stream
@@ -398,22 +405,33 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0) -> np.r
     a pure function of ``(j, params, master_seed)``.  The batch is
     integrated as one vectorised system.  Each record holds the final
     readout ``spins`` (``dim`` int8 signs) and ``aborted``, set where the
-    anneal diverged instead of dropping it; with ``record_every > 0`` also
-    ``trajectory``, the readouts at :func:`readout_steps` (``(S, dim)``
-    int8).  Columns such as ``solve(...).spins`` are whole-batch arrays.
+    anneal diverged instead of dropping it.  Columns such as
+    ``solve(...).spins`` are whole-batch arrays.
+
+    ``on_readout(spins)``, when given, sees each ``(n_anneals, dim)`` int8
+    readout as the integrator takes it: at every :func:`readout_steps`
+    step with ``record_every > 0``, else the final one only; an aborted
+    anneal reads all +1 from its abort on.  Without a hook,
+    ``record_every > 0`` records those readouts in the field
+    ``trajectory`` (``(S, dim)`` int8 per record) through the same path.
     """
     jm = _coupling_matrix(j)
     dim = jm.shape[0]
     x0 = uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim)
     fields = [("spins", np.int8, (dim,)), ("aborted", np.bool_)]
-    if record_every:
+    recording = record_every and on_readout is None
+    if recording:
         n_samples = len(readout_steps(params.steps, record_every))
         fields.append(("trajectory", np.int8, (n_samples, dim)))
     anneals = np.recarray(params.n_anneals, dtype=fields)
-    # the readouts go straight into the records' trajectory field
-    x, anneals.aborted, _ = _integrate(
-        jm, x0, params, record_every, anneals.trajectory if record_every else None
-    )
+    if recording:
+        # each readout goes straight into its sample of the trajectory field
+        samples = iter(anneals.trajectory.swapaxes(0, 1))
+
+        def on_readout(spins):
+            np.copyto(next(samples), spins)
+
+    x, anneals.aborted = _integrate(jm, x0, params, record_every, on_readout)
     anneals.spins = readout(x)
     return anneals
 

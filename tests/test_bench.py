@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,23 +159,51 @@ class TestRunInstance:
         assert traced.trace_best[-1] == traced.best
         assert traced.trace_pc[-1] == traced.p_c
 
-    @pytest.mark.parametrize("lam", [0.5, 0.7])
-    def test_decode_once_matches_decoding_every_readout(self, lam):
-        # the error variables overflow near step 835: at 0.5, 34 of 40
-        # anneals abort and none ends feasible, so the fallback stands in;
-        # at 0.7, 11 abort and 29 end feasible
-        params = CimParams(beta=-1.0, dt=0.015, steps=835, n_anneals=40)
+    # the error variables overflow near step 835: at 0.5, 34 of 40
+    # anneals abort and none ends feasible, so the fallback stands in;
+    # at 0.7, 11 abort and 29 end feasible
+    ABORTING = CimParams(beta=-1.0, dt=0.015, steps=835, n_anneals=40)
+
+    @pytest.mark.parametrize("lam,params", [
+        pytest.param(0.5, ABORTING, id="0.5"),
+        pytest.param(0.7, ABORTING, id="0.7"),
+        # every anneal ends feasible, 2 of 40 start so
+        pytest.param(0.9, FAST_CIM, id="0.9-all-feasible"),
+    ])
+    def test_decode_once_matches_decoding_every_readout(self, lam, params):
         g = generate_channel(CFG222, seed=5)
-        got = run_instance(g, lam, params, seed=7, record_every=10)
-        want = decode_every_readout(g, lam, params, 7, 10)
-        assert 0 < got.n_aborted < params.n_anneals
-        assert got.n_aborted == want["n_aborted"]
-        assert want["trace_pc"].min() < 1.0  # some readouts fall back
-        for name in ("trace_steps", "trace_best", "trace_avg", "trace_pc"):
-            a, b = getattr(got, name), want[name]
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        for name in ("p_c", "best", "best_assignment"):
-            assert getattr(got, name) == want[name], name
+        # every step, a stride that does not divide the steps, the default
+        # trace stride, and one past the final step (two samples)
+        for stride in (1, 7, 10, params.steps + 1):
+            got = run_instance(g, lam, params, seed=7, record_every=stride)
+            want = decode_every_readout(g, lam, params, 7, stride)
+            assert got.n_aborted == want["n_aborted"]
+            assert want["trace_pc"].min() < 1.0  # some readouts fall back
+            for name in ("trace_steps", "trace_best", "trace_avg", "trace_pc"):
+                a, b = getattr(got, name), want[name]
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, stride)
+            for name in ("p_c", "best", "best_assignment"):
+                assert getattr(got, name) == want[name], (name, stride)
+        if params is self.ABORTING:
+            assert 0 < got.n_aborted < params.n_anneals
+        else:
+            assert got.p_c == 1.0 and got.n_aborted == 0
+
+    def test_trace_holds_no_readout_table(self):
+        # a stride-1 trace keeps one (anneals, samples) score and
+        # feasibility matrix, 9 bytes per readout, and no int8 readout
+        # table, (anneals, samples, dim) bytes, nor any temporary that large
+        params = CimParams(steps=500, n_anneals=200)
+        g = generate_channel(MimoConfig(4, 4, 4), seed=3)
+        table_bytes = params.n_anneals * (params.steps + 1) * 33
+        tracemalloc.start()
+        try:
+            res = run_instance(g, 0.7, params, seed=1, record_every=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace_steps) == params.steps + 1
+        assert peak < table_bytes
 
     def test_determinism_and_weight_pairing(self):
         g = generate_channel(CFG222, seed=7)

@@ -22,6 +22,19 @@ from oracles import every_step_integrate, reference_integrate
 FERRO2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def _recorded_integrate(jm, x0, params, record_every=0):
+    """``_integrate`` with the readouts its hook sees stacked anneal-major:
+    ``(x, aborted, trajectory)``, as ``oracles.every_step_integrate``
+    returns them; ``trajectory`` is ``None`` without ``record_every``, when
+    the hook sees the final readout alone."""
+    readouts = []
+    x, aborted = _integrate(jm, x0, params, record_every, readouts.append)
+    if not record_every:
+        assert len(readouts) == 1 and readouts[0].tobytes() == readout(x).tobytes()
+        return x, aborted, None
+    return x, aborted, np.stack(readouts, axis=1)
+
+
 class TestCimParams:
     def test_defaults(self):
         p = CimParams()
@@ -279,8 +292,8 @@ class TestSaturationAndGauge:
     def test_flip_of_initialisation_flips_readout(self):
         params = CimParams(steps=400)
         x0 = substream(5).uniform(-0.01, 0.01, (1, 2))
-        xa, _, _ = _integrate(FERRO2, x0, params)
-        xb, _, _ = _integrate(FERRO2, -x0, params)
+        xa, _ = _integrate(FERRO2, x0, params)
+        xb, _ = _integrate(FERRO2, -x0, params)
         sa, sb = readout(xa[0]), readout(xb[0])
         assert np.array_equal(sa, -sb)
         assert ising_energy(FERRO2, sa) == ising_energy(FERRO2, sb)
@@ -314,7 +327,7 @@ class TestSolve:
         batch = solve(FERRO2, params, master_seed=23)
         for k, anneal in enumerate(batch):
             x0 = substream(23, k).uniform(-params.init_scale, params.init_scale, (1, 2))
-            x, aborted, _ = _integrate(FERRO2, x0, params)
+            x, aborted = _integrate(FERRO2, x0, params)
             assert np.array_equal(anneal.spins, readout(x[0]))
             assert ising_energy(FERRO2, anneal.spins) == ising_energy(FERRO2, readout(x[0]))
             assert not aborted[0]
@@ -371,6 +384,67 @@ class TestSolve:
         assert solve(FERRO2, params, master_seed=0).dtype.names == ("spins", "aborted")
 
 
+def _hook_plans():
+    inst = compile_instance(generate_channel(MimoConfig(2, 2, 2), seed=3), 0.8)
+    yield "dim9", inst.j, CimParams(steps=200, n_anneals=50)
+    # not sticky, checked after every step: all 4 anneals abort at step 154
+    yield "dt50-zero-j", np.zeros((2, 2)), CimParams(dt=50.0, steps=300, n_anneals=4)
+    # sticky, checked at readout steps only: 38 of 40 anneals abort from step 824 on
+    inst_05 = compile_instance(generate_channel(MimoConfig(2, 2, 2), seed=5), 0.5)
+    yield "sticky-negative-beta", inst_05.j, CimParams(beta=-1.0, dt=0.015, steps=835,
+                                                       n_anneals=40)
+
+
+HOOK_PLANS = {name: case for name, *case in _hook_plans()}
+
+
+class TestReadoutHook:
+    """``solve``'s ``on_readout`` hook: the readouts its ``trajectory`` field
+    records, handed over one sample at a time."""
+
+    @pytest.mark.parametrize("record_every", [1, 7, 100, 1000])
+    @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
+    def test_readouts_are_the_recorded_trajectory(self, name, record_every):
+        jm, params = HOOK_PLANS[name]
+        readouts = []
+        hooked = solve(jm, params, 5, record_every, on_readout=readouts.append)
+        recorded = solve(jm, params, 5, record_every)
+        assert hooked.dtype.names == ("spins", "aborted")
+        assert len(readouts) == len(readout_steps(params.steps, record_every))
+        assert all(r.dtype == np.int8 and r.shape == hooked.spins.shape for r in readouts)
+        assert np.stack(readouts, axis=1).tobytes() == recorded.trajectory.tobytes()
+        assert readouts[-1].tobytes() == hooked.spins.tobytes() == recorded.spins.tobytes()
+        assert hooked.aborted.tolist() == recorded.aborted.tolist()
+
+    @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
+    def test_final_readout_only_without_record_every(self, name):
+        jm, params = HOOK_PLANS[name]
+        readouts = []
+        hooked = solve(jm, params, 5, on_readout=readouts.append)
+        assert len(readouts) == 1
+        assert readouts[0].tobytes() == hooked.spins.tobytes()
+        assert readouts[0].tobytes() == solve(jm, params, 5).spins.tobytes()
+
+    @pytest.mark.parametrize("name,record_every", [("dt50-zero-j", 1), ("dt50-zero-j", 7),
+                                                   ("sticky-negative-beta", 50)])
+    def test_aborted_rows_read_plus_one_from_their_flag(self, name, record_every):
+        # a run cut at a sample's step flags exactly the anneals the full
+        # run has flagged by that sample
+        jm, params = HOOK_PLANS[name]
+        readouts = []
+        anneals = solve(jm, params, 5, record_every, on_readout=readouts.append)
+        steps = readout_steps(params.steps, record_every)
+        flagged = [solve(jm, replace(params, steps=int(k)), 5).aborted if k else
+                   np.zeros(params.n_anneals, dtype=bool) for k in steps]
+        assert flagged[-1].tolist() == anneals.aborted.tolist()
+        assert anneals.aborted.any() and not flagged[0].any()
+        for spins, mask in zip(readouts, flagged):
+            assert (spins[mask] == 1).all()
+        # before their flag, aborting anneals read -1 somewhere
+        assert any((spins[~mask & anneals.aborted] == -1).any()
+                   for spins, mask in zip(readouts, flagged))
+
+
 class TestReadout:
     def test_bytes_match_sign_rule(self):
         x = np.array([[1.5, -2.0, 0.0, -0.0], [np.nan, np.inf, -np.inf, 1e-300]])
@@ -393,7 +467,7 @@ class TestReferenceEquivalence:
         inst = compile_instance(generate_channel(MimoConfig(*dims), seed=3), lam)
         params = CimParams(n_anneals=200)
         x0 = substream(9).uniform(-params.init_scale, params.init_scale, (200, inst.dim))
-        x, aborted, trajectory = _integrate(inst.j, x0, params, record_every=10)
+        x, aborted, trajectory = _recorded_integrate(inst.j, x0, params, record_every=10)
         ref_x, ref_aborted, ref_snaps, ref_steps = reference_integrate(inst.j, x0, params, 10)
         assert inst.dim in (9, 33)
         assert np.max(np.abs(x - ref_x)) <= 1e-12
@@ -410,7 +484,7 @@ class TestReferenceEquivalence:
         x0 = substream(0).uniform(-0.01, 0.01, (4, 2))
         x0[1] = 0.0
         for jm, expected in ((np.zeros((2, 2)), [True] * 4), (FERRO2, [False, True, False, False])):
-            x, aborted, _ = _integrate(jm, x0, params)
+            x, aborted = _integrate(jm, x0, params)
             ref_x, ref_aborted, _, _ = reference_integrate(jm, x0, params, 10)
             assert aborted.tolist() == ref_aborted.tolist() == expected
             assert np.max(np.abs(x - ref_x)) <= 1e-12
@@ -529,7 +603,7 @@ class TestCheckSchedule:
     @pytest.mark.parametrize("name", sorted(CHECK_CASES))
     def test_byte_equal_to_every_step_check(self, name, record_every, kernel_e):
         jm, x0, params = CHECK_CASES[name]
-        got = _integrate(jm, x0, params, record_every)
+        got = _recorded_integrate(jm, x0, params, record_every)
         internals = {}
         want = every_step_integrate(jm, x0, params, record_every, internals)
         for a, b in zip(got, want):
@@ -566,7 +640,7 @@ class TestCheckSchedule:
 
         monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
         jm, x0, params = CHECK_CASES["abort-in-window"]
-        _, aborted, _ = _integrate(jm, x0, params, record_every=10)
+        _, aborted = _integrate(jm, x0, params, record_every=10)
         # after the first reset every e is at least 1, and the window still
         # spans the 30 steps that e = 1 takes to decay to the floor at
         # c_e = 0.4: only the restart keeps the reset rows' e at the floor
@@ -590,7 +664,7 @@ class TestCheckSchedule:
     def test_sticky_cases_abort_mid_run(self, name):
         jm, x0, params = CHECK_CASES[name]
         assert _EulerStep(jm, x0.shape, params).divergence_sticks
-        _, aborted, _ = _integrate(jm, x0, params)
+        _, aborted = _integrate(jm, x0, params)
         _, aborted_early, _ = every_step_integrate(jm, x0, replace(params, steps=600))
         assert aborted.any() and not aborted_early.any()
 
