@@ -48,7 +48,7 @@ for name, res in (("exhaustive", es), ("norm-based", norm), ("random", rand)):
     print(f"{name:<18}{res.objective:>10.4f}  {res.evaluations:>12}  "
           f"tx={res.assignment.tx} rx={res.assignment.rx}")
 
-print(f"\nexhaustive search scanned {config.n_states}^{config.n_antennas} "
+print(f"\nexhaustive search decided among {config.n_states}^{config.n_antennas} "
       f"= {es.evaluations} combinations")
 print(f"norm-based selection used only {norm.evaluations} norm computations "
       f"and reached {norm.objective / es.objective:.1%} of the optimum")

@@ -367,6 +367,9 @@ def _integrate(jm, x0, params, record_every=0, on_readout=None):
     readout either way.
     """
     x = np.array(x0, dtype=float, copy=True)
+    # a start table handed over (as solve does) is freed here, before the
+    # kernel's buffers are allocated
+    del x0
     e = np.ones_like(x)
     euler_step = _EulerStep(jm, x.shape, params)
     check_every = (record_every or params.steps) if euler_step.divergence_sticks else 1
@@ -417,7 +420,6 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     """
     jm = _coupling_matrix(j)
     dim = jm.shape[0]
-    x0 = uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim)
     fields = [("spins", np.int8, (dim,)), ("aborted", np.bool_)]
     recording = record_every and on_readout is None
     if recording:
@@ -431,7 +433,12 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
         def on_readout(spins):
             np.copyto(next(samples), spins)
 
-    x, anneals.aborted = _integrate(jm, x0, params, record_every, on_readout)
+    # no name here keeps the start table: _integrate holds its only
+    # reference and frees it once copied
+    x, anneals.aborted = _integrate(
+        jm, uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim),
+        params, record_every, on_readout,
+    )
     anneals.spins = readout(x)
     return anneals
 

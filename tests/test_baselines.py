@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from cimsel import baselines
 from cimsel.baselines import (
     BudgetExceededError,
     exhaustive_search,
@@ -13,6 +18,41 @@ from cimsel.rng import substream
 from oracles import brute_force_best, channel_from_amplitudes, feasible_assignments
 
 CFG222 = MimoConfig(2, 2, 2)
+
+
+# receive side enumerated: rx (0,) is visited first, but the tie with rx (1,)
+# goes to its smaller tx (0, 0)
+RX_SIDE_TIE = channel_from_amplitudes([[0, 1, 1, 0], [1, 0, 1, 0]], n_t=2, n_r=1, n_states=2)
+# the row sums rank tx (1, 1, 1), rx (1, 1) first; the scorer ranks
+# tx (0, 1, 1), rx (1, 0) level with it, and that tuple is smaller
+NEAR_TIE = channel_from_amplitudes(
+    0.7 * np.array([[1, 1, 2, 0, 1, 2], [0, 1, 1, 3, 1, 2], [3, 2, 0, 0, 2, 3], [0, 2, 2, 2, 1, 3]]),
+    n_t=3, n_r=2, n_states=2,
+)
+
+
+def first_scorer_maximum(g):
+    """``(objective, assignment)`` of the first scorer maximum, by a plain
+    loop over every assignment in lexicographic order."""
+    best_val, best_sel = -np.inf, None
+    for sel in feasible_assignments(g.config):
+        val = objective(g, sel)
+        if val > best_val:
+            best_val, best_sel = val, sel
+    return best_val, best_sel
+
+
+@st.composite
+def tie_prone_channels(draw):
+    """Channels of small-integer amplitudes, which tie exactly, or the same
+    scaled by 0.3 or 0.7, whose gains round so that sums near-tie in the last
+    bits; either side may be the smaller, with 1-3 states per antenna."""
+    n_t, n_r, n_states = (draw(st.integers(1, 3)) for _ in range(3))
+    rows, cols = n_states * n_r, n_states * n_t
+    cells = draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols))
+    scale = draw(st.sampled_from([1.0, 0.3, 0.7]))
+    amps = np.array(cells, dtype=float).reshape(rows, cols) * scale
+    return channel_from_amplitudes(amps, n_t=n_t, n_r=n_r, n_states=n_states)
 
 
 class TestExhaustiveSearch:
@@ -68,6 +108,46 @@ class TestExhaustiveSearch:
         g = channel_from_amplitudes(np.ones((4, 4), dtype=complex), n_t=2, n_r=2, n_states=2)
         result = exhaustive_search(g)
         assert result.assignment == ConfigAssignment(tx=(0, 0), rx=(0, 0))
+
+    @given(g=tie_prone_channels())
+    @example(g=channel_from_amplitudes(np.ones((6, 4)), n_t=2, n_r=3, n_states=2))
+    @example(g=channel_from_amplitudes(np.ones((3, 9)), n_t=3, n_r=1, n_states=3))
+    @example(g=channel_from_amplitudes(np.full((6, 6), 0.3), n_t=2, n_r=2, n_states=3))
+    @example(g=RX_SIDE_TIE)
+    @example(g=NEAR_TIE)
+    def test_equals_first_maximum_of_plain_loop(self, g):
+        best_val, best_sel = first_scorer_maximum(g)
+        result = exhaustive_search(g)
+        assert result.assignment == best_sel
+        assert result.objective == best_val
+        assert result.evaluations == search_space_size(g.config)
+
+    def test_one_combination_per_chunk(self, monkeypatch):
+        # every chunk and every scoring batch holds one row, so ties are
+        # decided across chunks and batches, on either enumerated side
+        monkeypatch.setattr(baselines, "_CHUNK_CELLS", 1)
+        channels = [RX_SIDE_TIE, NEAR_TIE]
+        rng = np.random.default_rng(5)
+        for n_t, n_r in ((1, 3), (2, 2), (3, 1), (3, 2)):
+            for scale in (1.0, 0.7):
+                amps = rng.integers(0, 3, (2 * n_r, 2 * n_t)) * scale
+                channels.append(channel_from_amplitudes(amps, n_t=n_t, n_r=n_r, n_states=2))
+        for g in channels:
+            result = exhaustive_search(g)
+            assert (result.objective, result.assignment) == first_scorer_maximum(g)
+
+    @pytest.mark.parametrize("dims,limit_mb", [((4, 4, 4), 0.5), ((4, 4, 8), 16)])
+    def test_peak_memory(self, dims, limit_mb):
+        # one side's combinations times the other side's row sums, not a
+        # block over every (tx, rx) pair
+        g = generate_channel(MimoConfig(*dims), seed=3)
+        tracemalloc.start()
+        try:
+            exhaustive_search(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
     def test_permutation_of_states(self):
         g = generate_channel(CFG222, seed=12)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -321,6 +322,20 @@ class TestSolve:
         assert np.array_equal(batch[0].trajectory, single.trajectory)
         assert np.array_equal(batch[0].spins, single.spins)
         assert not batch[0].aborted and not single.aborted
+
+    def test_start_table_freed_once_copied(self):
+        # x, e and the kernel's three work buffers are five (anneals, dim)
+        # arrays; the start table must not stay alive beside them
+        inst = compile_instance(generate_channel(MimoConfig(4, 4, 4), seed=3), 0.7)
+        params = CimParams(steps=50, n_anneals=1000)
+        solve(inst, params, master_seed=1)
+        tracemalloc.start()
+        try:
+            solve(inst, params, master_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.75 * params.n_anneals * inst.j.shape[0] * 8
 
     def test_each_anneal_matches_its_derived_stream(self):
         params = CimParams(steps=300, n_anneals=5)
