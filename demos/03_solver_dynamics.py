@@ -54,8 +54,10 @@ print(f"\nfinal readout {spins[0]} -> {decoded if feasible else 'infeasible'}")
 # ---------------------------------------------------------------------------
 # a trajectory: when does the readout settle?
 # ---------------------------------------------------------------------------
-(anneal,) = solve(inst, CimParams(n_anneals=1), master_seed=2, record_every=100)
-flips = (anneal.trajectory[1:] != anneal.trajectory[:-1]).sum(axis=1).tolist()
+readouts = []  # one (1, dim) readout per sample, handed over as it is taken
+solve(inst, CimParams(n_anneals=1), master_seed=2, record_every=100, on_readout=readouts.append)
+trajectory = np.concatenate(readouts)
+flips = (trajectory[1:] != trajectory[:-1]).sum(axis=1).tolist()
 print("\nreadout sign flips between consecutive samples (every 100 steps):", flips)
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,9 @@ Notes on the numerics:
   check runs only at readout steps (:func:`readout_steps`) and the final
   step.  Otherwise it runs after every step.  The argument is in
   :func:`_integrate`; the abort flags and readouts are the same either way.
-* Sampled readouts leave the integrator through one ``on_readout``
-  callback, which also fills :func:`solve`'s ``trajectory`` field, so a
-  caller that scores them as they arrive keeps no readout table.
+* Sampled readouts leave the solver only through its ``on_readout``
+  callback; :func:`solve`'s records hold the final readout alone, so a
+  caller that scores readouts as they arrive keeps no readout table.
 """
 
 from __future__ import annotations
@@ -414,25 +414,15 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     ``on_readout(spins)``, when given, sees each ``(n_anneals, dim)`` int8
     readout as the integrator takes it: at every :func:`readout_steps`
     step with ``record_every > 0``, else the final one only; an aborted
-    anneal reads all +1 from its abort on.  Without a hook,
-    ``record_every > 0`` records those readouts in the field
-    ``trajectory`` (``(S, dim)`` int8 per record) through the same path.
+    anneal reads all +1 from its abort on.  The hook is the only way
+    sampled readouts leave the solver, so ``record_every > 0`` without it
+    raises ``ValueError``.
     """
+    if record_every and on_readout is None:
+        raise ValueError("record_every > 0 needs an on_readout hook to take its readouts")
     jm = _coupling_matrix(j)
     dim = jm.shape[0]
-    fields = [("spins", np.int8, (dim,)), ("aborted", np.bool_)]
-    recording = record_every and on_readout is None
-    if recording:
-        n_samples = len(readout_steps(params.steps, record_every))
-        fields.append(("trajectory", np.int8, (n_samples, dim)))
-    anneals = np.recarray(params.n_anneals, dtype=fields)
-    if recording:
-        # each readout goes straight into its sample of the trajectory field
-        samples = iter(anneals.trajectory.swapaxes(0, 1))
-
-        def on_readout(spins):
-            np.copyto(next(samples), spins)
-
+    anneals = np.recarray(params.n_anneals, dtype=[("spins", np.int8, (dim,)), ("aborted", np.bool_)])
     # no name here keeps the start table: _integrate holds its only
     # reference and frees it once copied
     x, anneals.aborted = _integrate(
@@ -446,8 +436,8 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
 def write_trajectory_csv(steps, trajectory, j, params: CimParams, path) -> None:
     """Dump one anneal's recorded readouts: step, t, per-spin sign, energy.
 
-    ``trajectory`` holds the readout at each of ``steps``, as a record of
-    :func:`solve` does at :func:`readout_steps`.
+    ``trajectory`` holds the anneal's readout at each of ``steps``, as
+    :func:`solve`'s ``on_readout`` hook sees them at :func:`readout_steps`.
     """
     jm = _coupling_matrix(j)
     dim = jm.shape[1]

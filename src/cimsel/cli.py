@@ -250,12 +250,11 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _resolved_config(args)
     g = _read_channel(args.channel)
-    if args.dump_trajectory and args.stride < 1:
-        _fail(f"--stride must be >= 1 to dump a trajectory, got {args.stride}")
     plan, _ = _one_weight_plan(cfg, g.config)
     if args.dump_trajectory:
         # checked before solving, but not created: exit 3 writes nothing
         _check_writable(args.dump_trajectory)
+    out = _out_dir(args, "solve") if args.out else None
     lam, params, seed = plan.lambdas[0], plan.cim, plan.master_seed
     result = bench.run_instance(g, lam, params, seed)
     report = {
@@ -279,21 +278,21 @@ def cmd_solve(args) -> int:
         # start table, but OpenBLAS may round x @ J differently by row
         # count, so only its readouts, not its amplitudes, are checked to
         # match the batch's (tests/test_cim.py)
+        trajectory = []
         (anneal,) = solve(
             inst, dataclasses.replace(params, n_anneals=1), bench.cim_master_seed(seed),
-            record_every=args.stride,
+            record_every=plan.trace_stride, on_readout=lambda spins: trajectory.append(spins[0]),
         )
         if anneal.aborted:
             print("error: anneal 0 aborted", file=sys.stderr)
             return 3
         try:
-            steps = readout_steps(params.steps, args.stride)
-            write_trajectory_csv(steps, anneal.trajectory, inst, params, args.dump_trajectory)
+            steps = readout_steps(params.steps, plan.trace_stride)
+            write_trajectory_csv(steps, trajectory, inst, params, args.dump_trajectory)
         except OSError as exc:
             _fail(f"cannot write {args.dump_trajectory}: {exc}")
     text = json.dumps(report, indent=1)
-    if args.out:
-        out = _out_dir(args, "solve")
+    if out is not None:
         with open(out / "solution.json", "w") as fh:
             fh.write(text + "\n")
         _echo_config(args, cfg, plan, out)
@@ -424,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--lam", type=float, help="penalty weight in [0, 1]")
     p.add_argument("--dump-trajectory", metavar="PATH", help="write anneal 0's readout trajectory CSV")
-    p.add_argument("--stride", type=int, default=10, help="trajectory sampling stride")
+    p.add_argument("--stride", dest="trace_stride", type=int, help="trajectory sampling stride")
     p.set_defaults(func=cmd_solve)
 
     _add_sweep_flags(sub.add_parser("sweep", help="sweep penalty weights over many instances"))

@@ -225,8 +225,10 @@ def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
     from cimsel.formulation import compile_instance, decode_states
     from cimsel.rng import substream
 
-    anneals = solve(compile_instance(g, lam), params, cim_master_seed(seed), record_every)
-    aborted, table = anneals.aborted, anneals.trajectory
+    readouts = []
+    anneals = solve(compile_instance(g, lam), params, cim_master_seed(seed), record_every,
+                    on_readout=readouts.append)
+    aborted, table = anneals.aborted, np.stack(readouts, axis=1)
     n_anneals, n_samples, dim = table.shape
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
     feasible, states = decode_states(table.reshape(-1, dim), g.config)

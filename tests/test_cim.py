@@ -36,6 +36,15 @@ def _recorded_integrate(jm, x0, params, record_every=0):
     return x, aborted, np.stack(readouts, axis=1)
 
 
+def _hooked_solve(j, params, master_seed, record_every):
+    """``solve`` with the readouts its hook sees stacked anneal-major:
+    ``(anneals, trajectories)``, ``trajectories`` of shape
+    ``(n_anneals, len(readout_steps(...)), dim)``."""
+    readouts = []
+    anneals = solve(j, params, master_seed, record_every, on_readout=readouts.append)
+    return anneals, np.stack(readouts, axis=1)
+
+
 class TestCimParams:
     def test_defaults(self):
         p = CimParams()
@@ -273,13 +282,13 @@ class TestRunAnneal:
             (1000, 10, list(range(0, 1001, 10))),   # both endpoints included
         ]:
             params = CimParams(steps=steps, n_anneals=1)
-            (out,) = solve(FERRO2, params, master_seed=1, record_every=record_every)
+            (out,), (trajectory,) = _hooked_solve(FERRO2, params, 1, record_every)
             x0 = uniform_table(1, 1, -params.init_scale, params.init_scale, 2)
             _, _, ref_snaps, ref_steps = reference_integrate(FERRO2, x0, params, record_every)
             assert readout_steps(steps, record_every).tolist() == ref_steps.tolist() == expected
-            assert out.trajectory.shape == (len(expected), 2)
-            assert np.array_equal(out.trajectory, np.where(ref_snaps[:, 0] >= 0.0, 1, -1))
-            assert np.array_equal(out.trajectory[-1], out.spins)
+            assert trajectory.shape == (len(expected), 2)
+            assert np.array_equal(trajectory, np.where(ref_snaps[:, 0] >= 0.0, 1, -1))
+            assert np.array_equal(trajectory[-1], out.spins)
 
 
 class TestSaturationAndGauge:
@@ -304,12 +313,12 @@ class TestSolve:
     def test_single_anneal_matches_batch_anneal_0(self):
         # the contract behind cimsel solve --dump-trajectory
         params = CimParams(steps=300, n_anneals=6)
-        batch = solve(FERRO2, params, master_seed=11, record_every=50)
-        (single,) = solve(FERRO2, CimParams(steps=300, n_anneals=1), master_seed=11,
-                          record_every=50)
+        batch, batch_traj = _hooked_solve(FERRO2, params, 11, 50)
+        (single,), (single_traj,) = _hooked_solve(FERRO2, CimParams(steps=300, n_anneals=1),
+                                                  11, 50)
         assert np.array_equal(batch[0].spins, single.spins)
         assert ising_energy(FERRO2, batch[0].spins) == ising_energy(FERRO2, single.spins)
-        assert np.array_equal(batch[0].trajectory, single.trajectory)
+        assert np.array_equal(batch_traj[0], single_traj)
 
     @pytest.mark.parametrize("dims,lam", [((2, 2, 2), 0.9), ((4, 4, 4), 0.7)])
     def test_paper_scale_anneal_0_readouts_match_single_anneal(self, dims, lam):
@@ -317,9 +326,9 @@ class TestSolve:
         # differ in the last bits between batch sizes; its readouts, which
         # cimsel solve --dump-trajectory writes, agree at every sample
         inst = compile_instance(generate_channel(MimoConfig(*dims), seed=7), lam)
-        batch = solve(inst, CimParams(), master_seed=1, record_every=10)
-        (single,) = solve(inst, CimParams(n_anneals=1), master_seed=1, record_every=10)
-        assert np.array_equal(batch[0].trajectory, single.trajectory)
+        batch, batch_traj = _hooked_solve(inst, CimParams(), 1, 10)
+        (single,), (single_traj,) = _hooked_solve(inst, CimParams(n_anneals=1), 1, 10)
+        assert np.array_equal(batch_traj[0], single_traj)
         assert np.array_equal(batch[0].spins, single.spins)
         assert not batch[0].aborted and not single.aborted
 
@@ -385,18 +394,24 @@ class TestSolve:
         # equal to row k of every column; the row started at zero aborts alone
         monkeypatch.setattr(cim, "uniform_table", lambda *args: _sticky_divergent_x0())
         params = CimParams(dt=50.0, steps=300, n_anneals=4)
-        anneals = solve(FERRO2, params, master_seed=0, record_every=7)
-        assert anneals.dtype.names == ("spins", "aborted", "trajectory")
+        anneals, trajectories = _hooked_solve(FERRO2, params, 0, 7)
+        assert anneals.dtype.names == ("spins", "aborted")
         assert anneals.aborted.tolist() == [False, True, False, False]
-        assert anneals.trajectory.shape == (4, len(readout_steps(300, 7)), 2)
-        assert anneals.spins.dtype == anneals.trajectory.dtype == np.int8
+        assert trajectories.shape == (4, len(readout_steps(300, 7)), 2)
+        assert anneals.spins.dtype == np.int8
         assert sum(bool(o.aborted) for o in anneals) == 1
         for k, record in enumerate(anneals):
             assert np.array_equal(record.spins, anneals.spins[k])
             assert record.aborted == anneals.aborted[k]
-            assert np.array_equal(record.trajectory, anneals.trajectory[k])
-            assert np.array_equal(record.trajectory[-1], record.spins)
+            assert np.array_equal(trajectories[k, -1], record.spins)
         assert solve(FERRO2, params, master_seed=0).dtype.names == ("spins", "aborted")
+        assert solve(FERRO2, params, 0, on_readout=lambda spins: None).dtype.names == (
+            "spins", "aborted")
+
+    def test_record_every_without_hook_raises(self):
+        # sampled readouts leave solve through the hook alone
+        with pytest.raises(ValueError, match="on_readout"):
+            solve(FERRO2, CimParams(steps=20, n_anneals=2), 0, record_every=7)
 
 
 def _hook_plans():
@@ -414,22 +429,26 @@ HOOK_PLANS = {name: case for name, *case in _hook_plans()}
 
 
 class TestReadoutHook:
-    """``solve``'s ``on_readout`` hook: the readouts its ``trajectory`` field
-    records, handed over one sample at a time."""
+    """``solve``'s ``on_readout`` hook: every sampled readout of the
+    integration, handed over one sample at a time."""
 
     @pytest.mark.parametrize("record_every", [1, 7, 100, 1000])
     @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
     def test_readouts_are_the_recorded_trajectory(self, name, record_every):
+        # against the readouts the every-pass, every-check integrator
+        # records from the start table solve draws
         jm, params = HOOK_PLANS[name]
         readouts = []
         hooked = solve(jm, params, 5, record_every, on_readout=readouts.append)
-        recorded = solve(jm, params, 5, record_every)
+        x0 = uniform_table(5, params.n_anneals, -params.init_scale, params.init_scale, len(jm))
+        _, want_aborted, want = every_step_integrate(jm, x0, params, record_every)
         assert hooked.dtype.names == ("spins", "aborted")
         assert len(readouts) == len(readout_steps(params.steps, record_every))
         assert all(r.dtype == np.int8 and r.shape == hooked.spins.shape for r in readouts)
-        assert np.stack(readouts, axis=1).tobytes() == recorded.trajectory.tobytes()
-        assert readouts[-1].tobytes() == hooked.spins.tobytes() == recorded.spins.tobytes()
-        assert hooked.aborted.tolist() == recorded.aborted.tolist()
+        assert np.stack(readouts, axis=1).tobytes() == want.tobytes()
+        assert readouts[-1].tobytes() == hooked.spins.tobytes()
+        assert hooked.spins.tobytes() == solve(jm, params, 5).spins.tobytes()
+        assert hooked.aborted.tolist() == want_aborted.tolist()
 
     @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
     def test_final_readout_only_without_record_every(self, name):
@@ -687,9 +706,9 @@ class TestCheckSchedule:
 class TestTrajectoryDump:
     def test_csv_layout(self, tmp_path):
         params = CimParams(steps=100, n_anneals=1)
-        (out,) = solve(FERRO2, params, master_seed=1, record_every=50)
+        (out,), (trajectory,) = _hooked_solve(FERRO2, params, 1, 50)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(readout_steps(100, 50), out.trajectory, FERRO2, params, path)
+        write_trajectory_csv(readout_steps(100, 50), trajectory, FERRO2, params, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,t,s0,s1,energy"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "50", "100"]

@@ -153,6 +153,44 @@ class TestSolve:
         assert f"error: cannot write {target}" in capsys.readouterr().err
         assert not target.parent.exists()
 
+    def test_file_at_out_fails_before_solving(self, channel_file, tmp_path, capsys,
+                                              monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise RuntimeError("run_instance ran before the output directory was made")
+
+        monkeypatch.setattr(cli.bench, "run_instance", no_solve)
+        out = tmp_path / "run"
+        out.write_text("not a directory\n")
+        target = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", str(channel_file), "--lam", "0.5", "--out", str(out),
+                    "--dump-trajectory", str(target))
+        assert exc.value.code == 2
+        assert f"error: cannot make output directory {out}" in capsys.readouterr().err
+        assert not target.exists() and out.is_file()
+
+    def test_config_file_stride(self, channel_file, tmp_path):
+        config = _config_file(tmp_path, {"trace_stride": 5})
+        target = tmp_path / "traj.csv"
+        assert run_cli("solve", str(channel_file), "--lam", "0.5", "--steps", "20",
+                       "--anneals", "2", "--config", config,
+                       "--dump-trajectory", str(target)) == 0
+        steps = [line.split(",")[0] for line in target.read_text().splitlines()[1:]]
+        assert steps == ["0", "5", "10", "15", "20"]
+
+    def test_stride_echoed_and_replayed(self, channel_file, tmp_path, capsys):
+        # replaying run_config.json rewrites the trajectory byte for byte
+        out, first, second = tmp_path / "run", tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("solve", str(channel_file), "--lam", "0.5", "--steps", "30",
+                       "--anneals", "2", "--seed", "4", "--stride", "7", "--out", str(out),
+                       "--dump-trajectory", str(first)) == 0
+        assert json.loads((out / "run_config.json").read_text())["trace_stride"] == 7
+        steps = [line.split(",")[0] for line in first.read_text().splitlines()[1:]]
+        assert steps == ["0", "7", "14", "21", "28", "30"]
+        assert run_cli("solve", str(channel_file), "--config", str(out / "run_config.json"),
+                       "--dump-trajectory", str(second)) == 0
+        assert second.read_bytes() == first.read_bytes()
+
     def test_malformed_file_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n_t": 1, "n_r": 1, "seed": 0, "entries": [[]]}))
@@ -291,7 +329,9 @@ class TestBadInput:
                      "trace_stride must be >= 1", id="trace-stride-0"),
         pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--stride", "0",
                                   "--dump-trajectory", str(tmp / "f.csv")], {},
-                     "--stride must be >= 1", id="solve-stride-0"),
+                     "trace_stride must be >= 1", id="solve-stride-0"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--stride", "0"], {},
+                     "trace_stride must be >= 1", id="solve-stride-0-no-trajectory"),
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(tmp, [1, 2])], {},
                      "must be JSON objects", id="config-top-level-list"),
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(tmp, {"cim": [1]})], {},
