@@ -82,8 +82,6 @@ _D_CHANNEL, _D_INSTANCE = 0, 1
 # domains under the per-instance seed
 _D_CIM, _D_FALLBACK = 0, 1
 
-METHOD_ORDER = ("es", "nsa", "rs", "cim_best", "cim_avg", "cim_avg_raw")
-
 CSV_COLUMNS = ("instance_id", "method", "lambda", "step", "objective", "feasible", "fallback", "seed")
 
 

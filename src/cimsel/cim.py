@@ -49,15 +49,17 @@ Notes on the numerics:
   ``tests/test_cim.py::TestCheckSchedule`` checks it byte for byte against
   the kernel that runs every pass, on plans where each of them binds.
 
-  - *Floor.*  For ``|x| <= X = max(x_clip, init_scale)`` the ``e`` factor
-    is at least ``f_lo = min(c_e, fl(fl(X*X) * (-dt beta)) + c_e)`` as the
-    step rounds it (0.02 at the defaults).  Products of positive numbers
-    and rounding are monotone, so with ``y_0 = e.min()`` and
-    ``y_i = fl(y_(i-1) * f_lo)`` every non-NaN ``e`` is at least ``y_i``
-    after ``i`` more steps, and ``max(e, E_FLOOR)`` is skipped while
-    ``y_i >= E_FLOOR``; NaN and ``+inf`` pass through it unchanged anyway.
-    At the defaults about 200 ``e.min()`` reductions per 1000 steps
-    replace all maxima but the first step's.
+  - *Floor.*  The kernel carries ``e_low``, a lower bound on every
+    non-NaN ``e``.  The clamp test below takes ``m``, the batch maximum of
+    the next step's ``x^2`` (``fl(x_clip^2)`` after a clamp).  Rounding is
+    monotone, so every ``e`` factor of that step is at least
+    ``f = min(c_e, fl(fl(m * (-dt beta)) + c_e))``.  While
+    ``fl(e_low * f) >= E_FLOOR`` (so ``f > 0``), that product is the next
+    bound and ``max(e, E_FLOOR)`` is skipped; NaN and ``+inf`` pass through
+    it unchanged anyway.  Otherwise the floor runs and ``e_low`` is re-read
+    as ``e.min()``.  Fresh arrays start from ``e_low = 0``, so the first
+    step floors.  At the defaults the floor ran on 1-5 of 1000 steps (24
+    solves of 1000 anneals at dims 9 and 33).
   - *Clamp.*  The step squares the new ``x`` at its end, for the next
     step.  Rounding is monotone, so ``fl(x^2) < fl(x_clip^2)`` implies
     ``|x| <= x_clip``, and ``clip`` runs only when the batch maximum of
@@ -176,12 +178,10 @@ class _EulerStep:
     ``t + dt`` with no array allocation.  ``eps`` uses the time at the start
     of the step, so the coupling term vanishes on the very first step, and
     both updates read the pre-update amplitudes.  Between calls on the same
-    arrays the kernel carries ``x^2`` and the floor window (module notes);
-    a caller that writes ``x`` or ``e`` between calls must then call
+    arrays the kernel carries ``x^2`` and a lower bound on ``e`` (module
+    notes); a caller that writes ``x`` or ``e`` between calls must then call
     :meth:`restart`.  New arrays start afresh on their own.
     """
-
-    FLOOR_RECHECK = 16
 
     def __init__(self, jm: np.ndarray, shape, params: CimParams):
         self.jm = np.asarray(jm, dtype=float)
@@ -202,11 +202,10 @@ class _EulerStep:
         self.f_lo = min(self.c_e, x_max * x_max * self.e_rate + self.c_e)
         self.divergence_sticks = self.f_lo > 0
         # the (x, e) of the last call, whose x is clamped and squared into
-        # x_sq, and how many more steps on them keep every e >= E_FLOOR
+        # x_sq; e_low bounds every non-NaN e from below, and f every e
+        # factor of the next step
         self.last = None
-        self.window = 0
-        # caps the window count, which never ends where f_lo >= 1 (beta = 0)
-        self.max_window = params.steps
+        self.e_low = self.f = 0.0
         self.j_scaled = np.empty_like(self.jm)
         self.x_sq = np.empty(shape)
         self.coupling = np.empty(shape)
@@ -214,11 +213,11 @@ class _EulerStep:
 
     def __call__(self, x: np.ndarray, e: np.ndarray, t: float) -> None:
         x_sq, coupling, factor = self.x_sq, self.coupling, self.factor
-        carried = self.last is not None and x is self.last[0] and e is self.last[1]
-        if not carried:
-            self.last, self.window = (x, e), 0
+        if self.last is None or x is not self.last[0] or e is not self.last[1]:
+            self.last, self.e_low = (x, e), 0.0
             np.square(x, out=x_sq)
-        floor_free = carried and self._floor_free(e)
+        # a lower bound on every non-NaN e after this step's update
+        e_low = self.e_low * self.f
         # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
         # scaling the matmul's output
         np.multiply(self.jm, self.dt_gamma * t, out=self.j_scaled)
@@ -233,8 +232,11 @@ class _EulerStep:
             factor += self.c_e
             x_sq *= self.x_rate
         e *= factor
-        if not floor_free:
+        if e_low >= E_FLOOR:
+            self.e_low = e_low
+        else:
             np.maximum(e, E_FLOOR, out=e)
+            self.e_low = float(e.min())
         # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
         x_sq += self.c_x
         x *= x_sq
@@ -242,39 +244,16 @@ class _EulerStep:
         # the next step's x^2; fl(x^2) < fl(x_clip^2) implies |x| <= x_clip,
         # and NaN fails the test, so a non-finite x still goes through clip
         np.square(x, out=x_sq)
-        if not x_sq.max() < self.clip_sq:
+        x_sq_max = float(x_sq.max())
+        if not x_sq_max < self.clip_sq:
             x.clip(-self.x_clip, self.x_clip, out=x)
             np.square(x, out=x_sq)
+            x_sq_max = self.clip_sq
+        self.f = min(self.c_e, x_sq_max * self.e_rate + self.c_e)
 
     def restart(self) -> None:
-        """Forget the carried ``x^2`` and floor window of the last call."""
+        """Forget the carried ``x^2`` and bound on ``e`` of the last call."""
         self.last = None
-
-    def _floor_free(self, e: np.ndarray) -> bool:
-        """Whether this step's ``max(e, E_FLOOR)`` provably changes nothing.
-
-        Called on the arrays of the previous call, whose ``x`` this kernel
-        clamped to ``|x| <= x_clip``.  A window opens at ``m = e.min()`` and
-        spans the ``n`` steps whose bounds ``y_i = fl(y_(i-1) * f_lo)``,
-        ``y_0 = m``, all stay at or above ``E_FLOOR``; this step is the one
-        bounded by ``y_1``.  Where ``n = 0`` the floor may bind, and the
-        next ``FLOOR_RECHECK`` steps run it without looking.
-        """
-        if not self.divergence_sticks:
-            return False
-        if not self.window:
-            y, n = float(e.min()), 0
-            while n < self.max_window:
-                y *= self.f_lo
-                if not y >= E_FLOOR:
-                    break
-                n += 1
-            self.window = n or -self.FLOOR_RECHECK
-        if self.window > 0:
-            self.window -= 1
-            return True
-        self.window += 1
-        return False
 
 
 @functools.cache
@@ -389,7 +368,7 @@ def _integrate(jm, x0, params, record_every=0, on_readout=None):
                 aborted |= bad
                 x[bad] = 0.0
                 e[bad] = 1.0
-                # x_sq is stale and e = 1 may lie below the window's bound
+                # x_sq is stale and e = 1 may lie below the carried bound
                 euler_step.restart()
             if sample_every and k % sample_every == 0 and not last:
                 on_readout(readout(x))

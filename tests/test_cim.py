@@ -596,12 +596,12 @@ def _check_schedule_cases():
     yield "floor-binds", inst.j, x0, CimParams(beta=5.0)
     yield "late-clamp", inst.j, x0, CimParams(beta=5.0, gamma=1000.0)
     # beta != 1: the two factors take separate x^2 products; at beta = 0
-    # every factor is 1 and the floor window only ends at its cap
+    # every factor is 1, so the bound on e never falls to the floor
     yield "beta-0.5", inst.j, x0, CimParams(beta=0.5)
     yield "beta-0", inst.j, x0, CimParams(beta=0.0)
     # every e grows past 1e290 before the rows overflow near step 1140,
-    # inside an open floor window; their reset e = 1 then decays by
-    # c_e = 0.4 a step and meets the floor from step 1168
+    # while the bound on e keeps the floor skipped; their reset e = 1 then
+    # decays by c_e = 0.4 a step and meets the floor from step 1168
     yield "abort-in-window", np.zeros((2, 2)), substream(0).uniform(-0.01, 0.01, (4, 2)), \
         CimParams(p=6.0, beta=-3.0, dt=0.1, gamma=1.0, x_clip=3.0, steps=1200)
     for dims, n_anneals in (((1, 1, 2), 1), ((3, 3, 4), 7), ((5, 5, 4), 1000)):
@@ -660,12 +660,12 @@ class TestCheckSchedule:
         every_step_integrate(*CHECK_CASES["defaults"], internals=internals)
         assert not internals["floor"] and max(internals["clamp"], default=0) < 100
 
-    def test_abort_inside_open_floor_window(self, monkeypatch):
+    def test_abort_while_the_floor_is_skipped(self, monkeypatch):
         restarts, final_e = [], []
 
         class RecordingStep(_EulerStep):
             def restart(self):
-                restarts.append((self.window, self.last[1].min()))
+                restarts.append((self.e_low, self.last[1].min()))
                 super().restart()
 
             def __call__(self, x, e, t):
@@ -675,24 +675,45 @@ class TestCheckSchedule:
         monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
         jm, x0, params = CHECK_CASES["abort-in-window"]
         _, aborted = _integrate(jm, x0, params, record_every=10)
-        # after the first reset every e is at least 1, and the window still
-        # spans the 30 steps that e = 1 takes to decay to the floor at
-        # c_e = 0.4: only the restart keeps the reset rows' e at the floor
+        # after the first reset every e is 1, which decays to the floor in
+        # 31 steps at c_e = 0.4, while the carried bound would stay above it
+        # for longer: only the restart keeps the reset rows' e at the floor
         assert aborted.all() and len(restarts) == 2
-        window, e_min = restarts[0]
-        assert window > 30 and e_min >= 1.0
+        e_low, e_min = restarts[0]
+        assert e_min == 1.0 and e_low * 0.4 ** 31 > E_FLOOR > 0.4 ** 31
         assert final_e[0].tolist() == [[E_FLOOR] * 2] * 4
 
-    def test_fresh_arrays_do_not_inherit_a_window(self):
+    def test_fresh_arrays_do_not_inherit_the_bound(self):
         kernel = _EulerStep(np.zeros((1, 1)), (1, 1), CimParams())
         x, e = np.full((1, 1), 0.5), np.ones((1, 1))
         kernel(x, e, 0.0)
         kernel(x, e, 0.01)
-        assert kernel.window > 0
+        # a third step on these arrays would skip the floor
+        assert kernel.e_low * kernel.f >= E_FLOOR
         # factor 1.02 - 0.01 * 25 = 0.77 takes e below the floor
         x, e = np.full((1, 1), 5.0), np.full((1, 1), E_FLOOR)
         kernel(x, e, 0.02)
         assert e.tolist() == [[E_FLOOR]]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
+    def test_floor_rereads_e_only_where_it_runs(self, dims):
+        # e.min() runs only on the steps that floor, 1-5 of 1000 at the
+        # defaults
+        class CountingArray(np.ndarray):
+            def min(self, *args, **kwargs):
+                calls.append(1)
+                return super().min(*args, **kwargs)
+
+        calls = []
+        inst = compile_instance(generate_channel(MimoConfig(*dims), seed=3), 0.8)
+        params = CimParams()
+        x = substream(9).uniform(-params.init_scale, params.init_scale, (100, inst.dim))
+        e = np.ones_like(x).view(CountingArray)
+        kernel = _EulerStep(inst.j, x.shape, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(params.steps):
+                kernel(x, e, k * params.dt)
+        assert inst.dim in (9, 33) and 1 <= len(calls) <= 10
 
     @pytest.mark.parametrize("name", ["sticky-ferro", "sticky-zero-j", "sticky-negative-beta"])
     def test_sticky_cases_abort_mid_run(self, name):
