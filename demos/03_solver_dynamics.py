@@ -34,19 +34,18 @@ inst = compile_instance(g, lam=0.7)
 params = CimParams()  # reference constants: 1000 steps of dt = 0.01
 
 # ---------------------------------------------------------------------------
-# one anneal under the microscope: the solver's in-place step kernel applied
-# to a batch of one, with small random amplitudes and unit error variables
+# one anneal under the microscope: the solver's in-place step kernel run on
+# a batch of one, from small random amplitudes and unit error variables
 # ---------------------------------------------------------------------------
 x = substream(1).uniform(-params.init_scale, params.init_scale, (1, inst.dim))
-e = np.ones_like(x)
-euler_step = _EulerStep(inst.j, x.shape, params)
+run = _EulerStep(inst.j, x, params)  # the run advances x and its own e in place
 print("step   max|x|    min e     max e")
 for k in range(1, params.steps + 1):
-    euler_step(x, e, (k - 1) * params.dt)
+    run((k - 1) * params.dt)
     if k in (1, 10, 100, 300, 500, 1000):
-        print(f"{k:>4}  {np.abs(x).max():8.4f}  {e.min():8.4f}  {e.max():8.4f}")
+        print(f"{k:>4}  {np.abs(run.x).max():8.4f}  {run.e.min():8.4f}  {run.e.max():8.4f}")
 
-spins = np.where(x >= 0, 1, -1)
+spins = np.where(run.x >= 0, 1, -1)
 (feasible,), (states,) = decode_states(spins, config)
 decoded = ConfigAssignment(tx=states[: config.n_t], rx=states[config.n_t :])
 print(f"\nfinal readout {spins[0]} -> {decoded if feasible else 'infeasible'}")

@@ -322,16 +322,16 @@ def _record_task(args):
     sweep; any other exception is a bug and propagates."""
     plan, instance_id, record_every = args
     try:
-        return instance_id, _instance_record(plan, instance_id, record_every), None
+        return _instance_record(plan, instance_id, record_every), None
     except (ValueError, ArithmeticError) as exc:
-        return instance_id, None, f"instance {instance_id} failed: {exc!r}"
+        return None, f"instance {instance_id} failed: {exc!r}"
 
 
 def _run_records(
     plan: ExperimentPlan, record_every: int, workers: int
 ) -> tuple[list[InstanceRecord], list[str]]:
     """Compute per-instance records at every weight of the plan, optionally
-    in parallel, merged by id."""
+    in parallel, in instance order (``map`` keeps the task order)."""
     tasks = [(plan, k, record_every) for k in range(plan.n_instances)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -340,9 +340,8 @@ def _run_records(
             results = list(pool.map(_record_task, tasks))
     else:
         results = [_record_task(task) for task in tasks]
-    results.sort(key=lambda item: item[0])
-    records = [rec for _, rec, err in results if err is None]
-    failures = [err for _, _, err in results if err is not None]
+    records = [rec for rec, err in results if err is None]
+    failures = [err for _, err in results if err is not None]
     return records, failures
 
 

@@ -40,11 +40,11 @@ Notes on the numerics:
       e <- max(e * (c_e - dt beta x^2), E_FLOOR)
 
   with ``c_x = 1 + dt (p - 1)`` and ``c_e = 1 + dt beta a``.  One kernel,
-  ``_EulerStep``, applies it in place to a batch over buffers allocated once
-  per run, and :func:`solve` runs it on all anneals at once, so there is a
-  single step path and a single entry point.  Against the unfolded
-  form the regrouped arithmetic moves amplitudes in the last few bits (up
-  to a few 1e-13 after 1000 steps); on the tested plans no readout changes.
+  ``_EulerStep``, owns one run: it adopts :func:`solve`'s start table as
+  ``x`` and steps all anneals at once in place, so there is a single step
+  path and a single entry point.  Against the unfolded form the regrouped
+  arithmetic moves amplitudes in the last few bits (up to a few 1e-13
+  after 1000 steps); on the tested plans no readout changes.
 * The kernel skips the passes of that step that provably change no bit;
   ``tests/test_cim.py::TestCheckSchedule`` checks it byte for byte against
   the kernel that runs every pass, on plans where each of them binds.
@@ -56,10 +56,11 @@ Notes on the numerics:
     ``f = min(c_e, fl(fl(m * (-dt beta)) + c_e))``.  While
     ``fl(e_low * f) >= E_FLOOR`` (so ``f > 0``), that product is the next
     bound and ``max(e, E_FLOOR)`` is skipped; NaN and ``+inf`` pass through
-    it unchanged anyway.  Otherwise the floor runs and ``e_low`` is re-read
-    as ``e.min()``.  Fresh arrays start from ``e_low = 0``, so the first
-    step floors.  At the defaults the floor ran on 1-5 of 1000 steps (24
-    solves of 1000 anneals at dims 9 and 33).
+    it unchanged anyway.  Otherwise the floor runs, and ``e_low`` is re-read
+    as the least non-NaN ``e`` unless the next ``f <= 0`` discards it.  A
+    run starts from ``e_low = 0``, and an abort resets it to 0.  At the
+    defaults the floor ran on 1-5 of 1000 steps (24 solves of 1000 anneals
+    at dims 9 and 33).
   - *Clamp.*  The step squares the new ``x`` at its end, for the next
     step.  Rounding is monotone, so ``fl(x^2) < fl(x_clip^2)`` implies
     ``|x| <= x_clip``, and ``clip`` runs only when the batch maximum of
@@ -171,19 +172,19 @@ def ising_energy(j, spins: np.ndarray) -> float:
 
 
 class _EulerStep:
-    """The in-place Euler step of a batch of anneals over preallocated buffers.
+    """One run of the in-place Euler step over a batch of anneals.
 
-    One instance serves one ``(n_anneals, dim)`` batch for a whole run;
-    calling it advances ``x`` and ``e`` in place from model time ``t`` to
-    ``t + dt`` with no array allocation.  ``eps`` uses the time at the start
-    of the step, so the coupling term vanishes on the very first step, and
-    both updates read the pre-update amplitudes.  Between calls on the same
-    arrays the kernel carries ``x^2`` and a lower bound on ``e`` (module
-    notes); a caller that writes ``x`` or ``e`` between calls must then call
-    :meth:`restart`.  New arrays start afresh on their own.
-    """
+    The kernel adopts the ``(n_anneals, dim)`` float amplitudes ``x`` it is
+    given, without copying, and owns them with ``e = 1``, the ``aborted``
+    flags and its work buffers.  A call advances ``x`` and ``e`` in place
+    from model time ``t`` to ``t + dt``, allocating nothing.  ``eps`` uses
+    the time at the start of the step, so the coupling term vanishes on the
+    first step, and both updates read the pre-update amplitudes.  The kernel
+    carries ``x^2`` and a lower bound on ``e`` between calls (module notes),
+    so only :meth:`abort_nonfinite` writes them then; ``e`` may be set before
+    the first call."""
 
-    def __init__(self, jm: np.ndarray, shape, params: CimParams):
+    def __init__(self, jm: np.ndarray, x: np.ndarray, params: CimParams):
         self.jm = np.asarray(jm, dtype=float)
         # the per-step constants, each computed by the expression the step
         # used to evaluate on every call
@@ -199,23 +200,20 @@ class _EulerStep:
         # the smallest e factor any reachable |x| gives, as the step rounds
         # it: at |x| = X for beta >= 0, at x = 0 (c_e) for beta < 0
         x_max = max(params.x_clip, params.init_scale)
-        self.f_lo = min(self.c_e, x_max * x_max * self.e_rate + self.c_e)
-        self.divergence_sticks = self.f_lo > 0
-        # the (x, e) of the last call, whose x is clamped and squared into
-        # x_sq; e_low bounds every non-NaN e from below, and f every e
-        # factor of the next step
-        self.last = None
+        self.divergence_sticks = min(self.c_e, x_max * x_max * self.e_rate + self.c_e) > 0
+        self.x = x
+        self.e = np.ones_like(x)
+        self.aborted = np.zeros(len(x), dtype=bool)
+        # x_sq holds x^2 between calls; e_low bounds every non-NaN e from
+        # below, and f every e factor of the next step
+        self.x_sq = np.square(x)
         self.e_low = self.f = 0.0
         self.j_scaled = np.empty_like(self.jm)
-        self.x_sq = np.empty(shape)
-        self.coupling = np.empty(shape)
-        self.factor = np.empty(shape)
+        self.coupling = np.empty_like(x)
+        self.factor = np.empty_like(x)
 
-    def __call__(self, x: np.ndarray, e: np.ndarray, t: float) -> None:
-        x_sq, coupling, factor = self.x_sq, self.coupling, self.factor
-        if self.last is None or x is not self.last[0] or e is not self.last[1]:
-            self.last, self.e_low = (x, e), 0.0
-            np.square(x, out=x_sq)
+    def __call__(self, t: float) -> None:
+        x, e, x_sq, coupling, factor = self.x, self.e, self.x_sq, self.coupling, self.factor
         # a lower bound on every non-NaN e after this step's update
         e_low = self.e_low * self.f
         # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
@@ -232,11 +230,9 @@ class _EulerStep:
             factor += self.c_e
             x_sq *= self.x_rate
         e *= factor
-        if e_low >= E_FLOOR:
-            self.e_low = e_low
-        else:
+        floored = not e_low >= E_FLOOR
+        if floored:
             np.maximum(e, E_FLOOR, out=e)
-            self.e_low = float(e.min())
         # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
         x_sq += self.c_x
         x *= x_sq
@@ -250,10 +246,21 @@ class _EulerStep:
             np.square(x, out=x_sq)
             x_sq_max = self.clip_sq
         self.f = min(self.c_e, x_sq_max * self.e_rate + self.c_e)
+        if floored:
+            # fmin skips NaN; at f <= 0 the next step floors whatever the bound
+            e_low = float(np.fmin.reduce(e, axis=None)) if self.f > 0 else 0.0
+        self.e_low = e_low
 
-    def restart(self) -> None:
-        """Forget the carried ``x^2`` and bound on ``e`` of the last call."""
-        self.last = None
+    def abort_nonfinite(self) -> None:
+        """Flag the rows that went non-finite and freeze them at ``x = 0``, ``e = 1``."""
+        # cheap whole-batch probe; NaN/inf contaminate the sums if present
+        if not np.isfinite(self.x.sum() + self.e.sum()):
+            bad = ~(np.isfinite(self.x).all(axis=1) & np.isfinite(self.e).all(axis=1))
+            self.aborted |= bad
+            self.x[bad] = self.x_sq[bad] = 0.0
+            self.e[bad] = 1.0
+            # e = 1 may lie below the carried bound
+            self.e_low = 0.0
 
 
 @functools.cache
@@ -315,16 +322,17 @@ def readout_steps(steps: int, record_every: int) -> np.ndarray:
 def _integrate(jm, x0, params, record_every=0, on_readout=None):
     """Integrate a batch of anneals (rows of ``x0``) for ``params.steps`` steps.
 
-    Returns ``(x, aborted)``.  ``on_readout``, when given, is called with
-    each sampled sign readout, a fresh ``(n_anneals, dim)`` int8 array the
-    callee may keep: at every :func:`readout_steps` step with
-    ``record_every > 0``, else once with the final readout.  The final
-    readout is handed over only after the kernel's work buffers and ``e``
-    are released, so scoring it adds nothing to the kernel's peak.  Rows
-    that go non-finite are flagged in ``aborted`` and frozen at zero so the
-    rest of the batch keeps integrating; they read out as +1 from the
-    sample at which they are flagged.  Every ``|x0|`` must be at most
-    ``params.init_scale``, as :func:`solve` draws it.
+    Returns ``(x, aborted)``, where ``x`` is ``x0`` itself: the kernel
+    adopts the float array and advances it in place.  ``on_readout``, when
+    given, is called with each sampled sign readout, a fresh
+    ``(n_anneals, dim)`` int8 array the callee may keep: at every
+    :func:`readout_steps` step before the last, with ``record_every > 0``.
+    The final readout is the caller's to take, once the kernel's work
+    buffers and ``e`` are released.  Rows that go non-finite are flagged in
+    ``aborted`` and frozen at zero so the rest of the batch keeps
+    integrating; they read out as +1 from the sample at which they are
+    flagged.  Every ``|x0|`` must be at most ``params.init_scale``, as
+    :func:`solve` draws it.
 
     When the kernel's ``divergence_sticks`` holds, the finiteness check runs
     only at snapshot steps and the final step; otherwise after every step.
@@ -345,37 +353,22 @@ def _integrate(jm, x0, params, record_every=0, on_readout=None):
     readout are unchanged; an aborted row holds zero amplitudes at every
     readout either way.
     """
-    x = np.array(x0, dtype=float, copy=True)
-    # a start table handed over (as solve does) is freed here, before the
-    # kernel's buffers are allocated
-    del x0
-    e = np.ones_like(x)
-    euler_step = _EulerStep(jm, x.shape, params)
-    check_every = (record_every or params.steps) if euler_step.divergence_sticks else 1
+    run = _EulerStep(jm, x0, params)
+    check_every = (record_every or params.steps) if run.divergence_sticks else 1
     sample_every = record_every if on_readout is not None else 0
-    aborted = np.zeros(len(x), dtype=bool)
     if sample_every:
-        on_readout(readout(x))
-    # overflow is the divergence signal, caught via isfinite below; the
+        on_readout(readout(run.x))
+    # overflow is the divergence signal, caught by abort_nonfinite; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, params.steps + 1):
-            euler_step(x, e, (k - 1) * params.dt)
+            run((k - 1) * params.dt)
             last = k == params.steps
-            # cheap whole-batch probe; NaN/inf contaminate the sums if present
-            if (k % check_every == 0 or last) and not np.isfinite(x.sum() + e.sum()):
-                bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(e).all(axis=1))
-                aborted |= bad
-                x[bad] = 0.0
-                e[bad] = 1.0
-                # x_sq is stale and e = 1 may lie below the carried bound
-                euler_step.restart()
+            if k % check_every == 0 or last:
+                run.abort_nonfinite()
             if sample_every and k % sample_every == 0 and not last:
-                on_readout(readout(x))
-    del euler_step, e
-    if on_readout is not None:
-        on_readout(readout(x))
-    return x, aborted
+                on_readout(readout(run.x))
+    return run.x, run.aborted
 
 
 def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
@@ -395,20 +388,23 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     step with ``record_every > 0``, else the final one only; an aborted
     anneal reads all +1 from its abort on.  The hook is the only way
     sampled readouts leave the solver, so ``record_every > 0`` without it
-    raises ``ValueError``.
+    raises ``ValueError``.  The final readout is handed over after the
+    integrator has released its buffers, so scoring it adds nothing to the
+    integrator's peak.
     """
     if record_every and on_readout is None:
         raise ValueError("record_every > 0 needs an on_readout hook to take its readouts")
     jm = _coupling_matrix(j)
     dim = jm.shape[0]
     anneals = np.recarray(params.n_anneals, dtype=[("spins", np.int8, (dim,)), ("aborted", np.bool_)])
-    # no name here keeps the start table: _integrate holds its only
-    # reference and frees it once copied
+    # the fresh start table becomes the integrator's x
     x, anneals.aborted = _integrate(
         jm, uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim),
         params, record_every, on_readout,
     )
-    anneals.spins = readout(x)
+    anneals.spins = spins = readout(x)
+    if on_readout is not None:
+        on_readout(spins)
     return anneals
 
 

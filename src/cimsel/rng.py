@@ -27,16 +27,16 @@ import numpy as np
 __all__ = ["substream", "derive_seed", "uniform_table"]
 
 
-def _checked_seed(master_seed: int) -> int:
-    if int(master_seed) < 0:
-        raise ValueError(f"master seed must be non-negative, got {master_seed}")
-    return int(master_seed)
+def _natural(value, name: str) -> int:
+    """``value`` as a non-negative int; a bool or a float raises, never truncates."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return operator.index(value)
 
 
 def _seed_sequence(master_seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=_checked_seed(master_seed), spawn_key=tuple(int(p) for p in path)
-    )
+    key = tuple(_natural(p, "stream path entry") for p in path)
+    return np.random.SeedSequence(entropy=_natural(master_seed, "master seed"), spawn_key=key)
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -117,7 +117,7 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 def _uniform_rows(master_seed: int, keys: np.ndarray, low: float, high: float, size: int):
     """Rows ``substream(master_seed, k).uniform(low, high, size)`` for the
     uint32 spawn keys ``keys``, computed for all keys at once."""
-    seed = _checked_seed(master_seed)
+    seed = _natural(master_seed, "master seed")
     span = high - low
     if not math.isfinite(span):
         raise OverflowError("high - low range exceeds valid bounds")

@@ -153,14 +153,14 @@ class EveryPassStep(_EulerStep):
     or the clamp changed at least one value.
     """
 
-    def __init__(self, jm, shape, params):
-        super().__init__(jm, shape, params)
+    def __init__(self, jm, x, params):
+        super().__init__(jm, x, params)
         self.calls = 0
         self.floored, self.clamped = [], []
 
-    def __call__(self, x, e, t):
+    def __call__(self, t):
         self.calls += 1
-        x_sq, coupling, factor = self.x_sq, self.coupling, self.factor
+        x, e, x_sq, coupling, factor = self.x, self.e, self.x_sq, self.coupling, self.factor
         np.square(x, out=x_sq)
         # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
         # scaling the matmul's output
@@ -187,20 +187,20 @@ class EveryPassStep(_EulerStep):
 def every_step_integrate(jm, x0, params, record_every=0, internals=None):
     """The integrator as it was before it skipped work: every pass of the
     step (``EveryPassStep``) and the finiteness check after every step.
-    Returns ``(x, aborted, trajectory)`` like ``cim._integrate``.  An
-    ``internals`` dict gets the final error variables under ``"e"`` and the
-    steps on which the floor and the clamp changed a value under
-    ``"floor"`` and ``"clamp"``."""
-    x = np.array(x0, dtype=float, copy=True)
-    e = np.ones_like(x)
-    euler_step = EveryPassStep(jm, x.shape, params)
+    Returns ``(x, aborted, trajectory)``: ``trajectory`` stacks the
+    readouts anneal-major, the final one included, and is ``None`` without
+    ``record_every``.  An ``internals`` dict gets the final error variables
+    under ``"e"`` and the steps on which the floor and the clamp changed a
+    value under ``"floor"`` and ``"clamp"``."""
+    euler_step = EveryPassStep(jm, np.array(x0, dtype=float, copy=True), params)
+    x, e = euler_step.x, euler_step.e
     aborted = np.zeros(len(x), dtype=bool)
     snaps = [readout(x)] if record_every else []
     # overflow is the divergence signal, caught via isfinite below; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, params.steps + 1):
-            euler_step(x, e, (k - 1) * params.dt)
+            euler_step((k - 1) * params.dt)
             # cheap whole-batch probe; NaN/inf contaminate the sums if present
             if not np.isfinite(x.sum() + e.sum()):
                 bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(e).all(axis=1))

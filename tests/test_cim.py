@@ -24,16 +24,17 @@ FERRO2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _recorded_integrate(jm, x0, params, record_every=0):
-    """``_integrate`` with the readouts its hook sees stacked anneal-major:
-    ``(x, aborted, trajectory)``, as ``oracles.every_step_integrate``
-    returns them; ``trajectory`` is ``None`` without ``record_every``, when
-    the hook sees the final readout alone."""
+    """``_integrate`` on a copy of ``x0``, with the readouts its hook sees
+    and the final readout stacked anneal-major: ``(x, aborted,
+    trajectory)``, as ``oracles.every_step_integrate`` returns them;
+    ``trajectory`` is ``None`` without ``record_every``, when the hook sees
+    no readout."""
     readouts = []
-    x, aborted = _integrate(jm, x0, params, record_every, readouts.append)
+    x, aborted = _integrate(jm, x0.copy(), params, record_every, readouts.append)
     if not record_every:
-        assert len(readouts) == 1 and readouts[0].tobytes() == readout(x).tobytes()
+        assert readouts == []
         return x, aborted, None
-    return x, aborted, np.stack(readouts, axis=1)
+    return x, aborted, np.stack(readouts + [readout(x)], axis=1)
 
 
 def _hooked_solve(j, params, master_seed, record_every):
@@ -74,14 +75,13 @@ class TestCimParams:
 def _kernel_run(jm, x0, params, e0=None, n_steps=1):
     """Advance one row through ``n_steps`` calls of the step kernel; returns
     the ``(x, e)`` rows after each step."""
-    jm = np.asarray(jm, dtype=float)
-    x = np.array(x0, dtype=float)[None, :]
-    e = np.ones_like(x) if e0 is None else np.array(e0, dtype=float)[None, :]
-    kernel = _EulerStep(jm, x.shape, params)
+    kernel = _EulerStep(np.asarray(jm, dtype=float), np.array(x0, dtype=float)[None, :], params)
+    if e0 is not None:
+        kernel.e[0] = e0
     states = []
     for k in range(n_steps):
-        kernel(x, e, k * params.dt)
-        states.append((x[0].copy(), e[0].copy()))
+        kernel(k * params.dt)
+        states.append((kernel.x[0].copy(), kernel.e[0].copy()))
     return states
 
 
@@ -93,11 +93,11 @@ def first_step_state(monkeypatch):
     class RecordingStep(_EulerStep):
         recorded = False
 
-        def __call__(self, x, e, t):
+        def __call__(self, t):
             if not self.recorded:
                 self.recorded = True
-                seen.append((x.copy(), e.copy(), t))
-            super().__call__(x, e, t)
+                seen.append((self.x.copy(), self.e.copy(), t))
+            super().__call__(t)
 
     monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
     return seen
@@ -222,9 +222,9 @@ class TestBlasThreads:
         seen = []
 
         class RecordingStep(_EulerStep):
-            def __call__(self, x, e, t):
+            def __call__(self, t):
                 seen.append(blas_threads())
-                super().__call__(x, e, t)
+                super().__call__(t)
 
         monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
         solve(FERRO2, CimParams(steps=3, n_anneals=2), master_seed=0)
@@ -233,7 +233,7 @@ class TestBlasThreads:
 
     def test_caller_count_restored_when_solve_raises(self, blas_threads, monkeypatch):
         class FailingStep(_EulerStep):
-            def __call__(self, x, e, t):
+            def __call__(self, t):
                 raise FloatingPointError("step failed")
 
         monkeypatch.setattr(cim, "_EulerStep", FailingStep)
@@ -302,7 +302,7 @@ class TestSaturationAndGauge:
     def test_flip_of_initialisation_flips_readout(self):
         params = CimParams(steps=400)
         x0 = substream(5).uniform(-0.01, 0.01, (1, 2))
-        xa, _ = _integrate(FERRO2, x0, params)
+        xa, _ = _integrate(FERRO2, x0.copy(), params)
         xb, _ = _integrate(FERRO2, -x0, params)
         sa, sb = readout(xa[0]), readout(xb[0])
         assert np.array_equal(sa, -sb)
@@ -332,12 +332,27 @@ class TestSolve:
         assert np.array_equal(batch[0].spins, single.spins)
         assert not batch[0].aborted and not single.aborted
 
-    def test_start_table_freed_once_copied(self):
+    def test_start_table_is_the_kernels_x(self, monkeypatch):
         # x, e and the kernel's three work buffers are five (anneals, dim)
-        # arrays; the start table must not stay alive beside them
+        # arrays; the start table is x itself, not a sixth beside them
+        tables, kernels = [], []
+
+        def recording_table(*args):
+            tables.append(uniform_table(*args))
+            return tables[-1]
+
+        class RecordingStep(_EulerStep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
         inst = compile_instance(generate_channel(MimoConfig(4, 4, 4), seed=3), 0.7)
         params = CimParams(steps=50, n_anneals=1000)
-        solve(inst, params, master_seed=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(cim, "uniform_table", recording_table)
+            patch.setattr(cim, "_EulerStep", RecordingStep)
+            solve(inst, params, master_seed=1)
+        assert kernels[0].x is tables[0]
         tracemalloc.start()
         try:
             solve(inst, params, master_seed=1)
@@ -518,14 +533,14 @@ class TestReferenceEquivalence:
         x0 = substream(0).uniform(-0.01, 0.01, (4, 2))
         x0[1] = 0.0
         for jm, expected in ((np.zeros((2, 2)), [True] * 4), (FERRO2, [False, True, False, False])):
-            x, aborted = _integrate(jm, x0, params)
+            x, aborted = _integrate(jm, x0.copy(), params)
             ref_x, ref_aborted, _, _ = reference_integrate(jm, x0, params, 10)
             assert aborted.tolist() == ref_aborted.tolist() == expected
             assert np.max(np.abs(x - ref_x)) <= 1e-12
 
 
 def _sticks(**kwargs) -> bool:
-    return _EulerStep(FERRO2, (1, 2), CimParams(**kwargs)).divergence_sticks
+    return _EulerStep(FERRO2, np.zeros((1, 2)), CimParams(**kwargs)).divergence_sticks
 
 
 class TestDivergenceSticks:
@@ -551,13 +566,13 @@ class TestDivergenceSticks:
         # the e factor at x = x_clip is 0.02 at the defaults and -4899 at
         # dt = 50, where e = +inf turns -inf, is floored, and the row is
         # finite again after one step: a later check would miss it
-        kernel = _EulerStep(FERRO2, (1, 2), params)
+        kernel = _EulerStep(FERRO2, np.full((1, 2), params.x_clip), params)
         assert kernel.divergence_sticks is sticks
-        x, e = np.full((1, 2), params.x_clip), np.full((1, 2), np.inf)
+        kernel.e[:] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel(x, e, 1.0)
-        assert x.tolist() == [[params.x_clip] * 2]
-        assert e.tolist() == [[np.inf if sticks else E_FLOOR] * 2]
+            kernel(1.0)
+        assert kernel.x.tolist() == [[params.x_clip] * 2]
+        assert kernel.e.tolist() == [[np.inf if sticks else E_FLOOR] * 2]
 
     def test_governed_by_init_scale_above_x_clip(self):
         # factor 3 - X^2: 0.75 at X = x_clip = 1.5, -1 at X = init_scale = 2
@@ -611,6 +626,33 @@ def _check_schedule_cases():
 
 
 CHECK_CASES = {name: case for name, *case in _check_schedule_cases()}
+# _integrate advances its x0 in place; these tables are shared
+for _, _x0, _ in CHECK_CASES.values():
+    _x0.flags.writeable = False
+
+
+def _bound_rereads(jm, x0, params):
+    """The minimum reductions of one ``_integrate`` run, the kernel's
+    re-reads of its bound on ``e``, as a list of their results: seen on a
+    subclass of ``x0`` that the kernel adopts and passes on to ``e``."""
+    reads = []
+
+    class CountingArray(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
+            out = kwargs.get("out", ())
+            if out:
+                kwargs["out"] = tuple(a.view(np.ndarray) if isinstance(a, CountingArray) else a
+                                      for a in out)
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            if method == "reduce" and ufunc in (np.minimum, np.fmin):
+                reads.append(float(result))
+            return out[0] if len(out) == 1 else result
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _ = _integrate(jm, x0.copy().view(CountingArray), params)
+    assert type(x) is CountingArray
+    return reads
 
 
 @pytest.fixture()
@@ -619,10 +661,9 @@ def kernel_e(monkeypatch):
     seen = []
 
     class RememberingStep(_EulerStep):
-        def __call__(self, x, e, t):
-            if not seen or seen[-1] is not e:
-                seen.append(e)
-            super().__call__(x, e, t)
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen.append(self.e)
 
     monkeypatch.setattr(cim, "_EulerStep", RememberingStep)
     return seen
@@ -661,65 +702,56 @@ class TestCheckSchedule:
         assert not internals["floor"] and max(internals["clamp"], default=0) < 100
 
     def test_abort_while_the_floor_is_skipped(self, monkeypatch):
-        restarts, final_e = [], []
+        resets, kernels = [], []
 
         class RecordingStep(_EulerStep):
-            def restart(self):
-                restarts.append((self.e_low, self.last[1].min()))
-                super().restart()
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
 
-            def __call__(self, x, e, t):
-                super().__call__(x, e, t)
-                final_e[:] = [e.copy()]
+            def abort_nonfinite(self):
+                e_low, finite = self.e_low, np.isfinite(self.x.sum() + self.e.sum())
+                super().abort_nonfinite()
+                if not finite:
+                    resets.append((e_low, self.e_low, self.e.min()))
 
         monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
         jm, x0, params = CHECK_CASES["abort-in-window"]
-        _, aborted = _integrate(jm, x0, params, record_every=10)
+        _, aborted = _integrate(jm, x0.copy(), params, record_every=10)
         # after the first reset every e is 1, which decays to the floor in
         # 31 steps at c_e = 0.4, while the carried bound would stay above it
-        # for longer: only the restart keeps the reset rows' e at the floor
-        assert aborted.all() and len(restarts) == 2
-        e_low, e_min = restarts[0]
+        # for longer: only the reset of the bound keeps the reset rows' e
+        # at the floor
+        assert aborted.all() and len(resets) == 2
+        e_low, e_low_after, e_min = resets[0]
         assert e_min == 1.0 and e_low * 0.4 ** 31 > E_FLOOR > 0.4 ** 31
-        assert final_e[0].tolist() == [[E_FLOOR] * 2] * 4
-
-    def test_fresh_arrays_do_not_inherit_the_bound(self):
-        kernel = _EulerStep(np.zeros((1, 1)), (1, 1), CimParams())
-        x, e = np.full((1, 1), 0.5), np.ones((1, 1))
-        kernel(x, e, 0.0)
-        kernel(x, e, 0.01)
-        # a third step on these arrays would skip the floor
-        assert kernel.e_low * kernel.f >= E_FLOOR
-        # factor 1.02 - 0.01 * 25 = 0.77 takes e below the floor
-        x, e = np.full((1, 1), 5.0), np.full((1, 1), E_FLOOR)
-        kernel(x, e, 0.02)
-        assert e.tolist() == [[E_FLOOR]]
+        assert e_low_after == 0.0
+        assert kernels[0].e.tolist() == [[E_FLOOR] * 2] * 4
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
     def test_floor_rereads_e_only_where_it_runs(self, dims):
-        # e.min() runs only on the steps that floor, 1-5 of 1000 at the
-        # defaults
-        class CountingArray(np.ndarray):
-            def min(self, *args, **kwargs):
-                calls.append(1)
-                return super().min(*args, **kwargs)
-
-        calls = []
+        # the bound is re-read only on the steps that floor, 1-5 of 1000 at
+        # the defaults
         inst = compile_instance(generate_channel(MimoConfig(*dims), seed=3), 0.8)
         params = CimParams()
-        x = substream(9).uniform(-params.init_scale, params.init_scale, (100, inst.dim))
-        e = np.ones_like(x).view(CountingArray)
-        kernel = _EulerStep(inst.j, x.shape, params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(params.steps):
-                kernel(x, e, k * params.dt)
-        assert inst.dim in (9, 33) and 1 <= len(calls) <= 10
+        x0 = substream(9).uniform(-params.init_scale, params.init_scale, (100, inst.dim))
+        assert inst.dim in (9, 33) and 1 <= len(_bound_rereads(inst.j, x0, params)) <= 10
+
+    def test_floor_rereads_e_only_where_the_bound_helps(self):
+        # the floor binds on 895 steps of sticky-ferro; from step 648 to
+        # the final check a row is NaN, which leaves the bound on the other
+        # rows' e intact
+        reads = _bound_rereads(*CHECK_CASES["sticky-ferro"])
+        assert len(reads) == 895 and not np.isnan(reads).any()
+        # at dt = 50 the floor runs on 299 steps, and after all but the
+        # first the next factor bound is f <= 0, which no bound survives
+        assert len(_bound_rereads(*CHECK_CASES["dt50-ferro"])) == 1
 
     @pytest.mark.parametrize("name", ["sticky-ferro", "sticky-zero-j", "sticky-negative-beta"])
     def test_sticky_cases_abort_mid_run(self, name):
         jm, x0, params = CHECK_CASES[name]
-        assert _EulerStep(jm, x0.shape, params).divergence_sticks
-        _, aborted = _integrate(jm, x0, params)
+        assert _EulerStep(jm, x0, params).divergence_sticks
+        _, aborted = _integrate(jm, x0.copy(), params)
         _, aborted_early, _ = every_step_integrate(jm, x0, replace(params, steps=600))
         assert aborted.any() and not aborted_early.any()
 

@@ -7,6 +7,8 @@ numpy release that changes either generator fails here instead of moving
 solver outputs.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -79,3 +81,29 @@ def test_rejects_bad_arguments(kwargs, exc):
     args = dict(master_seed=0, n_streams=3, low=-0.01, high=0.01, size=4) | kwargs
     with pytest.raises(exc):
         uniform_table(**args)
+
+
+SEED_TAKERS = {
+    "derive_seed": lambda v: rng.derive_seed(v),
+    "derive_seed-path": lambda v: rng.derive_seed(0, 1, v),
+    "substream": lambda v: substream(v),
+    "substream-path": lambda v: substream(3, v),
+    "uniform_table": lambda v: uniform_table(v, 3, -0.01, 0.01, 4),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(1.0), True, np.True_, "1", None])
+@pytest.mark.parametrize("taker", sorted(SEED_TAKERS))
+def test_rejects_non_integer_seeds_and_paths(taker, bad):
+    # int() would truncate 1.7 to 1 and read True as 1, silently picking
+    # another integer's stream
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        SEED_TAKERS[taker](bad)
+
+
+@pytest.mark.parametrize("taker", sorted(SEED_TAKERS))
+def test_numpy_integer_seeds_and_paths_accepted(taker):
+    got, want = SEED_TAKERS[taker](np.uint64(5)), SEED_TAKERS[taker](5)
+    if isinstance(want, np.random.Generator):
+        got, want = got.random(4), want.random(4)
+    assert np.array_equal(got, want)
