@@ -42,7 +42,6 @@ draw.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import time
@@ -51,6 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._files import write_csv, write_json
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
 from .cim import CimParams, readout_steps, solve
@@ -482,56 +482,26 @@ def cim_master_seed(instance_seed: int) -> int:
     return derive_seed(instance_seed, _D_CIM)
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
 def write_metric_rows(rows: Sequence[MetricRow], path) -> None:
     """Write the results CSV.
 
     First line is a ``# format: 1`` version comment, then the fixed header
     ``instance_id,method,lambda,step,objective,feasible,fallback,seed``.
-    Floats use shortest round-trip formatting so output is byte-stable.
     """
-    with open(path, "w") as fh:
-        fh.write("# format: 1\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    (
-                        str(r.instance_id),
-                        r.method,
-                        _fmt_float(r.lam),
-                        str(r.step),
-                        _fmt_float(r.objective),
-                        _fmt_bool(r.feasible),
-                        _fmt_bool(r.fallback),
-                        str(r.seed),
-                    )
-                )
-                + "\n"
-            )
+    write_csv(path, CSV_COLUMNS, (
+        (r.instance_id, r.method, float(r.lam), r.step, float(r.objective), bool(r.feasible),
+         bool(r.fallback), r.seed)
+        for r in rows
+    ), version=1)
 
 
 def _none_if_nan(v: float):
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
-def _write_summary(path, header: dict, rows: list[dict]) -> None:
-    payload = {"format": 1, **header, "rows": rows}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def write_summary_json(summaries: Sequence[MethodSummary], path) -> None:
     """Write a sweep's per-(method, weight) summaries."""
-    _write_summary(path, {}, [
+    write_json(path, {"format": 1, "rows": [
         {
             "method": s.method,
             "lambda": s.lam,
@@ -541,13 +511,13 @@ def write_summary_json(summaries: Sequence[MethodSummary], path) -> None:
             "n": s.n,
         }
         for s in summaries
-    ])
+    ]})
 
 
 def write_trace_summary_json(trace: HarnessResult, path) -> None:
     """Write a trace's per-step ``cim_best``/``cim_avg`` means and ``P_c``."""
     avg = {s.step: s.e_rho for s in trace.summaries if s.method == "cim_avg"}
-    _write_summary(path, {"lambda": trace.plan.lambdas[0]}, [
+    write_json(path, {"format": 1, "lambda": trace.plan.lambdas[0], "rows": [
         {
             "step": s.step,
             "e_rho_best": _none_if_nan(s.e_rho),
@@ -556,4 +526,4 @@ def write_trace_summary_json(trace: HarnessResult, path) -> None:
         }
         for s in trace.summaries
         if s.method == "cim_best"
-    ])
+    ]})

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_json
+
 __all__ = [
     "MimoConfig",
     "ChannelMatrix",
@@ -173,9 +175,7 @@ def write_channel(g: ChannelMatrix, path) -> None:
             for row in g.entries
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def read_channel(path) -> ChannelMatrix:

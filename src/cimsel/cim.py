@@ -92,6 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_csv
 from .formulation import IsingInstance
 # unused here; perfbench/tracing.py wraps cimsel.cim.substream until ROADMAP item 1
 from .rng import substream, uniform_table
@@ -165,10 +166,13 @@ def readout(x: np.ndarray) -> np.ndarray:
 
 
 def ising_energy(j, spins: np.ndarray) -> float:
-    """Quadratic score ``s^T J s`` of a spin vector (larger is better here)."""
-    jm = _coupling_matrix(j)
+    """Quadratic score ``s^T J s`` of a spin vector (larger is better here).
+
+    The ``±J_ij`` terms are summed exactly with ``math.fsum``, so the value
+    does not depend on the order in which a BLAS kernel would add them.
+    """
     s = np.asarray(spins, dtype=float)
-    return float(s @ jm @ s)
+    return math.fsum((np.outer(s, s) * _coupling_matrix(j)).ravel().tolist())
 
 
 class _EulerStep:
@@ -416,11 +420,7 @@ def write_trajectory_csv(steps, trajectory, j, params: CimParams, path) -> None:
     """
     jm = _coupling_matrix(j)
     dim = jm.shape[1]
-    with open(path, "w") as fh:
-        fh.write("step,t," + ",".join(f"s{i}" for i in range(dim)) + ",energy\n")
-        for k, spins in zip(steps, trajectory):
-            energy = ising_energy(jm, spins)
-            cells = [str(int(k)), repr(float(k) * params.dt)]
-            cells += [str(int(s)) for s in spins]
-            cells.append(repr(energy))
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, ["step", "t", *(f"s{i}" for i in range(dim)), "energy"], (
+        [int(k), float(k) * params.dt, *spins.tolist(), ising_energy(jm, spins)]
+        for k, spins in zip(steps, trajectory)
+    ))

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 from . import bench
+from ._files import write_csv, write_json
 from .baselines import search_space_size
 from .channel import MimoConfig, generate_channel, read_channel, write_channel
 from .cim import CimParams, readout_steps, solve, write_trajectory_csv
@@ -172,16 +173,7 @@ def _echo_config(args, cfg: dict, plan: bench.ExperimentPlan, out: Path) -> None
     # the echo records the seed that ran; a config file that is itself an
     # echo carries the old run's command
     payload = dict(cfg, master_seed=plan.master_seed, format=1, command=args.command)
-    with open(out / "run_config.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_table(path: Path, header: str, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    write_json(out / "run_config.json", payload, sort_keys=True)
 
 
 def _write_plot_data(out: Path, summaries, axis: str) -> None:
@@ -189,15 +181,15 @@ def _write_plot_data(out: Path, summaries, axis: str) -> None:
     ``lambda`` for a sweep or ``step`` for a trace, whose methods share one
     ``P_c`` per step."""
     sweep = axis == "lambda"
-    key = (lambda s: repr(s.lam)) if sweep else (lambda s: str(s.step))
-    _write_table(out / f"plot_{axis}_e.csv", f"{axis},method,e_rho",
-                 (f"{key(s)},{s.method},{s.e_rho!r}" for s in summaries))
+    key = (lambda s: float(s.lam)) if sweep else (lambda s: int(s.step))
+    write_csv(out / f"plot_{axis}_e.csv", (axis, "method", "e_rho"),
+              ((key(s), s.method, float(s.e_rho)) for s in summaries))
     if sweep:
-        pc_lines = (f"{key(s)},{s.method},{s.p_c!r}" for s in summaries)
+        write_csv(out / f"plot_{axis}_pc.csv", (axis, "method", "p_c"),
+                  ((key(s), s.method, float(s.p_c)) for s in summaries))
     else:
-        pc_lines = (f"{key(s)},{s.p_c!r}" for s in summaries if s.method == "cim_best")
-    _write_table(out / f"plot_{axis}_pc.csv", f"{axis},method,p_c" if sweep else "step,p_c",
-                 pc_lines)
+        write_csv(out / f"plot_{axis}_pc.csv", (axis, "p_c"),
+                  ((key(s), float(s.p_c)) for s in summaries if s.method == "cim_best"))
 
 
 def _finish_harness(args, cfg: dict, plan: bench.ExperimentPlan, out: Path, result) -> int:
@@ -239,9 +231,7 @@ def cmd_gen(args) -> int:
         "seeds": seeds,
         "files": files,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     _echo_config(args, cfg, plan, out)
     print(f"wrote {plan.n_instances} channel files and manifest.json to {out}")
     return 0
@@ -291,12 +281,10 @@ def cmd_solve(args) -> int:
             write_trajectory_csv(steps, trajectory, inst, params, args.dump_trajectory)
         except OSError as exc:
             _fail(f"cannot write {args.dump_trajectory}: {exc}")
-    text = json.dumps(report, indent=1)
     if out is not None:
-        with open(out / "solution.json", "w") as fh:
-            fh.write(text + "\n")
+        write_json(out / "solution.json", report)
         _echo_config(args, cfg, plan, out)
-    print(text)
+    print(json.dumps(report, indent=1))
     if result.n_aborted == result.n_anneals:
         print("error: every anneal aborted", file=sys.stderr)
         return 3

@@ -27,11 +27,11 @@ the compiled instance (they do not affect the argmax).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_json
 from .channel import ChannelMatrix, MimoConfig
 
 __all__ = [
@@ -240,7 +240,5 @@ def instance_to_json(inst: IsingInstance) -> dict:
 
 
 def write_instance(inst: IsingInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, indent=1)
-        fh.write("\n")
+    write_json(path, instance_to_json(inst))
 

@@ -127,7 +127,7 @@ class TestSolve:
         assert len(lines) == 1 + 5  # steps 0, 25, 50, 75, 100
         # pinned bytes: a change that moves them must say so and re-record
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "3bdca5e6704a95485f8d636274d2fc81b159a340e48115c457f404c39697999b"
+            "d6515f813404f8fdf6cfa47cd03e8f9ac47c814832917c4614b5169e86eda71f"
         )
 
     def test_dump_trajectory_aborted_anneal(self, channel_file, tmp_path, capsys):

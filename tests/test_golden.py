@@ -22,6 +22,10 @@ GOLDEN = {
                 "d7cfecbdb146570579217515993487667a92fa2ff68aa4c8a1128ad18dd39206",
             "summary.json":
                 "8a4ebea92d98bed898bec4214126dab3f3924dbbd0dac2d5d0656901b26b205a",
+            "run_config.json":
+                "30454d023a21323c6927a9b391ae9213d40ae925049bdf8a7eac845432ff1323",
+            "run.log":
+                "fbed18de3941127adf87a81d7caf5c4b2023972229419d9b61c7db8e681aba5a",
         },
     ),
     "trace": (
@@ -105,7 +109,7 @@ SINGLE_FILE = {
     "solve-trajectory": (
         lambda channel, target: ["solve", channel, "--lam", "0.8", "--anneals", "200",
                                  "--seed", "5", "--stride", "10", "--dump-trajectory", target],
-        "a73882228e4bd248b2516baa77c4f5af049ce36c37f1d4f6af30e93f6503eaae",
+        "29d8cbefa7781913cc1e50ab0fb422ff9a323f0b439f56b1cdbfbc6a78950fce",
     ),
 }
 
@@ -119,3 +123,24 @@ def test_single_file_digests(name, tmp_path):
     target = tmp_path / "output"
     assert cli.main(argv(str(gen / "channel_00000.json"), str(target))) == 0
     assert _sha256(target) == digest
+
+
+# the files of ``gen`` and of ``solve --out``, run from inside the test's
+# directory so that the channel path ``solution.json`` records is relative
+GEN_SOLVE = {
+    "gen/channel_00000.json":
+        "b2c966e99b6ae99a12518384d93e990c4539bbf9e1fa3787062e25470b8bf9fc",
+    "gen/manifest.json":
+        "518aaedb313e658b08c7376304784de7bb58be2070d5c91c3321783b2372bf3d",
+    "solve/solution.json":
+        "36a8efd9ce2a5a677213ff0572b686b28af998f45eaa8d63a919410e9bb1f7f8",
+}
+
+
+def test_gen_and_solve_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--n-t", "2", "--n-r", "2", "--n-states", "2", "--seed", "5",
+                     "--out", "gen"]) == 0
+    assert cli.main(["solve", "gen/channel_00000.json", "--lam", "0.8", "--anneals", "200",
+                     "--seed", "5", "--out", "solve"]) == 0
+    assert {fname: _sha256(tmp_path / fname) for fname in GEN_SOLVE} == GEN_SOLVE
