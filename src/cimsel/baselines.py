@@ -143,10 +143,10 @@ def nsa(g: ChannelMatrix) -> BaselineResult:
     n = cfg.n_states
     a2 = np.abs(g.entries) ** 2
     row_norms = a2.sum(axis=1)  # squared row norms; argmax unaffected
-    rx = tuple(int(np.argmax(row_norms[r * n : (r + 1) * n])) for r in range(cfg.n_r))
+    rx = tuple(np.argmax(row_norms[r * n : (r + 1) * n]) for r in range(cfg.n_r))
     sel_rows = [r * n + c for r, c in enumerate(rx)]
     col_norms = a2[sel_rows, :].sum(axis=0)
-    tx = tuple(int(np.argmax(col_norms[t * n : (t + 1) * n])) for t in range(cfg.n_t))
+    tx = tuple(np.argmax(col_norms[t * n : (t + 1) * n]) for t in range(cfg.n_t))
     sel = ConfigAssignment(tx=tx, rx=rx)
     return BaselineResult(
         assignment=sel,
@@ -162,7 +162,7 @@ def random_selection(g: ChannelMatrix, rng: np.random.Generator) -> BaselineResu
     scored afterwards, like every other method's.
     """
     cfg = g.config
-    tx = tuple(int(c) for c in rng.integers(0, cfg.n_states, cfg.n_t))
-    rx = tuple(int(c) for c in rng.integers(0, cfg.n_states, cfg.n_r))
+    tx = rng.integers(0, cfg.n_states, cfg.n_t)
+    rx = rng.integers(0, cfg.n_states, cfg.n_r)
     sel = ConfigAssignment(tx=tx, rx=rx)
     return BaselineResult(assignment=sel, objective=objective(g, sel), evaluations=0)

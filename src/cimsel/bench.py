@@ -43,13 +43,13 @@ draw.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._checks import integer, real
 from ._files import write_csv, write_json
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
@@ -108,14 +108,11 @@ class ExperimentPlan:
     def __post_init__(self):
         minimum = {"n_instances": 1, "master_seed": 0, "trace_stride": 1, "es_budget": 0}
         for name, low in minimum.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in self.lambdas):
-            raise ValueError(f"penalty weights must be numbers, got {self.lambdas!r}")
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
+        if not isinstance(self.lambdas, (list, tuple)):
+            raise ValueError(f"lambdas must be a list or tuple, got {self.lambdas!r}")
+        lambdas = tuple(real(f"lambdas[{i}]", v) for i, v in enumerate(self.lambdas))
+        object.__setattr__(self, "lambdas", lambdas)
         if not self.lambdas:
             raise ValueError("lambdas must be non-empty")
         if any(not 0.0 <= v <= 1.0 for v in self.lambdas):
@@ -252,6 +249,7 @@ def run_instance(
     falls back at every sample.
     """
     config = g.config
+    record_every = integer("record_every", record_every, 0)
     inst = compile_instance(g, lam)
     n_samples = len(readout_steps(cim_params.steps, record_every)) if record_every else 1
     scorer = _ReadoutScorer(g, n_samples)

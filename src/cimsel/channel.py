@@ -17,11 +17,11 @@ All functions here are pure; channel generation is deterministic given
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from ._files import write_json
 
 __all__ = [
@@ -47,10 +47,7 @@ class MimoConfig:
 
     def __post_init__(self):
         for name in ("n_t", "n_r", "n_states"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
 
     @property
     def n_antennas(self) -> int:
@@ -79,6 +76,7 @@ class ChannelMatrix:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         expected = (self.config.rows, self.config.cols)
         if self.entries.shape != expected:
             raise ValueError(
@@ -103,10 +101,9 @@ class ConfigAssignment:
     rx: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tx", tuple(int(c) for c in self.tx))
-        object.__setattr__(self, "rx", tuple(int(c) for c in self.rx))
-        if any(c < 0 for c in self.tx + self.rx):
-            raise ValueError("configuration indices must be non-negative")
+        for side in ("tx", "rx"):
+            states = tuple(integer(f"{side}[{i}]", c, 0) for i, c in enumerate(getattr(self, side)))
+            object.__setattr__(self, side, states)
 
 
 def generate_channel(config: MimoConfig, seed: int) -> ChannelMatrix:
@@ -115,10 +112,11 @@ def generate_channel(config: MimoConfig, seed: int) -> ChannelMatrix:
     Real and imaginary parts are independent N(0, 1/2), so each entry has
     unit total variance.  The draw is deterministic given ``(config, seed)``.
     """
+    seed = integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     shape = (config.rows, config.cols)
     entries = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return ChannelMatrix(config=config, entries=entries, seed=int(seed))
+    return ChannelMatrix(config=config, entries=entries, seed=seed)
 
 
 def score_states(g: ChannelMatrix, states: np.ndarray) -> np.ndarray:
@@ -196,11 +194,12 @@ def read_channel(path) -> ChannelMatrix:
             f"channel file {path}: field 'entries' must be "
             f"{config.rows} rows of {config.cols} columns"
         )
-    seed = raw["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    try:
+        seed = integer("seed", raw["seed"], 0)
+    except ValueError:
         raise ChannelFormatError(
-            f"channel file {path}: field 'seed' must be a non-negative integer, got {seed!r}"
-        )
+            f"channel file {path}: field 'seed' must be a non-negative integer, got {raw['seed']!r}"
+        ) from None
     try:
         entries = np.array(
             [[complex(_number(v["re"]), _number(v["im"])) for v in row] for row in rows],

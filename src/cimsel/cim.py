@@ -86,12 +86,12 @@ import contextlib
 import ctypes
 import functools
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
 from ._files import write_csv
 from .formulation import IsingInstance
 # unused here; perfbench/tracing.py wraps cimsel.cim.substream until ROADMAP item 1
@@ -133,19 +133,12 @@ class CimParams:
 
     def __post_init__(self):
         for name in ("p", "beta", "a", "gamma", "dt", "init_scale", "x_clip"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        for name in ("steps", "n_anneals"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
         for name in ("a", "dt", "init_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("steps", "n_anneals"):
-            value = getattr(self, name)
-            try:
-                count = None if isinstance(value, bool) else operator.index(value)
-            except TypeError:
-                count = None
-            if count is None or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.x_clip <= np.sqrt(self.a):
             raise ValueError(
                 f"x_clip must exceed sqrt(a) = {np.sqrt(self.a):.4g}, got {self.x_clip}"
@@ -320,6 +313,7 @@ def readout_steps(steps: int, record_every: int) -> np.ndarray:
     """Steps at which a run recording every ``record_every`` steps samples
     its readout: ``0, record_every, 2*record_every, ...`` and the final step
     ``steps``, once each."""
+    record_every = integer("record_every", record_every, 1)
     return np.append(np.arange(0, steps, record_every, dtype=np.int64), np.int64(steps))
 
 
@@ -396,6 +390,7 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     integrator has released its buffers, so scoring it adds nothing to the
     integrator's peak.
     """
+    record_every = integer("record_every", record_every, 0)
     if record_every and on_readout is None:
         raise ValueError("record_every > 0 needs an on_readout hook to take its readouts")
     jm = _coupling_matrix(j)

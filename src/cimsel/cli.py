@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 from . import bench
+from ._checks import integer
 from ._files import write_csv, write_json
 from .baselines import search_space_size
 from .channel import MimoConfig, generate_channel, read_channel, write_channel
@@ -124,10 +125,7 @@ def _plan(cfg: dict, config: MimoConfig | None = None) -> tuple[bench.Experiment
             cim=CimParams(**cfg.get("cim", {})),
             **{key: cfg[key] for key in _PLAN_KEYS if key in cfg},
         )
-    workers = cfg["workers"]
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        _fail(f"workers must be an integer >= 1, got {workers!r}")
-    return plan, workers
+        return plan, integer("workers", cfg["workers"], 1)
 
 
 def _one_weight_plan(

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real
 from ._files import write_json
 from .channel import ChannelMatrix, MimoConfig
 
@@ -197,7 +198,7 @@ def compile_instance(g: ChannelMatrix, lam: float) -> IsingInstance:
     power against one-hot feasibility.  At ``lam = 0`` the instance is the
     pure objective; at ``lam = 1`` it is the pure (negated) penalty.
     """
-    lam = float(lam)
+    lam = real("lam", lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"penalty weight must lie in [0, 1], got {lam}")
     j_obj = objective_coupling(qubo_matrix(squared_gains(g)))

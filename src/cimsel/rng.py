@@ -20,23 +20,17 @@ against the ``substream`` loop, so a numpy release that changes
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
+
+from ._checks import integer
 
 __all__ = ["substream", "derive_seed", "uniform_table"]
 
 
-def _natural(value, name: str) -> int:
-    """``value`` as a non-negative int; a bool or a float raises, never truncates."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return operator.index(value)
-
-
 def _seed_sequence(master_seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
-    key = tuple(_natural(p, "stream path entry") for p in path)
-    return np.random.SeedSequence(entropy=_natural(master_seed, "master seed"), spawn_key=key)
+    key = tuple(integer(f"path[{i}]", p, 0) for i, p in enumerate(path))
+    return np.random.SeedSequence(entropy=integer("master_seed", master_seed, 0), spawn_key=key)
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -74,30 +68,23 @@ _MULT_HI, _MULT_LO, _MULT_L0, _MULT_L1 = (
 _U64_32, _U64_M32 = np.uint64(32), np.uint64(_M32)
 
 
-def _hash_consts(init: int, mult: int, n: int) -> list[int]:
-    """The first ``n`` values a SeedSequence hash constant takes after its
-    update, which does not depend on the data hashed."""
-    out, h = [], init
-    for _ in range(n):
-        out.append(h)
-        h = (h * mult) & _M32
-    return out
+def _hash_consts(init: int, mult: int, start: int, n: int) -> np.ndarray:
+    """Values ``start`` to ``start + n - 1`` of a SeedSequence hash constant,
+    as a uint32 column: the ``k``-th is ``init * mult**k`` modulo 2**32,
+    whatever data is hashed."""
+    consts = [init * pow(mult, k, 1 << 32) & _M32 for k in range(start, start + n)]
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _wrap32(value):
-    """``value`` modulo 2**32; uint32 arrays already wrap."""
-    return value & _M32 if isinstance(value, int) else value
-
-
-def _hashmix(value, const: int, mult: int):
-    """One SeedSequence hash of ``value`` (an int or a uint32 array) under
-    the hash constant ``const``."""
-    value = _wrap32((value ^ const) * ((const * mult) & _M32))
+def _hashmix(value, const, mult: int):
+    """One SeedSequence hash of the uint32 array ``value`` under the hash
+    constants ``const``; uint32 arithmetic wraps modulo 2**32, as theirs."""
+    value = (value ^ const) * (const * mult)
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    value = _wrap32(_wrap32(_MIX_L * x) - _wrap32(_MIX_R * y))
+    value = _MIX_L * x - _MIX_R * y
     return value ^ (value >> 16)
 
 
@@ -117,32 +104,21 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 def _uniform_rows(master_seed: int, keys: np.ndarray, low: float, high: float, size: int):
     """Rows ``substream(master_seed, k).uniform(low, high, size)`` for the
     uint32 spawn keys ``keys``, computed for all keys at once."""
-    seed = _natural(master_seed, "master seed")
+    seed = integer("master_seed", master_seed, 0)
     span = high - low
     if not math.isfinite(span):
         raise OverflowError("high - low range exceeds valid bounds")
-    # SeedSequence entropy: the seed's little-endian 32-bit words padded to
-    # the pool size, then the spawn key, which mixes in last
-    words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + 1))
-    pool = [_hashmix(w, c, _MULT_A) for w, c in zip(words[:_POOL], consts)]
-    it = iter(consts[_POOL:])
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(it), _MULT_A))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(w, next(it), _MULT_A))
+    # SeedSequence hashes the seed's 32-bit words, padded to the pool size,
+    # into the pool that SeedSequence(seed) holds; the spawn key is the next
+    # word, and mixes in under the next pool-size hash constants
+    n_words = max(_POOL, -(-max(seed.bit_length(), 1) // 32))
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * n_words, _POOL)
     keys = np.asarray(keys, dtype=np.uint32)
-    pool = [_mix(p, _hashmix(keys, next(it), _MULT_A)) for p in pool]
+    pool = _mix(np.random.SeedSequence(seed).pool[:, None], _hashmix(keys, consts, _MULT_A))
     # generate_state(4, uint64): eight 32-bit words, paired little-endian
-    state = [
-        _hashmix(pool[i % _POOL], c, _MULT_B).astype(np.uint64)
-        for i, c in enumerate(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
-    ]
-    s_hi, s_lo, i_hi, i_lo = (state[i] | (state[i + 1] << _U64_32) for i in range(0, 8, 2))
+    consts = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL)
+    words = _hashmix(pool[np.arange(2 * _POOL) % _POOL], consts, _MULT_B).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = words[0::2] | (words[1::2] << _U64_32)
     # PCG64 seeding: inc = (i << 1) | 1; step from 0, add the seed, step
     one = np.uint64(1)
     inc_hi, inc_lo = (i_hi << one) | (i_lo >> np.uint64(63)), (i_lo << one) | one
@@ -175,9 +151,7 @@ def uniform_table(master_seed: int, n_streams: int, low: float, high: float, siz
     uint64 array arithmetic.  Spawn keys are one 32-bit word, so at most
     ``2**32`` streams.
     """
-    n_streams, size = operator.index(n_streams), operator.index(size)
-    if not 0 <= n_streams <= 2**32:
-        raise ValueError(f"n_streams must lie in [0, 2**32], got {n_streams}")
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+    n_streams, size = integer("n_streams", n_streams, 0), integer("size", size, 0)
+    if n_streams > 2**32:
+        raise ValueError(f"n_streams must be <= 2**32, got {n_streams}")
     return _uniform_rows(master_seed, np.arange(n_streams, dtype=np.uint32), low, high, size)

@@ -71,11 +71,12 @@ class TestExperimentPlan:
         ("es_budget", 10.5, "es_budget must be an integer"),
         ("es_budget", -1, "es_budget must be >= 0"),
         ("lambdas", (), "lambdas must be non-empty"),
-        ("lambdas", (True,), "penalty weights must be numbers"),
-        ("lambdas", ("0.5",), "penalty weights must be numbers"),
+        ("lambdas", (True,), "lambdas.0. must be a finite number, got True"),
+        ("lambdas", ("0.5",), "lambdas.0. must be a finite number, got '0.5'"),
         ("lambdas", (-0.1,), "penalty weights must lie in"),
         ("lambdas", (0.5, 0.2, 0.5), "penalty weights must be distinct"),
         ("lambdas", (1, 1.0), "penalty weights must be distinct"),
+        ("lambdas", 0.5, "lambdas must be a list or tuple, got 0.5"),
     ])
     def test_rejects(self, name, value, match):
         with pytest.raises(ValueError, match=match):
@@ -100,6 +101,15 @@ class TestRunInstance:
         assert res.best == pytest.approx(only.objective, rel=1e-12)
         assert res.best_assignment == only.assignment
         assert res.p_c == 1.0  # the single assignment is always feasible
+
+    @pytest.mark.parametrize("record_every,match", [
+        (-5, "record_every must be >= 0, got -5"),
+        (2.5, "record_every must be an integer, got 2.5"),
+    ])
+    def test_rejects_record_every(self, record_every, match):
+        g = generate_channel(CFG222, seed=4)
+        with pytest.raises(ValueError, match=match):
+            run_instance(g, 0.5, FAST_CIM, seed=1, record_every=record_every)
 
     def test_full_penalty_weight_feasibility(self):
         # over 100 instances, essentially every anneal decodes feasible

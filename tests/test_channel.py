@@ -38,6 +38,26 @@ class TestMimoConfig:
             MimoConfig(**kwargs)
 
 
+class TestConfigAssignment:
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    @pytest.mark.parametrize("bad,match", [
+        (1.7, "must be an integer, got 1.7"),
+        (True, "must be an integer, got True"),
+        ("1", "must be an integer, got '1'"),
+        (-1, "must be >= 0, got -1"),
+    ])
+    def test_rejects_non_integer_states(self, side, bad, match):
+        # int() would truncate 1.7 and read True as state 1
+        states = {"tx": (0, 0), "rx": (0, 0)} | {side: (0, bad)}
+        with pytest.raises(ValueError, match=rf"{side}\[1\] {match}"):
+            ConfigAssignment(**states)
+
+    def test_numpy_integer_states_become_ints(self):
+        sel = ConfigAssignment(tx=np.array([1, 0]), rx=(np.uint8(1), np.int64(0)))
+        assert sel == ConfigAssignment(tx=(1, 0), rx=(1, 0))
+        assert all(type(c) is int for c in sel.tx + sel.rx)
+
+
 class TestGenerateChannel:
     def test_shape_and_determinism(self):
         g1 = generate_channel(CFG222, seed=7)
@@ -68,6 +88,18 @@ class TestGenerateChannel:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             ChannelMatrix(config=CFG222, entries=np.zeros((3, 4), dtype=complex), seed=0)
+
+    @pytest.mark.parametrize("seed,match", [
+        (1.7, "seed must be an integer, got 1.7"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_seed(self, seed, match):
+        # write_channel would write a seed that read_channel rejects
+        with pytest.raises(ValueError, match=match):
+            ChannelMatrix(config=CFG222, entries=np.zeros((4, 4), dtype=complex), seed=seed)
+        with pytest.raises(ValueError, match=match):
+            generate_channel(CFG222, seed)
 
     def test_rejects_non_finite(self):
         bad = np.zeros((4, 4), dtype=complex)

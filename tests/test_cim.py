@@ -60,7 +60,8 @@ class TestCimParams:
          dict(gamma=float("inf")), dict(a=float("nan")), dict(init_scale=float("inf")),
          dict(x_clip=float("inf")), dict(p=float("-inf")),
          dict(n_anneals=2.5), dict(steps=True), dict(a=-1.0), dict(a=0.0),
-         dict(n_anneals=False), dict(steps=np.float64(100.0)), dict(steps="100")],
+         dict(n_anneals=False), dict(steps=np.float64(100.0)), dict(steps="100"),
+         dict(p="0.9"), dict(dt=True), dict(x_clip=None)],
     )
     def test_validation(self, bad):
         (name,) = bad
@@ -427,6 +428,24 @@ class TestSolve:
         # sampled readouts leave solve through the hook alone
         with pytest.raises(ValueError, match="on_readout"):
             solve(FERRO2, CimParams(steps=20, n_anneals=2), 0, record_every=7)
+
+    @pytest.mark.parametrize("record_every,match", [
+        (-5, "record_every must be >= 0, got -5"),
+        (2.5, "record_every must be an integer, got 2.5"),
+    ])
+    def test_rejects_bad_record_every(self, record_every, match):
+        with pytest.raises(ValueError, match=match):
+            solve(FERRO2, CimParams(steps=20, n_anneals=2), 0, record_every, on_readout=[].append)
+
+    @pytest.mark.parametrize("record_every,match", [
+        (0, "record_every must be >= 1, got 0"),
+        (-5, "record_every must be >= 1, got -5"),
+        (2.5, "record_every must be an integer, got 2.5"),
+    ])
+    def test_readout_steps_rejects_bad_stride(self, record_every, match):
+        # np.arange would divide by zero, return no sample, or truncate 2.5
+        with pytest.raises(ValueError, match=match):
+            readout_steps(20, record_every)
 
 
 def _hook_plans():

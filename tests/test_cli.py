@@ -338,7 +338,7 @@ class TestBadInput:
                      "must be JSON objects", id="config-cim-list"),
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(
                          tmp, {"n_t": "two", "n_r": 2, "n_states": 2})], {},
-                     "n_t must be a positive integer", id="config-n-t-string"),
+                     "n_t must be an integer, got 'two'", id="config-n-t-string"),
         pytest.param(lambda tmp: ["sweep", *SMALL], {"CIMSEL_SEED": "abc"},
                      "invalid int value: 'abc'", id="env-seed"),
         pytest.param(lambda tmp: ["sweep", "--n-r", "2", "--n-states", "2"], {},
@@ -353,7 +353,7 @@ class TestBadInput:
         pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--seed", "-1"], {},
                      "master_seed must be >= 0", id="solve-seed-negative"),
         pytest.param(lambda tmp: ["sweep", *SMALL, "--workers", "0"], {},
-                     "workers must be an integer >= 1", id="workers-0"),
+                     "workers must be >= 1, got 0", id="workers-0"),
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(
                          tmp, dict(SMALL_CONFIG, n_instances=2.5))], {},
                      "n_instances must be an integer, got 2.5", id="config-n-instances-float"),
@@ -365,7 +365,19 @@ class TestBadInput:
                      "trace_stride must be an integer, got 2.9", id="config-trace-stride-float"),
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(
                          tmp, dict(SMALL_CONFIG, workers=True))], {},
-                     "workers must be an integer >= 1, got True", id="config-workers-bool"),
+                     "workers must be an integer, got True", id="config-workers-bool"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, cim={"dt": True}))], {},
+                     "dt must be a finite number, got True", id="config-cim-dt-bool"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, cim={"p": "0.9"}))], {},
+                     "p must be a finite number, got '0.9'", id="config-cim-p-string"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, cim={"x_clip": None}))], {},
+                     "x_clip must be a finite number, got None", id="config-cim-x-clip-null"),
+        pytest.param(lambda tmp: ["sweep", "--config", _config_file(
+                         tmp, dict(SMALL_CONFIG, lambdas=0.5))], {},
+                     "lambdas must be a list or tuple, got 0.5", id="config-lambdas-number"),
         pytest.param(lambda tmp: _file_at_out(tmp, ["sweep", *SMALL]), {},
                      "cannot make output directory", id="out-is-a-file"),
         pytest.param(lambda tmp: ["sweep", "--config", _config_file(

@@ -257,8 +257,11 @@ class TestCompile:
 
     def test_rejects_out_of_range_weight(self):
         g = generate_channel(CFG222, seed=2)
-        for lam in (-0.01, 1.01):
-            with pytest.raises(ValueError):
+        for lam, match in [(-0.01, "must lie in"), (1.01, "must lie in"),
+                           (float("nan"), "lam must be a finite number, got nan"),
+                           ("0.5", "lam must be a finite number, got '0.5'"),
+                           (True, "lam must be a finite number, got True")]:
+            with pytest.raises(ValueError, match=match):
                 compile_instance(g, lam)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.8, 1.0])

@@ -74,12 +74,15 @@ def test_rejects_stream_counts_before_allocating(monkeypatch, n_streams):
 @pytest.mark.parametrize("kwargs,exc", [
     (dict(master_seed=-1), ValueError),
     (dict(size=-1), ValueError),
-    (dict(n_streams=2.0), TypeError),
+    (dict(n_streams=2.0), ValueError),
     (dict(low=-1e308, high=1e308), OverflowError),
+    (dict(size=4.0), ValueError),
+    (dict(n_streams=True), ValueError),
 ])
 def test_rejects_bad_arguments(kwargs, exc):
     args = dict(master_seed=0, n_streams=3, low=-0.01, high=0.01, size=4) | kwargs
-    with pytest.raises(exc):
+    # a ValueError names the argument it rejects
+    with pytest.raises(exc, match=next(iter(kwargs)) if exc is ValueError else None):
         uniform_table(**args)
 
 
