@@ -12,8 +12,11 @@ over ``(penalty weight, step)`` samples.  One path serves both paper
 figures: a penalty-weight sweep samples each weight once, at the final
 readout, and a time trace samples its one weight at every recorded readout;
 the same rows, summaries, result type and writers come out of either.
-Each readout is decoded and scored as the solver takes it, so a trace
-keeps a score and a feasibility bit per (anneal, sample), not the readouts.
+Each readout is decoded and scored as the solver takes it.  A trace keeps
+the first sample's scores and feasibility bits and a log of the rows that
+change after it, not the readouts, and rebuilds its per-sample figures from
+that log once the solve has ended.  Metric rows are built from the
+per-instance records as they are written.
 
 Scoring rules
 -------------
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -182,48 +185,101 @@ class InstanceRecord:
 
 @dataclass
 class HarnessResult:
-    """A sweep or trace: its rows and summaries, the per-instance records
-    they reduce, and one line per failed instance."""
+    """A sweep or trace: its summaries, the per-instance records they
+    reduce, and one line per failed instance."""
 
     plan: ExperimentPlan
-    rows: list[MetricRow]
     summaries: list[MethodSummary]
     records: list[InstanceRecord]
     failures: list[str]
+
+    def rows(self) -> Iterator[MetricRow]:
+        """Yield the metric rows, built afresh from the records each call."""
+        for record, lam, step, _, methods in _samples(self.plan, self.records):
+            for method, objective, feasible, fallback in methods:
+                yield MetricRow(record.instance_id, method, lam, step, objective, feasible,
+                                fallback, record.channel_seed)
+
+
+# columns per block when a trace's log is replayed
+_BLOCK = 25
 
 
 class _ReadoutScorer:
     """Decode and score each readout of a solve as it arrives.
 
-    Called with sample ``s``'s ``(n_anneals, dim)`` readout, it fills column
-    ``s`` of ``scores`` (the raw score of each anneal's decoded readout)
-    and ``feasible`` (whether it decodes feasible).  Only rows that differ
-    from their anneal's previous readout are decoded and scored; ``states``
-    keeps each anneal's latest decode.  Everything is allocated at the
-    first readout, which a one-sample solve hands over only after the
-    integrator's work buffers are freed, so it adds nothing to their peak.
+    ``raw`` and ``ok`` hold each anneal's score and feasibility bit at the
+    first readout.  Of each later one only the rows that differ from their
+    anneal's previous readout are decoded and scored, and ``changes`` logs
+    them as ``(sample, rows, scores, ok)``; ``states`` keeps each anneal's
+    latest decode.  Nothing per (anneal, sample) is kept.
     """
 
-    def __init__(self, g: ChannelMatrix, n_samples: int):
-        self.g, self.n_samples = g, n_samples
+    def __init__(self, g: ChannelMatrix):
+        self.g = g
         self.sample = 0
         self.latest = None
+        self.changes = []
 
     def __call__(self, spins: np.ndarray) -> None:
-        g, s = self.g, self.sample
+        g = self.g
         if self.latest is None:
-            self.scores = np.empty((len(spins), self.n_samples))
-            self.feasible = np.empty((len(spins), self.n_samples), dtype=bool)
             self.ok, self.states = decode_states(spins, g.config)
             self.raw = score_states(g, self.states)
         else:
-            changed = (spins != self.latest).any(axis=1)
-            if changed.any():
-                self.ok[changed], self.states[changed] = decode_states(spins[changed], g.config)
-                self.raw[changed] = score_states(g, self.states[changed])
+            self.sample += 1
+            rows = np.flatnonzero((spins != self.latest).any(axis=1))
+            if len(rows):
+                ok, self.states[rows] = decode_states(spins[rows], g.config)
+                self.changes.append((self.sample, rows, score_states(g, self.states[rows]), ok))
         self.latest = spins
-        self.scores[:, s], self.feasible[:, s] = self.raw, self.ok
-        self.sample = s + 1
+
+    def fall_back(self, aborted: np.ndarray, objective: float) -> None:
+        """Mark every readout of an aborted anneal infeasible, and score
+        every infeasible readout as ``objective``, in the first sample's
+        vectors and in the log."""
+        live = ~aborted
+        for rows, raw, ok in [(slice(None), self.raw, self.ok), *(c[1:] for c in self.changes)]:
+            ok &= live[rows]
+            np.copyto(raw, objective, where=~ok)
+
+    def trace(self, n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-sample best score, mean score (clamped to the best) and
+        feasible share over anneals, for ``n_samples >= 2``; the last
+        sample's vectors are left in ``raw`` and ``ok``.
+
+        Only sample 0 and the logged samples differ from the sample before
+        them.  The log is replayed into ``(n_anneals, width)`` score blocks
+        of those columns, and of the last sample's so that there are at
+        least two.  numpy reduces such a block over anneals bit for bit as
+        one ``(n_anneals, n_samples)`` matrix: it adds their rows in turn.
+        It adds a one-column array pairwise, so a one-column tail joins the
+        block before it.
+        """
+        n_anneals = len(self.raw)
+        samples = [0, *(c[0] for c in self.changes)]
+        if samples[-1] < n_samples - 1:
+            samples.append(n_samples - 1)
+        best, avg = np.empty(len(samples)), np.empty(len(samples))
+        # change of the feasible count at each column; the running sum is the count
+        gained = np.zeros(len(samples), dtype=np.int64)
+        gained[0] = np.count_nonzero(self.ok)
+        starts = range(0, len(samples) - 1, _BLOCK)
+        for start, end in zip(starts, [*starts[1:], len(samples)]):
+            scores = np.empty((n_anneals, end - start))
+            scores[:] = self.raw[:, None]
+            for j in range(max(start, 1), min(end, len(self.changes) + 1)):
+                _, rows, raw, ok = self.changes[j - 1]
+                scores[rows, j - start:] = raw[:, None]
+                gained[j] = np.count_nonzero(ok) - np.count_nonzero(self.ok[rows])
+                self.ok[rows] = ok
+            self.raw = scores[:, -1].copy()
+            best[start:end] = scores.max(axis=0)
+            avg[start:end] = scores.mean(axis=0)
+        # each sample takes the last column at or before it
+        column = np.searchsorted(samples, np.arange(n_samples), side="right") - 1
+        best, avg = best[column], avg[column]
+        return best, np.minimum(avg, best), np.cumsum(gained)[column] / n_anneals
 
 
 def run_instance(
@@ -239,27 +295,27 @@ def run_instance(
     and the fallback draw are derived from it, so results are independent
     of scheduling and of the other penalty weights being swept.
 
-    Readouts are scored as the solver takes them (:class:`_ReadoutScorer`)
-    into one ``(n_anneals, n_samples)`` score matrix and one feasibility
-    matrix: the final readout alone, or every recorded sample, whose last is
-    that same readout; no readout table is kept.  Trace arrays reduce the
-    matrices over anneals; the final-readout fields come from their last
-    column, so they do not depend on ``record_every``.  Aborts and the
-    fallback are applied once the solve has ended, so an aborted anneal
-    falls back at every sample.
+    Readouts are scored as the solver takes them (:class:`_ReadoutScorer`):
+    the final readout alone, or every recorded sample, whose last is that
+    same readout; no readout table and no ``(n_anneals, n_samples)`` array
+    is kept.  Aborts and the fallback are applied once the solve has ended,
+    so an aborted anneal falls back at every sample.  A trace then replays
+    the scorer's log into its per-sample arrays, which come out bit for bit
+    as from one score matrix.  The final-readout fields come from the last
+    sample's per-anneal vectors, so they do not depend on ``record_every``.
     """
     config = g.config
     record_every = integer("record_every", record_every, 0)
     inst = compile_instance(g, lam)
-    n_samples = len(readout_steps(cim_params.steps, record_every)) if record_every else 1
-    scorer = _ReadoutScorer(g, n_samples)
+    scorer = _ReadoutScorer(g)
     anneals = solve(inst, cim_params, cim_master_seed(seed), record_every, on_readout=scorer)
-    aborted, scores, feasible = anneals.aborted, scorer.scores, scorer.feasible
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
-    feasible &= ~aborted[:, None]
-    np.copyto(scores, fallback.objective, where=~feasible)
-
-    final, final_feasible = scores[:, -1], feasible[:, -1]
+    scorer.fall_back(anneals.aborted, fallback.objective)
+    trace = None
+    if record_every:
+        steps = readout_steps(cim_params.steps, record_every)
+        trace = (steps, *scorer.trace(len(steps)))
+    final, final_feasible = scorer.raw, scorer.ok
     k_best = int(np.argmax(final))
     if final_feasible[k_best]:
         best_states = scorer.states[k_best]
@@ -280,13 +336,10 @@ def run_instance(
         p_c=float(final_feasible.mean()),
         n_feasible=n_feasible,
         n_anneals=len(anneals),
-        n_aborted=int(aborted.sum()),
+        n_aborted=int(anneals.aborted.sum()),
     )
-    if record_every:
-        result.trace_steps = readout_steps(cim_params.steps, record_every)
-        result.trace_best = scores.max(axis=0)
-        result.trace_avg = np.minimum(scores.mean(axis=0), result.trace_best)
-        result.trace_pc = feasible.mean(axis=0)
+    if trace is not None:
+        result.trace_steps, result.trace_best, result.trace_avg, result.trace_pc = trace
     return result
 
 
@@ -325,11 +378,10 @@ def _record_task(args):
         return None, f"instance {instance_id} failed: {exc!r}"
 
 
-def _run_records(
-    plan: ExperimentPlan, record_every: int, workers: int
-) -> tuple[list[InstanceRecord], list[str]]:
-    """Compute per-instance records at every weight of the plan, optionally
-    in parallel, in instance order (``map`` keeps the task order)."""
+def _harness(plan: ExperimentPlan, record_every: int, workers: int) -> HarnessResult:
+    """Per-instance records at every weight of the plan, optionally in
+    parallel, in instance order (``map`` keeps the task order), and their
+    summaries; ``record_every`` 0 samples the final readout only."""
     tasks = [(plan, k, record_every) for k in range(plan.n_instances)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -340,24 +392,22 @@ def _run_records(
         results = [_record_task(task) for task in tasks]
     records = [rec for rec, err in results if err is None]
     failures = [err for _, err in results if err is not None]
-    return records, failures
+    return HarnessResult(plan, _summarize(plan, records), records, failures)
 
 
-def _harness(plan: ExperimentPlan, record_every: int, workers: int) -> HarnessResult:
-    """Rows and summaries of the plan over (penalty weight, step) samples.
+def _samples(plan: ExperimentPlan, records: Sequence[InstanceRecord]):
+    """Yield ``(record, weight, step, P_c, methods)`` per (instance, weight,
+    step) sample, in row order; ``methods`` lists the sample's rows as
+    ``(method, objective, feasible, fallback)``.
 
-    A sweep (``record_every`` 0) samples each weight at the final readout
-    only, and adds the baseline rows and ``cim_avg_raw``; a trace samples at
-    every readout it recorded.  Rows are ordered by (instance, weight, step,
-    method) and are a pure function of the plan.
+    A result without trace arrays (a sweep's) is sampled at its final
+    readout and adds the baseline rows and ``cim_avg_raw``; a trace's at
+    every readout it recorded.  The rows are a pure function of the plan.
     """
-    records, failures = _run_records(plan, record_every, workers)
-    sweep = not record_every
-    rows: list[MetricRow] = []
-    p_c: dict[tuple[float, int], list[float]] = {}
     for record in records:
         for lam in plan.lambdas:
             res = record.cim[lam]
+            sweep = res.trace_steps is None
             if sweep:
                 samples = [(plan.cim.steps, res.best, res.avg, res.p_c)]
             else:
@@ -373,23 +423,22 @@ def _harness(plan: ExperimentPlan, record_every: int, workers: int) -> HarnessRe
                                  ("rs", record.rs_objective))
                     methods[:0] = [(m, v, True, False) for m, v in baselines if v is not None]
                     methods.append(("cim_avg_raw", res.avg_raw, res.n_feasible > 0, False))
-                rows += [MetricRow(record.instance_id, method, lam, step, objective, feasible,
-                                   fallback, record.channel_seed)
-                         for method, objective, feasible, fallback in methods]
-                p_c.setdefault((lam, step), []).append(pc)
-    return HarnessResult(plan, rows, _summarize(rows, p_c), records, failures)
+                yield record, lam, step, pc, methods
 
 
-def _summarize(rows: Sequence[MetricRow], p_c: dict) -> list[MethodSummary]:
+def _summarize(plan: ExperimentPlan, records: Sequence[InstanceRecord]) -> list[MethodSummary]:
     """One summary per (weight, step, method) group of rows, in row order.
 
     NaN objectives (``cim_avg_raw`` where no anneal is feasible) are left
-    out, and a group with none left is skipped.  ``p_c`` maps each
-    (weight, step) to its per-instance ``P_c``.
+    out, and a group with none left is skipped.  ``p_c`` is the mean of the
+    per-instance ``P_c`` at the group's (weight, step).
     """
     groups: dict[tuple[float, int, str], list[float]] = {}
-    for row in rows:
-        groups.setdefault((row.lam, row.step, row.method), []).append(row.objective)
+    p_c: dict[tuple[float, int], list[float]] = {}
+    for _, lam, step, pc, methods in _samples(plan, records):
+        for method, objective, _, _ in methods:
+            groups.setdefault((lam, step, method), []).append(objective)
+        p_c.setdefault((lam, step), []).append(pc)
     summaries = []
     for (lam, step, method), values in groups.items():
         vals = np.array(values)
@@ -480,8 +529,8 @@ def cim_master_seed(instance_seed: int) -> int:
     return derive_seed(instance_seed, _D_CIM)
 
 
-def write_metric_rows(rows: Sequence[MetricRow], path) -> None:
-    """Write the results CSV.
+def write_metric_rows(rows: Iterable[MetricRow], path) -> None:
+    """Write the results CSV, one line per row as the rows are read.
 
     First line is a ``# format: 1`` version comment, then the fixed header
     ``instance_id,method,lambda,step,objective,feasible,fallback,seed``.

@@ -300,7 +300,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args, args.command)
     result = bench.sweep_lambda(plan, workers=workers)
     summaries = bench.summarize_comparison(result)
-    bench.write_metric_rows(result.rows, out / "results.csv")
+    bench.write_metric_rows(result.rows(), out / "results.csv")
     bench.write_summary_json(summaries, out / "summary.json")
     if args.plot_data:
         _write_plot_data(out, summaries, "lambda")
@@ -325,7 +325,7 @@ def cmd_trace(args) -> int:
     plan, workers = _one_weight_plan(cfg)
     out = _out_dir(args, "trace")
     result = bench.time_trace(plan, workers=workers)
-    bench.write_metric_rows(result.rows, out / "trace.csv")
+    bench.write_metric_rows(result.rows(), out / "trace.csv")
     bench.write_trace_summary_json(result, out / "trace_summary.json")
     if args.plot_data:
         _write_plot_data(out, result.summaries, "step")

@@ -104,10 +104,9 @@ def qubo_to_spin(qlike: np.ndarray, linear: np.ndarray) -> tuple[np.ndarray, np.
     d = len(linear)
     if qlike.shape != (d, d):
         raise ValueError(f"quadratic part has shape {qlike.shape}, linear has length {d}")
-    ones = np.ones(d)
     s_mat = qlike / 4.0
-    s_lin = qlike.T @ ones / 2.0 + linear / 2.0
-    const = float(ones @ qlike @ ones / 4.0 + linear @ ones / 2.0)
+    s_lin = qlike.sum(axis=0) / 2.0 + linear / 2.0
+    const = float(qlike.sum() / 4.0 + linear.sum() / 2.0)
     return s_mat, s_lin, const
 
 

@@ -234,7 +234,7 @@ def test_criterion_7_worker_determinism(acceptance, tmp_path_factory):
         result = sweep_lambda(plan, workers=workers)
         csv_path = out / f"results_w{workers}.csv"
         json_path = out / f"summary_w{workers}.json"
-        write_metric_rows(result.rows, csv_path)
+        write_metric_rows(result.rows(), csv_path)
         write_summary_json(result.summaries, json_path)
         paths[workers] = (csv_path, json_path)
     csv_equal = paths[1][0].read_bytes() == paths[2][0].read_bytes()

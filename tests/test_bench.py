@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from cimsel.bench import (
+    _BLOCK,
+    _ReadoutScorer,
     CSV_COLUMNS,
     CimInstanceResult,
     DominanceError,
@@ -24,8 +26,9 @@ from cimsel.bench import (
     write_summary_json,
 )
 from cimsel.baselines import exhaustive_search
-from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel
-from cimsel.cim import CimParams
+from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, score_states
+from cimsel.cim import CimParams, readout_steps
+from cimsel.formulation import decode_states
 from oracles import (
     all_spin_vectors,
     assignment_bits,
@@ -182,9 +185,14 @@ class TestRunInstance:
     ])
     def test_decode_once_matches_decoding_every_readout(self, lam, params):
         g = generate_channel(CFG222, seed=5)
+        # strides that give 2, _BLOCK + 1 and 2 * _BLOCK + 1 samples: the
+        # replay's block edges when every sample logs a change
+        edges = [next(s for s in range(1, params.steps + 1)
+                      if len(readout_steps(params.steps, s)) == n)
+                 for n in (2, _BLOCK + 1, 2 * _BLOCK + 1)]
         # every step, a stride that does not divide the steps, the default
-        # trace stride, and one past the final step (two samples)
-        for stride in (1, 7, 10, params.steps + 1):
+        # trace stride, one past the final step (two samples), and the edges
+        for stride in (1, 7, 10, params.steps + 1, *edges):
             got = run_instance(g, lam, params, seed=7, record_every=stride)
             want = decode_every_readout(g, lam, params, 7, stride)
             assert got.n_aborted == want["n_aborted"]
@@ -199,21 +207,64 @@ class TestRunInstance:
         else:
             assert got.p_c == 1.0 and got.n_aborted == 0
 
+    @pytest.mark.parametrize("n_samples", [2, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_replay_block_edges(self, n_samples):
+        # fresh readouts at every sample change rows at every sample, so the
+        # replay reduces all n_samples columns: one two-column block, one
+        # block that took in a one-column tail, and a second block that did
+        # the same; each must match the reductions of one (anneals, samples)
+        # score matrix.  Most readouts encode an assignment, so the sums
+        # hold many distinct scores and their order shows in the bits.
+        g = generate_channel(CFG222, seed=5)
+        rng = np.random.default_rng(n_samples)
+        n_anneals = 200
+        codes = np.array([[1, *(2 * assignment_bits(sel, CFG222) - 1)]
+                          for sel in feasible_assignments(CFG222)], dtype=np.int8)
+        readouts = codes[rng.integers(len(codes), size=(n_samples, n_anneals))]
+        readouts *= rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_samples, n_anneals, 1))
+        junk = rng.random((n_samples, n_anneals)) < 0.2
+        readouts[junk] = rng.choice(np.array([-1, 1], dtype=np.int8), size=(junk.sum(), 9))
+        aborted = rng.random(n_anneals) < 0.1
+        scorer = _ReadoutScorer(g)
+        for spins in readouts:
+            scorer(spins)
+        assert [c[0] for c in scorer.changes] == list(range(1, n_samples))
+        scorer.fall_back(aborted, 1.5)
+        best, avg, pc = scorer.trace(n_samples)
+
+        table = np.stack(list(readouts), axis=1)
+        ok, states = decode_states(table.reshape(-1, 9), CFG222)
+        feasible = ok.reshape(n_anneals, n_samples) & ~aborted[:, None]
+        raw = score_states(g, states).reshape(n_anneals, n_samples)
+        scores = np.where(feasible, raw, 1.5)
+        assert 0 < feasible.sum() < feasible.size
+        want_best = scores.max(axis=0)
+        want = (want_best, np.minimum(scores.mean(axis=0), want_best), feasible.mean(axis=0))
+        for a, b in zip((best, avg, pc), want):
+            assert a.tobytes() == b.tobytes()
+        assert scorer.raw.tobytes() == scores[:, -1].tobytes()
+        assert scorer.ok.tobytes() == feasible[:, -1].tobytes()
+
     def test_trace_holds_no_readout_table(self):
-        # a stride-1 trace keeps one (anneals, samples) score and
-        # feasibility matrix, 9 bytes per readout, and no int8 readout
-        # table, (anneals, samples, dim) bytes, nor any temporary that large
-        params = CimParams(steps=500, n_anneals=200)
-        g = generate_channel(MimoConfig(4, 4, 4), seed=3)
-        table_bytes = params.n_anneals * (params.steps + 1) * 33
-        tracemalloc.start()
-        try:
-            res = run_instance(g, 0.7, params, seed=1, record_every=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(res.trace_steps) == params.steps + 1
-        assert peak < table_bytes
+        # a stride-1 trace keeps the scorer's log of changed rows, not a
+        # readout table nor an (anneals, samples) score matrix, nor any
+        # temporary that large: its peak stays below one float64 matrix
+        cases = [
+            (MimoConfig(4, 4, 4), 0.7, CimParams(steps=500, n_anneals=200)),
+            # the default size at a weight where anneals flip to the end
+            (CFG222, 0.5, CimParams()),
+        ]
+        for config, lam, params in cases:
+            g = generate_channel(config, seed=3)
+            matrix_bytes = params.n_anneals * (params.steps + 1) * 8
+            tracemalloc.start()
+            try:
+                res = run_instance(g, lam, params, seed=1, record_every=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(res.trace_steps) == params.steps + 1
+            assert peak < matrix_bytes, (config, peak, matrix_bytes)
 
     def test_determinism_and_weight_pairing(self):
         g = generate_channel(CFG222, seed=7)
@@ -228,8 +279,11 @@ class TestSweepLambda:
         plan = small_plan()
         result = sweep_lambda(plan)
         methods_per_lam = 6  # es, nsa, rs, cim_best, cim_avg, cim_avg_raw
-        assert len(result.rows) == plan.n_instances * len(plan.lambdas) * methods_per_lam
-        for row in result.rows:
+        rows = list(result.rows())
+        assert len(rows) == plan.n_instances * len(plan.lambdas) * methods_per_lam
+        # every call builds the same rows afresh
+        assert list(result.rows()) == rows
+        for row in rows:
             assert row.method in ("es", "nsa", "rs", "cim_best", "cim_avg", "cim_avg_raw")
             assert row.step == plan.cim.steps
             assert row.seed == instance_channel_seed(plan.master_seed, row.instance_id)
@@ -238,7 +292,7 @@ class TestSweepLambda:
     def test_baselines_independent_of_weight(self):
         result = sweep_lambda(small_plan())
         for method in ("es", "nsa", "rs"):
-            rows = [r for r in result.rows if r.method == method]
+            rows = [r for r in result.rows() if r.method == method]
             by_instance = {}
             for r in rows:
                 by_instance.setdefault(r.instance_id, set()).add(r.objective)
@@ -249,7 +303,7 @@ class TestSweepLambda:
         # channel seed per instance
         result = sweep_lambda(small_plan())
         for instance_id in range(5):
-            seeds = {r.seed for r in result.rows if r.instance_id == instance_id}
+            seeds = {r.seed for r in result.rows() if r.instance_id == instance_id}
             assert len(seeds) == 1
 
     def test_deterministic_and_worker_invariant(self):
@@ -258,8 +312,9 @@ class TestSweepLambda:
         parallel = sweep_lambda(plan, workers=2)
         again = sweep_lambda(plan, workers=1)
         for a, b in ((serial, parallel), (serial, again)):
-            assert len(a.rows) == len(b.rows)
-            for ra, rb in zip(a.rows, b.rows):
+            rows_a, rows_b = list(a.rows()), list(b.rows())
+            assert len(rows_a) == len(rows_b)
+            for ra, rb in zip(rows_a, rows_b):
                 assert (ra.instance_id, ra.method, ra.lam) == (rb.instance_id, rb.method, rb.lam)
                 assert ra.objective == rb.objective or (
                     np.isnan(ra.objective) and np.isnan(rb.objective)
@@ -292,17 +347,18 @@ class TestSweepLambda:
         # onto the random-selection rows exactly (shared draw)
         plan = small_plan(lambdas=(0.0,), n_instances=6)
         result = sweep_lambda(plan)
-        rs = {r.instance_id: r.objective for r in result.rows if r.method == "rs"}
-        best = {r.instance_id: r.objective for r in result.rows if r.method == "cim_best"}
+        rs = {r.instance_id: r.objective for r in result.rows() if r.method == "rs"}
+        best = {r.instance_id: r.objective for r in result.rows() if r.method == "cim_best"}
         assert rs == best
 
     def test_cim_best_never_below_random_baseline(self):
         # where some anneal falls back (the cim_avg row's fallback flag,
         # P_c < 1), that anneal scores the random baseline's draw
         result = sweep_lambda(small_plan(lambdas=(0.05, 0.5, 0.95), n_instances=6))
-        rs = {(r.instance_id, r.lam): r.objective for r in result.rows if r.method == "rs"}
-        best = {(r.instance_id, r.lam): r.objective for r in result.rows if r.method == "cim_best"}
-        falls_back = [(r.instance_id, r.lam) for r in result.rows
+        rows = list(result.rows())
+        rs = {(r.instance_id, r.lam): r.objective for r in rows if r.method == "rs"}
+        best = {(r.instance_id, r.lam): r.objective for r in rows if r.method == "cim_best"}
+        falls_back = [(r.instance_id, r.lam) for r in rows
                       if r.method == "cim_avg" and r.fallback]
         assert falls_back
         assert all(best[k] >= rs[k] for k in falls_back)
@@ -322,8 +378,9 @@ class TestSweepLambda:
 
     def test_cim_best_dominates_avg_rowwise(self):
         result = sweep_lambda(small_plan(lambdas=(0.05, 0.5, 0.95)))
-        best = {(r.instance_id, r.lam): r.objective for r in result.rows if r.method == "cim_best"}
-        avg = {(r.instance_id, r.lam): r.objective for r in result.rows if r.method == "cim_avg"}
+        rows = list(result.rows())
+        best = {(r.instance_id, r.lam): r.objective for r in rows if r.method == "cim_best"}
+        avg = {(r.instance_id, r.lam): r.objective for r in rows if r.method == "cim_avg"}
         assert best.keys() == avg.keys()
         assert all(best[k] >= avg[k] for k in best)
 
@@ -340,7 +397,9 @@ class TestTimeTrace:
         assert [(s.lam, s.step, s.method) for s in result.summaries] == [
             (0.7, step, method) for step in expected_steps for method in ("cim_best", "cim_avg")
         ]
-        assert len(result.rows) == 3 * len(expected_steps) * 2
+        rows = list(result.rows())
+        assert len(rows) == 3 * len(expected_steps) * 2
+        assert list(result.rows()) == rows
 
     def test_two_weight_plan_rejected_before_any_instance(self, monkeypatch):
         from cimsel import bench
@@ -449,7 +508,7 @@ def _hand_sweep(best, avg, es):
         nsa_objective=1.0, rs_objective=1.0, cim={0.5: res},
     )
     plan = ExperimentPlan(config=CFG222)
-    return HarnessResult(plan=plan, rows=[], summaries=[], records=[record], failures=[])
+    return HarnessResult(plan=plan, summaries=[], records=[record], failures=[])
 
 
 class TestDominanceChecks:
@@ -483,11 +542,11 @@ class TestWriters:
     def test_csv_schema(self, tmp_path):
         result = sweep_lambda(small_plan(n_instances=2))
         path = tmp_path / "results.csv"
-        write_metric_rows(result.rows, path)
+        write_metric_rows(result.rows(), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# format: 1"
         assert lines[1] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 2 + len(result.rows)
+        assert len(lines) == 2 + len(list(result.rows()))
         for line in lines[2:]:
             assert len(line.split(",")) == len(CSV_COLUMNS)
 

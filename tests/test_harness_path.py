@@ -73,7 +73,7 @@ def test_sweep_is_the_final_sample_of_a_trace(sweep_and_trace):
 
     def cim_rows(result):
         return [(r.instance_id, r.method, r.lam, r.step, r.feasible, r.fallback, r.seed)
-                for r in result.rows
+                for r in result.rows()
                 if r.step == PLAN.cim.steps and r.method in ("cim_best", "cim_avg")]
 
     assert cim_rows(trace) == cim_rows(sweep)
