@@ -8,8 +8,10 @@ squared amplitude toward a common target.  Below threshold the amplitudes
 hover near zero; as the time-ramped coupling takes over they bifurcate into
 a +/- pattern whose signs are the candidate spin solution.
 
-This script follows one anneal step by step, then runs a batch of anneals
-and compares the best decoded assignment against exhaustive search.
+This script follows one anneal step by step through the solver's observer,
+which sees the run's amplitudes and error variables at each readout step,
+then runs a batch of anneals and compares the best decoded assignment
+against exhaustive search.
 """
 
 import numpy as np
@@ -24,9 +26,8 @@ from cimsel import (
     generate_channel,
     score_states,
     solve,
-    substream,
 )
-from cimsel.cim import _EulerStep
+from cimsel.cim import readout
 
 config = MimoConfig(n_t=2, n_r=2, n_states=2)
 g = generate_channel(config, seed=99)
@@ -34,28 +35,28 @@ inst = compile_instance(g, lam=0.7)
 params = CimParams()  # reference constants: 1000 steps of dt = 0.01
 
 # ---------------------------------------------------------------------------
-# one anneal under the microscope: the solver's in-place step kernel run on
-# a batch of one, from small random amplitudes and unit error variables
+# one anneal under the microscope: an observer called at every step reads
+# the amplitudes x and error variables e the solver advances in place
 # ---------------------------------------------------------------------------
-x = substream(1).uniform(-params.init_scale, params.init_scale, (1, inst.dim))
-run = _EulerStep(inst.j, x, params)  # the run advances x and its own e in place
-print("step   max|x|    min e     max e")
-for k in range(1, params.steps + 1):
-    run((k - 1) * params.dt)
+def show(k, run):
     if k in (1, 10, 100, 300, 500, 1000):
         print(f"{k:>4}  {np.abs(run.x).max():8.4f}  {run.e.min():8.4f}  {run.e.max():8.4f}")
 
-spins = np.where(run.x >= 0, 1, -1)
-(feasible,), (states,) = decode_states(spins, config)
+
+print("step   max|x|    min e     max e")
+(anneal,) = solve(inst, CimParams(n_anneals=1), master_seed=1, record_every=1, observer=show)
+
+(feasible,), (states,) = decode_states(anneal.spins[None], config)
 decoded = ConfigAssignment(tx=states[: config.n_t], rx=states[config.n_t :])
-print(f"\nfinal readout {spins[0]} -> {decoded if feasible else 'infeasible'}")
+print(f"\nfinal readout {anneal.spins} -> {decoded if feasible else 'infeasible'}")
 
 # ---------------------------------------------------------------------------
 # a trajectory: when does the readout settle?
 # ---------------------------------------------------------------------------
-readouts = []  # one (1, dim) readout per sample, handed over as it is taken
-solve(inst, CimParams(n_anneals=1), master_seed=2, record_every=100, on_readout=readouts.append)
-trajectory = np.concatenate(readouts)
+readouts = []  # one (dim,) readout per sample, taken as the observer sees it
+solve(inst, CimParams(n_anneals=1), master_seed=2, record_every=100,
+      observer=lambda k, run: readouts.append(readout(run.x[0])))
+trajectory = np.stack(readouts)
 flips = (trajectory[1:] != trajectory[:-1]).sum(axis=1).tolist()
 print("\nreadout sign flips between consecutive samples (every 100 steps):", flips)
 

@@ -56,7 +56,7 @@ from ._checks import integer, real
 from ._files import write_csv, write_json
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
-from .cim import CimParams, readout_steps, solve
+from .cim import CimParams, readout, readout_steps, solve
 from .formulation import compile_instance, decode_states
 from .rng import derive_seed, substream
 
@@ -206,7 +206,7 @@ _BLOCK = 25
 
 
 class _ReadoutScorer:
-    """Decode and score each readout of a solve as it arrives.
+    """A solve's observer: decode and score each readout as it is taken.
 
     ``raw`` and ``ok`` hold each anneal's score and feasibility bit at the
     first readout.  Of each later one only the rows that differ from their
@@ -221,8 +221,8 @@ class _ReadoutScorer:
         self.latest = None
         self.changes = []
 
-    def __call__(self, spins: np.ndarray) -> None:
-        g = self.g
+    def __call__(self, k: int, run) -> None:
+        g, spins = self.g, readout(run.x)
         if self.latest is None:
             self.ok, self.states = decode_states(spins, g.config)
             self.raw = score_states(g, self.states)
@@ -295,20 +295,20 @@ def run_instance(
     and the fallback draw are derived from it, so results are independent
     of scheduling and of the other penalty weights being swept.
 
-    Readouts are scored as the solver takes them (:class:`_ReadoutScorer`):
-    the final readout alone, or every recorded sample, whose last is that
-    same readout; no readout table and no ``(n_anneals, n_samples)`` array
-    is kept.  Aborts and the fallback are applied once the solve has ended,
-    so an aborted anneal falls back at every sample.  A trace then replays
-    the scorer's log into its per-sample arrays, which come out bit for bit
-    as from one score matrix.  The final-readout fields come from the last
-    sample's per-anneal vectors, so they do not depend on ``record_every``.
+    :class:`_ReadoutScorer`, the solve's observer, scores each readout as it is
+    taken: the final readout alone, or every recorded sample, whose last is
+    that same readout; no readout table and no ``(n_anneals, n_samples)`` array
+    is kept.  Aborts and the fallback are applied once the solve has ended, so
+    an aborted anneal falls back at every sample.  A trace then replays the
+    scorer's log into its per-sample arrays, which come out bit for bit as from
+    one score matrix.  The final-readout fields come from the last sample's
+    per-anneal vectors, so they do not depend on ``record_every``.
     """
     config = g.config
     record_every = integer("record_every", record_every, 0)
     inst = compile_instance(g, lam)
     scorer = _ReadoutScorer(g)
-    anneals = solve(inst, cim_params, cim_master_seed(seed), record_every, on_readout=scorer)
+    anneals = solve(inst, cim_params, cim_master_seed(seed), record_every, observer=scorer)
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
     scorer.fall_back(anneals.aborted, fallback.objective)
     trace = None

@@ -75,9 +75,10 @@ Notes on the numerics:
   check runs only at readout steps (:func:`readout_steps`) and the final
   step.  Otherwise it runs after every step.  The argument is in
   :func:`_integrate`; the abort flags and readouts are the same either way.
-* Sampled readouts leave the solver only through its ``on_readout``
-  callback; :func:`solve`'s records hold the final readout alone, so a
-  caller that scores readouts as they arrive keeps no readout table.
+* A run is seen from outside only through :func:`solve`'s ``observer``,
+  handed the kernel at each readout step; :func:`solve`'s records hold the
+  final readout alone, so a caller that scores readouts as they arrive
+  keeps no readout table.
 """
 
 from __future__ import annotations
@@ -317,17 +318,13 @@ def readout_steps(steps: int, record_every: int) -> np.ndarray:
     return np.append(np.arange(0, steps, record_every, dtype=np.int64), np.int64(steps))
 
 
-def _integrate(jm, x0, params, record_every=0, on_readout=None):
+def _integrate(jm, x0, params, record_every=0, observer=None):
     """Integrate a batch of anneals (rows of ``x0``) for ``params.steps`` steps.
 
     Returns ``(x, aborted)``, where ``x`` is ``x0`` itself: the kernel
-    adopts the float array and advances it in place.  ``on_readout``, when
-    given, is called with each sampled sign readout, a fresh
-    ``(n_anneals, dim)`` int8 array the callee may keep: at every
-    :func:`readout_steps` step before the last, with ``record_every > 0``.
-    The final readout is the caller's to take, once the kernel's work
-    buffers and ``e`` are released.  Rows that go non-finite are flagged in
-    ``aborted`` and frozen at zero so the rest of the batch keeps
+    adopts the float array and advances it in place, and ``observer`` sees
+    the kernel as :func:`solve` describes.  Rows that go non-finite are
+    flagged in ``aborted`` and frozen at zero so the rest of the batch keeps
     integrating; they read out as +1 from the sample at which they are
     flagged.  Every ``|x0|`` must be at most ``params.init_scale``, as
     :func:`solve` draws it.
@@ -351,11 +348,12 @@ def _integrate(jm, x0, params, record_every=0, on_readout=None):
     readout are unchanged; an aborted row holds zero amplitudes at every
     readout either way.
     """
+    observe = observer if observer is not None else lambda k, run: None
     run = _EulerStep(jm, x0, params)
     check_every = (record_every or params.steps) if run.divergence_sticks else 1
-    sample_every = record_every if on_readout is not None else 0
-    if sample_every:
-        on_readout(readout(run.x))
+    observe_every = record_every or params.steps
+    if record_every:
+        observe(0, run)
     # overflow is the divergence signal, caught by abort_nonfinite; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -364,13 +362,16 @@ def _integrate(jm, x0, params, record_every=0, on_readout=None):
             last = k == params.steps
             if k % check_every == 0 or last:
                 run.abort_nonfinite()
-            if sample_every and k % sample_every == 0 and not last:
-                on_readout(readout(run.x))
+            if k % observe_every == 0 and not last:
+                observe(k, run)
+    # the last call sees x, e and aborted alone
+    del run.x_sq, run.coupling, run.factor
+    observe(params.steps, run)
     return run.x, run.aborted
 
 
 def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
-          on_readout: Callable[[np.ndarray], object] | None = None) -> np.recarray:
+          observer: Callable[[int, _EulerStep], object] | None = None) -> np.recarray:
     """Run ``params.n_anneals`` independent anneals; one record per anneal.
 
     Anneal ``k`` draws its initialisation from the stream
@@ -381,29 +382,28 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     anneal diverged instead of dropping it.  Columns such as
     ``solve(...).spins`` are whole-batch arrays.
 
-    ``on_readout(spins)``, when given, sees each ``(n_anneals, dim)`` int8
-    readout as the integrator takes it: at every :func:`readout_steps`
-    step with ``record_every > 0``, else the final one only; an aborted
-    anneal reads all +1 from its abort on.  The hook is the only way
-    sampled readouts leave the solver, so ``record_every > 0`` without it
-    raises ``ValueError``.  The final readout is handed over after the
-    integrator has released its buffers, so scoring it adds nothing to the
-    integrator's peak.
+    ``observer(k, run)``, when given, sees the run at step ``k``: at every
+    :func:`readout_steps` step with ``record_every > 0``, else at the last
+    step only.  It reads the ``(n_anneals, dim)`` arrays ``run.x`` and
+    ``run.e`` and the ``run.aborted`` mask, writes none of them, and takes
+    ``readout(run.x)`` itself; an aborted anneal reads all +1 from its abort
+    on.  Sampled readouts leave the solver only this way, so
+    ``record_every > 0`` without an observer raises ``ValueError``.  Before
+    the last call the kernel drops its work buffers, so what the observer
+    allocates there does not raise the integrator's peak.
     """
     record_every = integer("record_every", record_every, 0)
-    if record_every and on_readout is None:
-        raise ValueError("record_every > 0 needs an on_readout hook to take its readouts")
+    if record_every and observer is None:
+        raise ValueError("record_every > 0 needs an observer to take its readouts")
     jm = _coupling_matrix(j)
     dim = jm.shape[0]
     anneals = np.recarray(params.n_anneals, dtype=[("spins", np.int8, (dim,)), ("aborted", np.bool_)])
     # the fresh start table becomes the integrator's x
     x, anneals.aborted = _integrate(
         jm, uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim),
-        params, record_every, on_readout,
+        params, record_every, observer,
     )
-    anneals.spins = spins = readout(x)
-    if on_readout is not None:
-        on_readout(spins)
+    anneals.spins = readout(x)
     return anneals
 
 
@@ -411,7 +411,7 @@ def write_trajectory_csv(steps, trajectory, j, params: CimParams, path) -> None:
     """Dump one anneal's recorded readouts: step, t, per-spin sign, energy.
 
     ``trajectory`` holds the anneal's readout at each of ``steps``, as
-    :func:`solve`'s ``on_readout`` hook sees them at :func:`readout_steps`.
+    :func:`solve`'s ``observer`` takes them at :func:`readout_steps`.
     """
     jm = _coupling_matrix(j)
     dim = jm.shape[1]

@@ -35,7 +35,7 @@ from ._checks import integer
 from ._files import write_csv, write_json
 from .baselines import search_space_size
 from .channel import MimoConfig, generate_channel, read_channel, write_channel
-from .cim import CimParams, readout_steps, solve, write_trajectory_csv
+from .cim import CimParams, readout, readout_steps, solve, write_trajectory_csv
 from .formulation import compile_instance, write_instance
 
 _ENV_PREFIX = "CIMSEL_"
@@ -269,7 +269,7 @@ def cmd_solve(args) -> int:
         trajectory = []
         (anneal,) = solve(
             inst, dataclasses.replace(params, n_anneals=1), bench.cim_master_seed(seed),
-            record_every=plan.trace_stride, on_readout=lambda spins: trajectory.append(spins[0]),
+            record_every=plan.trace_stride, observer=lambda k, run: trajectory.append(readout(run.x[0])),
         )
         if anneal.aborted:
             print("error: anneal 0 aborted", file=sys.stderr)

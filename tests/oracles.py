@@ -214,6 +214,23 @@ def every_step_integrate(jm, x0, params, record_every=0, internals=None):
     return x, aborted, np.stack(snaps, axis=1) if snaps else None
 
 
+class ReadoutLog:
+    """A :func:`cimsel.cim.solve` observer that keeps the step ``k`` and the
+    sign readout of each call in ``steps`` and ``readouts``, reading
+    ``run.x`` and writing nothing."""
+
+    def __init__(self):
+        self.steps, self.readouts = [], []
+
+    def __call__(self, k, run):
+        self.steps.append(k)
+        self.readouts.append(readout(run.x))
+
+    def table(self):
+        """The readouts stacked anneal-major: ``(n_anneals, calls, dim)``."""
+        return np.stack(self.readouts, axis=1)
+
+
 def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
     """``bench.run_instance``'s trace arrays, final ``p_c``, ``best`` and
     ``best_assignment``, decoding and scoring every row of the readout table
@@ -225,10 +242,10 @@ def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
     from cimsel.formulation import compile_instance, decode_states
     from cimsel.rng import substream
 
-    readouts = []
+    log = ReadoutLog()
     anneals = solve(compile_instance(g, lam), params, cim_master_seed(seed), record_every,
-                    on_readout=readouts.append)
-    aborted, table = anneals.aborted, np.stack(readouts, axis=1)
+                    observer=log)
+    aborted, table = anneals.aborted, log.table()
     n_anneals, n_samples, dim = table.shape
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
     feasible, states = decode_states(table.reshape(-1, dim), g.config)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,8 +227,9 @@ class TestRunInstance:
         readouts[junk] = rng.choice(np.array([-1, 1], dtype=np.int8), size=(junk.sum(), 9))
         aborted = rng.random(n_anneals) < 0.1
         scorer = _ReadoutScorer(g)
-        for spins in readouts:
-            scorer(spins)
+        # the scorer reads its readout from run.x; sign(+-1) is the readout
+        for k, spins in enumerate(readouts):
+            scorer(k, SimpleNamespace(x=spins))
         assert [c[0] for c in scorer.changes] == list(range(1, n_samples))
         scorer.fall_back(aborted, 1.5)
         best, avg, pc = scorer.trace(n_samples)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cimsel import cim
+from cimsel.bench import run_instance
 from cimsel.channel import MimoConfig, generate_channel
 from cimsel.cim import (
     E_FLOOR,
@@ -18,32 +19,29 @@ from cimsel.cim import (
 from cimsel.cim import _EulerStep, _integrate
 from cimsel.formulation import compile_instance, decode_states
 from cimsel.rng import substream, uniform_table
-from oracles import every_step_integrate, reference_integrate
+from oracles import ReadoutLog, every_step_integrate, reference_integrate
 
 FERRO2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _recorded_integrate(jm, x0, params, record_every=0):
-    """``_integrate`` on a copy of ``x0``, with the readouts its hook sees
-    and the final readout stacked anneal-major: ``(x, aborted,
-    trajectory)``, as ``oracles.every_step_integrate`` returns them;
-    ``trajectory`` is ``None`` without ``record_every``, when the hook sees
-    no readout."""
-    readouts = []
-    x, aborted = _integrate(jm, x0.copy(), params, record_every, readouts.append)
-    if not record_every:
-        assert readouts == []
-        return x, aborted, None
-    return x, aborted, np.stack(readouts + [readout(x)], axis=1)
+    """``_integrate`` on a copy of ``x0``, with the readouts its observer
+    sees stacked anneal-major: ``(x, aborted, trajectory)``, as
+    ``oracles.every_step_integrate`` returns them; ``trajectory`` is
+    ``None`` without ``record_every``, when the observer sees the final
+    readout alone."""
+    log = ReadoutLog()
+    x, aborted = _integrate(jm, x0.copy(), params, record_every, log)
+    assert log.readouts[-1].tobytes() == readout(x).tobytes()
+    return x, aborted, log.table() if record_every else None
 
 
 def _hooked_solve(j, params, master_seed, record_every):
-    """``solve`` with the readouts its hook sees stacked anneal-major:
+    """``solve`` with the readouts its observer sees stacked anneal-major:
     ``(anneals, trajectories)``, ``trajectories`` of shape
     ``(n_anneals, len(readout_steps(...)), dim)``."""
-    readouts = []
-    anneals = solve(j, params, master_seed, record_every, on_readout=readouts.append)
-    return anneals, np.stack(readouts, axis=1)
+    log = ReadoutLog()
+    return solve(j, params, master_seed, record_every, observer=log), log.table()
 
 
 class TestCimParams:
@@ -335,7 +333,10 @@ class TestSolve:
 
     def test_start_table_is_the_kernels_x(self, monkeypatch):
         # x, e and the kernel's three work buffers are five (anneals, dim)
-        # arrays; the start table is x itself, not a sixth beside them
+        # arrays; the start table is x itself, not a sixth beside them.
+        # run_instance scores the final readout at the observer's last
+        # call, after the kernel has dropped its work buffers, so scoring
+        # adds nothing to that peak either
         tables, kernels = [], []
 
         def recording_table(*args):
@@ -354,13 +355,18 @@ class TestSolve:
             patch.setattr(cim, "_EulerStep", RecordingStep)
             solve(inst, params, master_seed=1)
         assert kernels[0].x is tables[0]
-        tracemalloc.start()
-        try:
-            solve(inst, params, master_seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.75 * params.n_anneals * inst.j.shape[0] * 8
+        for dims in ((2, 2, 2), (4, 4, 4), (8, 8, 4)):
+            g = generate_channel(MimoConfig(*dims), seed=3)
+            inst = compile_instance(g, 0.7)
+            for run in (lambda: solve(inst, params, master_seed=1),
+                        lambda: run_instance(g, 0.7, params, seed=1)):
+                tracemalloc.start()
+                try:
+                    run()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 5.75 * params.n_anneals * inst.dim * 8, (dims, peak)
 
     def test_each_anneal_matches_its_derived_stream(self):
         params = CimParams(steps=300, n_anneals=5)
@@ -421,12 +427,12 @@ class TestSolve:
             assert record.aborted == anneals.aborted[k]
             assert np.array_equal(trajectories[k, -1], record.spins)
         assert solve(FERRO2, params, master_seed=0).dtype.names == ("spins", "aborted")
-        assert solve(FERRO2, params, 0, on_readout=lambda spins: None).dtype.names == (
+        assert solve(FERRO2, params, 0, observer=lambda k, run: None).dtype.names == (
             "spins", "aborted")
 
     def test_record_every_without_hook_raises(self):
-        # sampled readouts leave solve through the hook alone
-        with pytest.raises(ValueError, match="on_readout"):
+        # sampled readouts leave solve through the observer alone
+        with pytest.raises(ValueError, match="observer"):
             solve(FERRO2, CimParams(steps=20, n_anneals=2), 0, record_every=7)
 
     @pytest.mark.parametrize("record_every,match", [
@@ -435,7 +441,7 @@ class TestSolve:
     ])
     def test_rejects_bad_record_every(self, record_every, match):
         with pytest.raises(ValueError, match=match):
-            solve(FERRO2, CimParams(steps=20, n_anneals=2), 0, record_every, on_readout=[].append)
+            solve(FERRO2, CimParams(steps=20, n_anneals=2), 0, record_every, observer=ReadoutLog())
 
     @pytest.mark.parametrize("record_every,match", [
         (0, "record_every must be >= 1, got 0"),
@@ -463,54 +469,86 @@ HOOK_PLANS = {name: case for name, *case in _hook_plans()}
 
 
 class TestReadoutHook:
-    """``solve``'s ``on_readout`` hook: every sampled readout of the
-    integration, handed over one sample at a time."""
+    """``solve``'s observer: called as ``observer(k, run)`` at every readout
+    step, it takes each sampled readout from the run itself."""
 
     @pytest.mark.parametrize("record_every", [1, 7, 100, 1000])
     @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
     def test_readouts_are_the_recorded_trajectory(self, name, record_every):
         # against the readouts the every-pass, every-check integrator
-        # records from the start table solve draws
+        # records from the start table solve draws, at the readout steps
         jm, params = HOOK_PLANS[name]
-        readouts = []
-        hooked = solve(jm, params, 5, record_every, on_readout=readouts.append)
+        log = ReadoutLog()
+        hooked = solve(jm, params, 5, record_every, observer=log)
         x0 = uniform_table(5, params.n_anneals, -params.init_scale, params.init_scale, len(jm))
         _, want_aborted, want = every_step_integrate(jm, x0, params, record_every)
         assert hooked.dtype.names == ("spins", "aborted")
-        assert len(readouts) == len(readout_steps(params.steps, record_every))
-        assert all(r.dtype == np.int8 and r.shape == hooked.spins.shape for r in readouts)
-        assert np.stack(readouts, axis=1).tobytes() == want.tobytes()
-        assert readouts[-1].tobytes() == hooked.spins.tobytes()
+        assert log.steps == readout_steps(params.steps, record_every).tolist()
+        assert all(r.dtype == np.int8 and r.shape == hooked.spins.shape for r in log.readouts)
+        assert log.table().tobytes() == want.tobytes()
+        assert log.readouts[-1].tobytes() == hooked.spins.tobytes()
         assert hooked.spins.tobytes() == solve(jm, params, 5).spins.tobytes()
         assert hooked.aborted.tolist() == want_aborted.tolist()
 
     @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
     def test_final_readout_only_without_record_every(self, name):
         jm, params = HOOK_PLANS[name]
-        readouts = []
-        hooked = solve(jm, params, 5, on_readout=readouts.append)
-        assert len(readouts) == 1
-        assert readouts[0].tobytes() == hooked.spins.tobytes()
-        assert readouts[0].tobytes() == solve(jm, params, 5).spins.tobytes()
+        log = ReadoutLog()
+        hooked = solve(jm, params, 5, observer=log)
+        assert log.steps == [params.steps]
+        assert log.readouts[0].tobytes() == hooked.spins.tobytes()
+        assert log.readouts[0].tobytes() == solve(jm, params, 5).spins.tobytes()
+
+    @pytest.mark.parametrize("record_every", [0, 7])
+    @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
+    def test_last_call_sees_the_run_without_work_buffers(self, name, record_every):
+        # every call reads x, e and the abort flags; by the last one the
+        # kernel has dropped x_sq, coupling and factor, and e is the final
+        # e of the every-pass integrator on the rows that did not abort
+        jm, params = HOOK_PLANS[name]
+        work = ("x_sq", "coupling", "factor")
+        calls = []
+
+        def observer(k, run):
+            calls.append((k, [hasattr(run, buf) for buf in work], run.x.copy(),
+                           run.e.copy(), run.aborted.copy()))
+
+        anneals = solve(jm, params, 5, record_every, observer=observer)
+        x0 = uniform_table(5, params.n_anneals, -params.init_scale, params.init_scale, len(jm))
+        internals = {}
+        want_x, want_aborted, _ = every_step_integrate(jm, x0, params, record_every, internals)
+        *earlier, (k, buffers, x, e, aborted) = calls
+        assert k == params.steps and not any(buffers)
+        assert all(all(buffers) for _, buffers, *_ in earlier)
+        assert x.tobytes() == want_x.tobytes()
+        assert aborted.tolist() == anneals.aborted.tolist() == want_aborted.tolist()
+        assert e[~aborted].tobytes() == internals["e"][~aborted].tobytes()
 
     @pytest.mark.parametrize("name,record_every", [("dt50-zero-j", 1), ("dt50-zero-j", 7),
                                                    ("sticky-negative-beta", 50)])
     def test_aborted_rows_read_plus_one_from_their_flag(self, name, record_every):
         # a run cut at a sample's step flags exactly the anneals the full
-        # run has flagged by that sample
+        # run has flagged by that sample, and the observer reads the same
+        # flags from the run
         jm, params = HOOK_PLANS[name]
-        readouts = []
-        anneals = solve(jm, params, 5, record_every, on_readout=readouts.append)
+        log, seen_flags = ReadoutLog(), []
+
+        def observer(k, run):
+            log(k, run)
+            seen_flags.append(run.aborted.copy())
+
+        anneals = solve(jm, params, 5, record_every, observer=observer)
         steps = readout_steps(params.steps, record_every)
         flagged = [solve(jm, replace(params, steps=int(k)), 5).aborted if k else
                    np.zeros(params.n_anneals, dtype=bool) for k in steps]
         assert flagged[-1].tolist() == anneals.aborted.tolist()
         assert anneals.aborted.any() and not flagged[0].any()
-        for spins, mask in zip(readouts, flagged):
+        assert [m.tolist() for m in seen_flags] == [m.tolist() for m in flagged]
+        for spins, mask in zip(log.readouts, flagged):
             assert (spins[mask] == 1).all()
         # before their flag, aborting anneals read -1 somewhere
         assert any((spins[~mask & anneals.aborted] == -1).any()
-                   for spins, mask in zip(readouts, flagged))
+                   for spins, mask in zip(log.readouts, flagged))
 
 
 class TestReadout:

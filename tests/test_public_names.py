@@ -72,3 +72,23 @@ def _unused_public_names():
 def test_every_public_name_has_a_user_outside_tests():
     unused = _unused_public_names()
     assert not unused, f"public names with no user outside tests/: {unused}"
+
+
+def _private_demo_imports():
+    """``(demo, name)`` for each name a demo imports from ``cimsel`` that is
+    private: the name or a module on its path starts with ``_``."""
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cimsel":
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.split(".")[0] == "cimsel"]
+            else:
+                continue
+            yield from ((path.name, name) for name in names
+                        if any(part.startswith("_") for part in name.split(".")))
+
+
+def test_demos_import_public_names_only():
+    private = list(_private_demo_imports())
+    assert not private, f"demos importing private cimsel names: {private}"
