@@ -24,10 +24,10 @@ from cimsel import (
     decode_states,
     exhaustive_search,
     generate_channel,
+    readout,
     score_states,
     solve,
 )
-from cimsel.cim import readout
 
 config = MimoConfig(n_t=2, n_r=2, n_states=2)
 g = generate_channel(config, seed=99)

@@ -36,7 +36,7 @@ from .channel import (
     score_states,
     write_channel,
 )
-from .cim import CimParams, solve
+from .cim import CimParams, readout, solve
 from .formulation import (
     IsingInstance,
     compile_instance,

@@ -45,6 +45,12 @@ Notes on the numerics:
   path and a single entry point.  Against the unfolded form the regrouped
   arithmetic moves amplitudes in the last few bits (up to a few 1e-13
   after 1000 steps); on the tested plans no readout changes.
+* The step computes ``x @ (dt eps J)`` in row blocks that OpenBLAS's
+  SkylakeX kernel runs on its small-matrix path (``_SMALL_GEMM_MNK``); the
+  other passes run on the whole batch.  That path adds in another order,
+  so at 1000 anneals from dim 32 on amplitudes move in their last bits
+  against one product: by at most 5.2e-9 after 1000 steps over 28 default
+  solves at dims 33 and 65, none of whose sampled readouts changed.
 * The kernel skips the passes of that step that provably change no bit;
   ``tests/test_cim.py::TestCheckSchedule`` checks it byte for byte against
   the kernel that runs every pass, on plans where each of them binds.
@@ -110,6 +116,15 @@ __all__ = [
 
 # Lower clamp for the error variables, which must stay positive.
 E_FLOOR = 1e-12
+
+# OpenBLAS's SkylakeX kernel sends a dgemm with M*N*K <= 100**3 to its
+# small-matrix path (x @ J at dim 33: 29 us for 918 rows, 53 us for 919),
+# so the step multiplies in the fewest equal row blocks under that bound.
+# Blocks of 58 rows or more took 0.58-0.82 of one product's time, and of 37
+# rows or fewer 1.11-1.68 (1000 anneals, dims 9-257, one BLAS thread).  So a
+# block holds at least _MIN_BLOCK_ROWS rows, and past dim 141 one product runs.
+_SMALL_GEMM_MNK = 10**6
+_MIN_BLOCK_ROWS = 50
 
 
 @dataclass(frozen=True)
@@ -209,6 +224,13 @@ class _EulerStep:
         self.j_scaled = np.empty_like(self.jm)
         self.coupling = np.empty_like(x)
         self.factor = np.empty_like(x)
+        # the fewest equal, contiguous row blocks of at most `rows` rows, as
+        # (x, coupling) view pairs; one block when blocks would be too thin
+        n, dim = x.shape
+        rows = _SMALL_GEMM_MNK // max(dim * dim, 1)
+        n_blocks = -(-n // rows) if rows >= _MIN_BLOCK_ROWS else 1
+        edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+        self.blocks = [(x[a:b], self.coupling[a:b]) for a, b in zip(edges, edges[1:])]
 
     def __call__(self, t: float) -> None:
         x, e, x_sq, coupling, factor = self.x, self.e, self.x_sq, self.coupling, self.factor
@@ -217,7 +239,8 @@ class _EulerStep:
         # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
         # scaling the matmul's output
         np.multiply(self.jm, self.dt_gamma * t, out=self.j_scaled)
-        np.matmul(x, self.j_scaled, out=coupling)
+        for x_block, coupling_block in self.blocks:
+            np.matmul(x_block, self.j_scaled, out=coupling_block)
         coupling *= e
         # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
         if self.shared_rate:
@@ -290,12 +313,14 @@ def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore the caller's
     count; without OpenBLAS, do nothing.
 
-    The step's ``(n_anneals, dim) @ (dim, dim)`` matmul is too small to gain
-    from a split: on two threads it ran slower and the second thread spun,
-    and under ``--workers`` the threads of each process compete for the same
-    cores.  Worker processes are the parallelism.  OpenBLAS splits a matmul
-    over rows and columns, never the summed axis, so the thread count does
-    not change a result bit.
+    The step's ``(rows, dim) @ (dim, dim)`` products are too small to gain
+    from a split: on two threads one whole-batch product ran slower and the
+    second thread spun, and running the row blocks on two threads raised
+    the CPU time of a dim-33 compare by about a third for 18% less wall
+    time.  Under ``--workers`` the threads of each process compete for the
+    same cores.  Worker processes are the parallelism.  OpenBLAS splits a
+    matmul over rows and columns, never the summed axis, so the thread
+    count does not change a result bit.
     """
     blas = _openblas_threads()
     if blas is None:
@@ -364,8 +389,10 @@ def _integrate(jm, x0, params, record_every=0, observer=None):
                 run.abort_nonfinite()
             if k % observe_every == 0 and not last:
                 observe(k, run)
-    # the last call sees x, e and aborted alone
-    del run.x_sq, run.coupling, run.factor
+    # the last call sees x, e and aborted alone.  The block views keep
+    # coupling alive, so they go first: freeing coupling after factor
+    # raised sweep-2x2x2's peak RSS by 0.13 MB
+    del run.x_sq, run.blocks, run.coupling, run.factor
     observe(params.steps, run)
     return run.x, run.aborted
 

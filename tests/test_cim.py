@@ -503,10 +503,11 @@ class TestReadoutHook:
     @pytest.mark.parametrize("name", sorted(HOOK_PLANS))
     def test_last_call_sees_the_run_without_work_buffers(self, name, record_every):
         # every call reads x, e and the abort flags; by the last one the
-        # kernel has dropped x_sq, coupling and factor, and e is the final
-        # e of the every-pass integrator on the rows that did not abort
+        # kernel has dropped x_sq, coupling, factor and the block views that
+        # would keep coupling alive, and e is the final e of the every-pass
+        # integrator on the rows that did not abort
         jm, params = HOOK_PLANS[name]
-        work = ("x_sq", "coupling", "factor")
+        work = ("x_sq", "coupling", "factor", "blocks")
         calls = []
 
         def observer(k, run):
@@ -811,6 +812,49 @@ class TestCheckSchedule:
         _, aborted = _integrate(jm, x0.copy(), params)
         _, aborted_early, _ = every_step_integrate(jm, x0, replace(params, steps=600))
         assert aborted.any() and not aborted_early.any()
+
+
+class OneBlockStep(_EulerStep):
+    """The step kernel with the whole batch in one ``x @ J`` product."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.blocks = [(self.x, self.coupling)]
+
+
+class TestRowBlocks:
+    """The step's ``x @ J`` in row blocks under OpenBLAS's small-matrix bound."""
+
+    @pytest.mark.parametrize("dim,n_blocks", [(9, 1), (33, 2), (65, 5), (161, 1)])
+    def test_blocks_tile_the_batch_in_order(self, dim, n_blocks):
+        # dim 161 allows 38-row blocks, too thin to pay: one product
+        run = _EulerStep(np.zeros((dim, dim)), np.zeros((1000, dim)), CimParams())
+        assert len(run.blocks) == n_blocks
+        rows = [len(x_block) for x_block, _ in run.blocks]
+        assert n_blocks == 1 or max(rows) <= 10**6 // dim**2
+        assert max(rows) - min(rows) <= 1
+        start = 0
+        for (x_block, coupling_block), n in zip(run.blocks, rows):
+            for block, whole in ((x_block, run.x), (coupling_block, run.coupling)):
+                assert block.base is whole and block.shape == (n, dim)
+                assert block.ctypes.data == whole[start:].ctypes.data
+            start += n
+        assert start == 1000
+
+    def test_paper_scale_readouts_match_one_product(self, monkeypatch):
+        # amplitudes may move in their last bits (at most 6.9e-12 on this
+        # channel under the SkylakeX kernel); no sampled or final readout does
+        inst = compile_instance(generate_channel(MimoConfig(4, 4, 4), seed=200), 0.5)
+        assert len(_EulerStep(inst.j, np.zeros((1000, inst.dim)), CimParams()).blocks) == 2
+        runs = []
+        for kernel in (_EulerStep, OneBlockStep):
+            monkeypatch.setattr(cim, "_EulerStep", kernel)
+            log = ReadoutLog()
+            runs.append((solve(inst, CimParams(), 1, 10, observer=log), log.table()))
+        (blocked, blocked_table), (one, one_table) = runs
+        assert blocked_table.tobytes() == one_table.tobytes()
+        assert blocked.spins.tobytes() == one.spins.tobytes()
+        assert not blocked.aborted.any() and not one.aborted.any()
 
 
 class TestTrajectoryDump:

@@ -92,3 +92,9 @@ def _private_demo_imports():
 def test_demos_import_public_names_only():
     private = list(_private_demo_imports())
     assert not private, f"demos importing private cimsel names: {private}"
+
+
+def test_package_exports_the_observers_readout():
+    # every solve observer turns run.x into spins with readout
+    cimsel = importlib.import_module("cimsel")
+    assert cimsel.readout is importlib.import_module("cimsel.cim").readout
