@@ -14,8 +14,9 @@ readout, and a time trace samples its one weight at every recorded readout;
 the same rows, summaries, result type and writers come out of either.
 Each readout is decoded and scored as the solver takes it.  A trace keeps
 the first sample's scores and feasibility bits and a log of the rows that
-change after it, not the readouts, and rebuilds its per-sample figures from
-that log once the solve has ended.  Metric rows are built from the
+change after it, not the readouts.  Once the solve has ended, one walk
+over the samples applies that log to one score vector in place and reduces
+the vector at each sample that changed.  Metric rows are built from the
 per-instance records as they are written.
 
 Scoring rules
@@ -201,10 +202,6 @@ class HarnessResult:
                                 fallback, record.channel_seed)
 
 
-# columns per block when a trace's log is replayed
-_BLOCK = 25
-
-
 class _ReadoutScorer:
     """A solve's observer: decode and score each readout as it is taken.
 
@@ -234,52 +231,37 @@ class _ReadoutScorer:
                 self.changes.append((self.sample, rows, score_states(g, self.states[rows]), ok))
         self.latest = spins
 
-    def fall_back(self, aborted: np.ndarray, objective: float) -> None:
-        """Mark every readout of an aborted anneal infeasible, and score
-        every infeasible readout as ``objective``, in the first sample's
-        vectors and in the log."""
-        live = ~aborted
-        for rows, raw, ok in [(slice(None), self.raw, self.ok), *(c[1:] for c in self.changes)]:
-            ok &= live[rows]
-            np.copyto(raw, objective, where=~ok)
-
-    def trace(self, n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def trace(self, n_samples: int, aborted: np.ndarray,
+              objective: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-sample best score, mean score (clamped to the best) and
-        feasible share over anneals, for ``n_samples >= 2``; the last
-        sample's vectors are left in ``raw`` and ``ok``.
+        feasible share over anneals, for the first ``n_samples`` samples;
+        the last sample's vectors are left in ``raw`` and ``ok``.
 
-        Only sample 0 and the logged samples differ from the sample before
-        them.  The log is replayed into ``(n_anneals, width)`` score blocks
-        of those columns, and of the last sample's so that there are at
-        least two.  numpy reduces such a block over anneals bit for bit as
-        one ``(n_anneals, n_samples)`` matrix: it adds their rows in turn.
-        It adds a one-column array pairwise, so a one-column tail joins the
-        block before it.
+        One walk over the samples writes each logged change into ``raw``
+        and ``ok`` in place, after the fallback: an aborted anneal is
+        infeasible at every sample, and an infeasible readout scores
+        ``objective``.  Only sample 0 and the logged samples differ from the
+        sample before them, so only they are reduced; every other sample
+        carries the figures of the one before.  The mean adds the anneals
+        in turn, bit for bit as numpy reduces one ``(n_anneals, n_samples)``
+        score matrix over its rows.
         """
-        n_anneals = len(self.raw)
-        samples = [0, *(c[0] for c in self.changes)]
-        if samples[-1] < n_samples - 1:
-            samples.append(n_samples - 1)
-        best, avg = np.empty(len(samples)), np.empty(len(samples))
-        # change of the feasible count at each column; the running sum is the count
-        gained = np.zeros(len(samples), dtype=np.int64)
-        gained[0] = np.count_nonzero(self.ok)
-        starts = range(0, len(samples) - 1, _BLOCK)
-        for start, end in zip(starts, [*starts[1:], len(samples)]):
-            scores = np.empty((n_anneals, end - start))
-            scores[:] = self.raw[:, None]
-            for j in range(max(start, 1), min(end, len(self.changes) + 1)):
-                _, rows, raw, ok = self.changes[j - 1]
-                scores[rows, j - start:] = raw[:, None]
-                gained[j] = np.count_nonzero(ok) - np.count_nonzero(self.ok[rows])
-                self.ok[rows] = ok
-            self.raw = scores[:, -1].copy()
-            best[start:end] = scores.max(axis=0)
-            avg[start:end] = scores.mean(axis=0)
-        # each sample takes the last column at or before it
-        column = np.searchsorted(samples, np.arange(n_samples), side="right") - 1
-        best, avg = best[column], avg[column]
-        return best, np.minimum(avg, best), np.cumsum(gained)[column] / n_anneals
+        n_anneals, live = len(self.raw), ~aborted
+        # sample 0 changes every row
+        log = {0: (slice(None), self.raw, self.ok)}
+        log.update((sample, change) for sample, *change in self.changes)
+        figures = np.empty((3, n_samples))
+        for sample in range(n_samples):
+            if sample in log:
+                rows, raw, ok = log[sample]
+                self.ok[rows] = ok & live[rows]
+                self.raw[rows] = np.where(self.ok[rows], raw, objective)
+                figures[:, sample] = (self.raw.max(), np.add.accumulate(self.raw)[-1] / n_anneals,
+                                      np.count_nonzero(self.ok) / n_anneals)
+            else:
+                figures[:, sample] = figures[:, sample - 1]
+        best, avg, pc = figures
+        return best, np.minimum(avg, best), pc
 
 
 def run_instance(
@@ -298,10 +280,11 @@ def run_instance(
     :class:`_ReadoutScorer`, the solve's observer, scores each readout as it is
     taken: the final readout alone, or every recorded sample, whose last is
     that same readout; no readout table and no ``(n_anneals, n_samples)`` array
-    is kept.  Aborts and the fallback are applied once the solve has ended, so
-    an aborted anneal falls back at every sample.  A trace then replays the
-    scorer's log into its per-sample arrays, which come out bit for bit as from
-    one score matrix.  The final-readout fields come from the last sample's
+    is kept.  Once the solve has ended, the scorer walks its samples, applies
+    aborts and the fallback at each, so an aborted anneal falls back at every
+    sample, and reduces them into the trace's per-sample arrays, which come
+    out bit for bit as from one score matrix.  A sweep's one sample is its
+    final readout.  The final-readout fields come from the last sample's
     per-anneal vectors, so they do not depend on ``record_every``.
     """
     config = g.config
@@ -310,11 +293,9 @@ def run_instance(
     scorer = _ReadoutScorer(g)
     anneals = solve(inst, cim_params, cim_master_seed(seed), record_every, observer=scorer)
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
-    scorer.fall_back(anneals.aborted, fallback.objective)
-    trace = None
-    if record_every:
-        steps = readout_steps(cim_params.steps, record_every)
-        trace = (steps, *scorer.trace(len(steps)))
+    steps = readout_steps(cim_params.steps, record_every) if record_every else None
+    # a sweep's one sample is its final readout, and it keeps no trace
+    trace = scorer.trace(1 if steps is None else len(steps), anneals.aborted, fallback.objective)
     final, final_feasible = scorer.raw, scorer.ok
     k_best = int(np.argmax(final))
     if final_feasible[k_best]:
@@ -338,8 +319,8 @@ def run_instance(
         n_anneals=len(anneals),
         n_aborted=int(anneals.aborted.sum()),
     )
-    if trace is not None:
-        result.trace_steps, result.trace_best, result.trace_avg, result.trace_pc = trace
+    if steps is not None:
+        result.trace_steps, result.trace_best, result.trace_avg, result.trace_pc = steps, *trace
     return result
 
 
@@ -381,8 +362,11 @@ def _record_task(args):
 def _harness(plan: ExperimentPlan, record_every: int, workers: int) -> HarnessResult:
     """Per-instance records at every weight of the plan, optionally in
     parallel, in instance order (``map`` keeps the task order), and their
-    summaries; ``record_every`` 0 samples the final readout only."""
+    summaries; ``record_every`` 0 samples the final readout only.  A pool
+    starts all its processes, so it holds no more than there are instances,
+    and one instance runs in this process."""
     tasks = [(plan, k, record_every) for k in range(plan.n_instances)]
+    workers = min(workers, plan.n_instances)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

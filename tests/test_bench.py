@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from cimsel.bench import (
-    _BLOCK,
     _ReadoutScorer,
     CSV_COLUMNS,
     CimInstanceResult,
@@ -186,11 +185,10 @@ class TestRunInstance:
     ])
     def test_decode_once_matches_decoding_every_readout(self, lam, params):
         g = generate_channel(CFG222, seed=5)
-        # strides that give 2, _BLOCK + 1 and 2 * _BLOCK + 1 samples: the
-        # replay's block edges when every sample logs a change
+        # strides that give 2, 26 and 51 samples
         edges = [next(s for s in range(1, params.steps + 1)
                       if len(readout_steps(params.steps, s)) == n)
-                 for n in (2, _BLOCK + 1, 2 * _BLOCK + 1)]
+                 for n in (2, 26, 51)]
         # every step, a stride that does not divide the steps, the default
         # trace stride, one past the final step (two samples), and the edges
         for stride in (1, 7, 10, params.steps + 1, *edges):
@@ -208,14 +206,20 @@ class TestRunInstance:
         else:
             assert got.p_c == 1.0 and got.n_aborted == 0
 
-    @pytest.mark.parametrize("n_samples", [2, _BLOCK + 1, 2 * _BLOCK + 1])
-    def test_replay_block_edges(self, n_samples):
-        # fresh readouts at every sample change rows at every sample, so the
-        # replay reduces all n_samples columns: one two-column block, one
-        # block that took in a one-column tail, and a second block that did
-        # the same; each must match the reductions of one (anneals, samples)
-        # score matrix.  Most readouts encode an assignment, so the sums
-        # hold many distinct scores and their order shows in the bits.
+    @pytest.mark.parametrize("n_samples,repeats", [
+        pytest.param(2, (), id="2"),
+        pytest.param(26, (), id="26"),
+        pytest.param(51, (), id="51"),
+        # samples whose readouts repeat the one before, the last included,
+        # log nothing and carry the figures of the sample before them
+        pytest.param(26, (1, 7, 8, 9, 24, 25), id="26-gaps"),
+    ])
+    def test_replay_block_edges(self, n_samples, repeats):
+        # fresh readouts change rows at every sample but the repeated ones,
+        # and every sample's figures must match the reductions of one
+        # (anneals, samples) score matrix.  Most readouts encode an
+        # assignment, so the sums hold many distinct scores and their order
+        # shows in the bits.
         g = generate_channel(CFG222, seed=5)
         rng = np.random.default_rng(n_samples)
         n_anneals = 200
@@ -225,14 +229,16 @@ class TestRunInstance:
         readouts *= rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_samples, n_anneals, 1))
         junk = rng.random((n_samples, n_anneals)) < 0.2
         readouts[junk] = rng.choice(np.array([-1, 1], dtype=np.int8), size=(junk.sum(), 9))
+        for sample in repeats:
+            readouts[sample] = readouts[sample - 1]
         aborted = rng.random(n_anneals) < 0.1
         scorer = _ReadoutScorer(g)
         # the scorer reads its readout from run.x; sign(+-1) is the readout
         for k, spins in enumerate(readouts):
             scorer(k, SimpleNamespace(x=spins))
-        assert [c[0] for c in scorer.changes] == list(range(1, n_samples))
-        scorer.fall_back(aborted, 1.5)
-        best, avg, pc = scorer.trace(n_samples)
+        logged = [s for s in range(1, n_samples) if s not in repeats]
+        assert [c[0] for c in scorer.changes] == logged
+        best, avg, pc = scorer.trace(n_samples, aborted, 1.5)
 
         table = np.stack(list(readouts), axis=1)
         ok, states = decode_states(table.reshape(-1, 9), CFG222)
@@ -321,6 +327,36 @@ class TestSweepLambda:
                 assert ra.objective == rb.objective or (
                     np.isnan(ra.objective) and np.isnan(rb.objective)
                 )
+
+    def test_pool_holds_no_more_workers_than_instances(self, monkeypatch, tmp_path):
+        # a process pool starts all its workers on the first task, so one
+        # wider than the plan would start idle processes; a fake pool
+        # counts the workers asked for and runs the tasks in this process
+        import concurrent.futures
+
+        asked = []
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        for n_instances, want in ((1, []), (2, [2])):
+            plan = small_plan(n_instances=n_instances)
+            asked.clear()
+            write_metric_rows(sweep_lambda(plan, workers=4).rows(), tmp_path / "pool.csv")
+            assert asked == want
+            write_metric_rows(sweep_lambda(plan, workers=1).rows(), tmp_path / "serial.csv")
+            assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_feasibility_rises_with_weight(self):
         plan = small_plan(lambdas=(0.0, 0.5, 1.0), n_instances=15)
