@@ -12,7 +12,8 @@ over ``(penalty weight, step)`` samples.  One path serves both paper
 figures: a penalty-weight sweep samples each weight once, at the final
 readout, and a time trace samples its one weight at every recorded readout;
 the same rows, summaries, result type and writers come out of either.
-Each readout is decoded and scored as the solver takes it.  A trace keeps
+Each readout is decoded and scored as the solver takes it, only in the
+rows whose signs flipped since the readout before.  A trace keeps
 the first sample's scores and feasibility bits and a log of the rows that
 change after it, not the readouts.  Once the solve has ended, one walk
 over the samples applies that log to one score vector in place and reduces
@@ -206,30 +207,40 @@ class _ReadoutScorer:
     """A solve's observer: decode and score each readout as it is taken.
 
     ``raw`` and ``ok`` hold each anneal's score and feasibility bit at the
-    first readout.  Of each later one only the rows that differ from their
-    anneal's previous readout are decoded and scored, and ``changes`` logs
-    them as ``(sample, rows, scores, ok)``; ``states`` keeps each anneal's
-    latest decode.  Nothing per (anneal, sample) is kept.
+    first readout.  Each later readout writes its signs ``run.x >= 0`` into
+    one of two ``(n_anneals, dim)`` bool buffers and compares them in place
+    with the other, which holds the readout before; a readout with no
+    flipped sign costs that one comparison.  Only the rows that flipped are
+    read out, decoded and scored, and ``changes`` logs them as
+    ``(sample, rows, scores, ok)``; ``states`` keeps each anneal's latest
+    decode.  Nothing per (anneal, sample) is kept.
     """
 
     def __init__(self, g: ChannelMatrix):
         self.g = g
         self.sample = 0
-        self.latest = None
         self.changes = []
+        # the latest readout's signs, and the buffer the next one's go to
+        self.signs = self.spare = None
 
     def __call__(self, k: int, run) -> None:
-        g, spins = self.g, readout(run.x)
-        if self.latest is None:
-            self.ok, self.states = decode_states(spins, g.config)
+        g, x = self.g, run.x
+        if self.signs is None:
+            self.signs = np.greater_equal(x, 0)
+            self.spare = np.empty_like(self.signs)
+            self.ok, self.states = decode_states(readout(x), g.config)
             self.raw = score_states(g, self.states)
-        else:
-            self.sample += 1
-            rows = np.flatnonzero((spins != self.latest).any(axis=1))
-            if len(rows):
-                ok, self.states[rows] = decode_states(spins[rows], g.config)
-                self.changes.append((self.sample, rows, score_states(g, self.states[rows]), ok))
-        self.latest = spins
+            return
+        self.sample += 1
+        before, signs = self.signs, self.spare
+        np.greater_equal(x, 0, out=signs)
+        flips = np.not_equal(before, signs, out=before)
+        self.signs, self.spare = signs, flips
+        if not flips.any():
+            return
+        rows = np.flatnonzero(flips.any(axis=1))
+        ok, self.states[rows] = decode_states(readout(x[rows]), g.config)
+        self.changes.append((self.sample, rows, score_states(g, self.states[rows]), ok))
 
     def trace(self, n_samples: int, aborted: np.ndarray,
               objective: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

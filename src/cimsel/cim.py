@@ -41,10 +41,12 @@ Notes on the numerics:
 
   with ``c_x = 1 + dt (p - 1)`` and ``c_e = 1 + dt beta a``.  One kernel,
   ``_EulerStep``, owns one run: it adopts :func:`solve`'s start table as
-  ``x`` and steps all anneals at once in place, so there is a single step
-  path and a single entry point.  Against the unfolded form the regrouped
-  arithmetic moves amplitudes in the last few bits (up to a few 1e-13
-  after 1000 steps); on the tested plans no readout changes.
+  ``x`` and steps all anneals at once in place, a whole span of steps per
+  call, so there is a single step body and a single entry point.  A run
+  stops between spans only for a finiteness check or the observer.
+  Against the unfolded form the regrouped arithmetic moves amplitudes in
+  the last few bits (up to a few 1e-13 after 1000 steps); on the tested
+  plans no readout changes.
 * The step computes ``x @ (dt eps J)`` in row blocks that OpenBLAS's
   SkylakeX kernel runs on its small-matrix path (``_SMALL_GEMM_MNK``); the
   other passes run on the whole batch.  That path adds in another order,
@@ -189,18 +191,21 @@ class _EulerStep:
 
     The kernel adopts the ``(n_anneals, dim)`` float amplitudes ``x`` it is
     given, without copying, and owns them with ``e = 1``, the ``aborted``
-    flags and its work buffers.  A call advances ``x`` and ``e`` in place
-    from model time ``t`` to ``t + dt``, allocating nothing.  ``eps`` uses
-    the time at the start of the step, so the coupling term vanishes on the
-    first step, and both updates read the pre-update amplitudes.  The kernel
-    carries ``x^2`` and a lower bound on ``e`` between calls (module notes),
-    so only :meth:`abort_nonfinite` writes them then; ``e`` may be set before
-    the first call."""
+    flags and its work buffers.  :meth:`advance` runs a span of steps in one
+    Python loop, advancing ``x`` and ``e`` in place and allocating nothing;
+    one span of many steps gives the bits of the same steps run one span
+    each.  Step ``k`` starts from model time ``(k - 1) * dt`` and
+    ``eps`` uses that time, so the coupling term vanishes on the first step,
+    and both updates read the pre-update amplitudes.  The kernel carries
+    ``x^2`` and a lower bound on ``e`` between spans (module notes), so only
+    :meth:`abort_nonfinite` writes them then; ``e`` may be set before the
+    first span."""
 
     def __init__(self, jm: np.ndarray, x: np.ndarray, params: CimParams):
         self.jm = np.asarray(jm, dtype=float)
         # the per-step constants, each computed by the expression the step
         # used to evaluate on every call
+        self.dt = params.dt
         self.dt_gamma = params.dt * params.gamma
         self.c_x = 1.0 + params.dt * (params.p - 1.0)
         self.c_e = 1.0 + params.dt * params.beta * params.a
@@ -217,7 +222,7 @@ class _EulerStep:
         self.x = x
         self.e = np.ones_like(x)
         self.aborted = np.zeros(len(x), dtype=bool)
-        # x_sq holds x^2 between calls; e_low bounds every non-NaN e from
+        # x_sq holds x^2 between steps; e_low bounds every non-NaN e from
         # below, and f every e factor of the next step
         self.x_sq = np.square(x)
         self.e_low = self.f = 0.0
@@ -232,45 +237,55 @@ class _EulerStep:
         edges = [n * i // n_blocks for i in range(n_blocks + 1)]
         self.blocks = [(x[a:b], self.coupling[a:b]) for a, b in zip(edges, edges[1:])]
 
-    def __call__(self, t: float) -> None:
+    def advance(self, k0: int, k1: int) -> None:
+        """Run steps ``k0 + 1 … k1``; step ``k`` starts from model time ``(k - 1) * dt``."""
         x, e, x_sq, coupling, factor = self.x, self.e, self.x_sq, self.coupling, self.factor
-        # a lower bound on every non-NaN e after this step's update
-        e_low = self.e_low * self.f
-        # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
-        # scaling the matmul's output
-        np.multiply(self.jm, self.dt_gamma * t, out=self.j_scaled)
-        for x_block, coupling_block in self.blocks:
-            np.matmul(x_block, self.j_scaled, out=coupling_block)
-        coupling *= e
-        # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
-        if self.shared_rate:
-            x_sq *= self.x_rate
-            np.add(x_sq, self.c_e, out=factor)
-        else:
-            np.multiply(x_sq, self.e_rate, out=factor)
-            factor += self.c_e
-            x_sq *= self.x_rate
-        e *= factor
-        floored = not e_low >= E_FLOOR
-        if floored:
-            np.maximum(e, E_FLOOR, out=e)
-        # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
-        x_sq += self.c_x
-        x *= x_sq
-        x += coupling
-        # the next step's x^2; fl(x^2) < fl(x_clip^2) implies |x| <= x_clip,
-        # and NaN fails the test, so a non-finite x still goes through clip
-        np.square(x, out=x_sq)
-        x_sq_max = float(x_sq.max())
-        if not x_sq_max < self.clip_sq:
-            x.clip(-self.x_clip, self.x_clip, out=x)
-            np.square(x, out=x_sq)
-            x_sq_max = self.clip_sq
-        self.f = min(self.c_e, x_sq_max * self.e_rate + self.c_e)
-        if floored:
-            # fmin skips NaN; at f <= 0 the next step floors whatever the bound
-            e_low = float(np.fmin.reduce(e, axis=None)) if self.f > 0 else 0.0
-        self.e_low = e_low
+        jm, j_scaled, blocks = self.jm, self.j_scaled, self.blocks
+        dt, dt_gamma, c_x, c_e = self.dt, self.dt_gamma, self.c_x, self.c_e
+        e_rate, x_rate, shared_rate = self.e_rate, self.x_rate, self.shared_rate
+        x_clip, clip_sq, e_low, f = self.x_clip, self.clip_sq, self.e_low, self.f
+        add, multiply, matmul, square = np.add, np.multiply, np.matmul, np.square
+        maximum, max_reduce, fmin_reduce = np.maximum, np.maximum.reduce, np.fmin.reduce
+        for k in range(k0 + 1, k1 + 1):
+            # a lower bound on every non-NaN e after this step's update
+            e_low *= f
+            # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim
+            # for scaling the matmul's output
+            multiply(jm, dt_gamma * ((k - 1) * dt), j_scaled)
+            for x_block, coupling_block in blocks:
+                matmul(x_block, j_scaled, coupling_block)
+            multiply(coupling, e, coupling)
+            # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
+            if shared_rate:
+                multiply(x_sq, x_rate, x_sq)
+                add(x_sq, c_e, factor)
+            else:
+                multiply(x_sq, e_rate, factor)
+                add(factor, c_e, factor)
+                multiply(x_sq, x_rate, x_sq)
+            multiply(e, factor, e)
+            floored = not e_low >= E_FLOOR
+            if floored:
+                maximum(e, E_FLOOR, out=e)
+            # x <- clip(x * (c_x - dt*x^2) + dt*eps*e*(x @ J))
+            add(x_sq, c_x, x_sq)
+            multiply(x, x_sq, x)
+            add(x, coupling, x)
+            # the next step's x^2; fl(x^2) < fl(x_clip^2) implies
+            # |x| <= x_clip, and NaN fails the test, so a non-finite x still
+            # goes through clip
+            square(x, x_sq)
+            x_sq_max = float(max_reduce(x_sq, None))
+            if not x_sq_max < clip_sq:
+                x.clip(-x_clip, x_clip, out=x)
+                square(x, x_sq)
+                x_sq_max = clip_sq
+            f = min(c_e, x_sq_max * e_rate + c_e)
+            if floored:
+                # fmin skips NaN; at f <= 0 the next step floors whatever
+                # the bound
+                e_low = float(fmin_reduce(e, None)) if f > 0 else 0.0
+        self.e_low, self.f = e_low, f
 
     def abort_nonfinite(self) -> None:
         """Flag the rows that went non-finite and freeze them at ``x = 0``, ``e = 1``."""
@@ -354,8 +369,12 @@ def _integrate(jm, x0, params, record_every=0, observer=None):
     flagged.  Every ``|x0|`` must be at most ``params.init_scale``, as
     :func:`solve` draws it.
 
-    When the kernel's ``divergence_sticks`` holds, the finiteness check runs
-    only at snapshot steps and the final step; otherwise after every step.
+    The kernel runs one span from each stop to the next, where a stop is a
+    finiteness check, an observer call or the final step.  When the
+    kernel's ``divergence_sticks`` holds, the check runs only at snapshot
+    steps and the final step, so a sweep or compare solve is one span and a
+    default trace solve 100; otherwise the check runs after every step, and
+    every span is one step.
     The flag holds when ``c_e > 0`` and the ``e`` factor
     ``fl(fl(fl(X*X) * (-dt*beta)) + c_e)`` is positive at
     ``X = max(x_clip, init_scale)``.  A finite ``|x|`` never exceeds ``X``.
@@ -382,13 +401,13 @@ def _integrate(jm, x0, params, record_every=0, observer=None):
     # overflow is the divergence signal, caught by abort_nonfinite; the
     # numpy warnings would only repeat it
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, params.steps + 1):
-            run((k - 1) * params.dt)
-            last = k == params.steps
-            if k % check_every == 0 or last:
-                run.abort_nonfinite()
-            if k % observe_every == 0 and not last:
+        k0 = 0
+        for k in (*range(check_every, params.steps, check_every), params.steps):
+            run.advance(k0, k)
+            run.abort_nonfinite()
+            if k % observe_every == 0 and k < params.steps:
                 observe(k, run)
+            k0 = k
     # the last call sees x, e and aborted alone.  The block views keep
     # coupling alive, so they go first: freeing coupling after factor
     # raised sweep-2x2x2's peak RSS by 0.13 MB

@@ -145,9 +145,10 @@ def reference_integrate(jm, x0, params, record_every):
 
 
 class EveryPassStep(_EulerStep):
-    """The Euler step with every pass run on every call: the body of
-    ``cim._EulerStep.__call__`` before it skipped the floor and clamp passes
-    that change nothing, over the same constants and buffers.
+    """The Euler step with every pass run on every call, one step a call:
+    the step body of ``cim._EulerStep.advance`` before it skipped the floor
+    and clamp passes that change nothing, over the same constants and
+    buffers.  ``every_step_integrate`` calls it with each step's time.
 
     ``floored`` and ``clamped`` list the calls (1-based) on which the floor
     or the clamp changed at least one value.

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from cimsel import bench
 from cimsel.bench import (
     _ReadoutScorer,
     CSV_COLUMNS,
@@ -27,7 +28,7 @@ from cimsel.bench import (
 )
 from cimsel.baselines import exhaustive_search
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, score_states
-from cimsel.cim import CimParams, readout_steps
+from cimsel.cim import CimParams, readout, readout_steps
 from cimsel.formulation import decode_states
 from oracles import (
     all_spin_vectors,
@@ -252,6 +253,33 @@ class TestRunInstance:
             assert a.tobytes() == b.tobytes()
         assert scorer.raw.tobytes() == scores[:, -1].tobytes()
         assert scorer.ok.tobytes() == feasible[:, -1].tobytes()
+
+    def test_reads_out_the_first_readout_and_the_flipped_rows(self, monkeypatch):
+        # a stride-1 trace reads out every row of its first readout and,
+        # of each later one, only the rows with a flipped sign
+        converted, scorers = [], []
+
+        def counting_readout(x):
+            converted.append(len(x))
+            return readout(x)
+
+        class RecordingScorer(bench._ReadoutScorer):
+            def __init__(self, g):
+                super().__init__(g)
+                scorers.append(self)
+
+        monkeypatch.setattr(bench, "readout", counting_readout)
+        monkeypatch.setattr(bench, "_ReadoutScorer", RecordingScorer)
+        params = CimParams(steps=300, n_anneals=200)
+        g = generate_channel(CFG222, seed=3)
+        res = run_instance(g, 0.5, params, seed=1, record_every=1)
+        (scorer,) = scorers
+        logged = sum(len(rows) for _, rows, _, _ in scorer.changes)
+        assert converted[0] == params.n_anneals and len(converted) == 1 + len(scorer.changes)
+        assert sum(converted) == params.n_anneals + logged
+        # some samples flip signs and most flip none
+        assert 0 < len(scorer.changes) < params.steps // 2
+        assert len(res.trace_steps) == params.steps + 1
 
     def test_trace_holds_no_readout_table(self):
         # a stride-1 trace keeps the scorer's log of changed rows, not a

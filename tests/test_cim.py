@@ -72,31 +72,32 @@ class TestCimParams:
 
 
 def _kernel_run(jm, x0, params, e0=None, n_steps=1):
-    """Advance one row through ``n_steps`` calls of the step kernel; returns
-    the ``(x, e)`` rows after each step."""
+    """Advance one row through ``n_steps`` one-step spans of the step kernel;
+    returns the ``(x, e)`` rows after each step."""
     kernel = _EulerStep(np.asarray(jm, dtype=float), np.array(x0, dtype=float)[None, :], params)
     if e0 is not None:
         kernel.e[0] = e0
     states = []
     for k in range(n_steps):
-        kernel(k * params.dt)
+        kernel.advance(k, k + 1)
         states.append((kernel.x[0].copy(), kernel.e[0].copy()))
     return states
 
 
 @pytest.fixture()
 def first_step_state(monkeypatch):
-    """Records, per ``solve`` call, the state handed to the first kernel call."""
+    """Records, per ``solve`` call, the state handed to the kernel's first
+    span and the model time its first step starts from."""
     seen = []
 
     class RecordingStep(_EulerStep):
         recorded = False
 
-        def __call__(self, t):
+        def advance(self, k0, k1):
             if not self.recorded:
                 self.recorded = True
-                seen.append((self.x.copy(), self.e.copy(), t))
-            super().__call__(t)
+                seen.append((self.x.copy(), self.e.copy(), k0 * self.dt))
+            super().advance(k0, k1)
 
     monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
     return seen
@@ -221,18 +222,23 @@ class TestBlasThreads:
         seen = []
 
         class RecordingStep(_EulerStep):
-            def __call__(self, t):
-                seen.append(blas_threads())
-                super().__call__(t)
+            def advance(self, k0, k1):
+                seen.append((blas_threads(), k0, k1))
+                super().advance(k0, k1)
 
         monkeypatch.setattr(cim, "_EulerStep", RecordingStep)
+        # all three steps in one span, and, where a diverged row need not
+        # stay non-finite, one span per step
         solve(FERRO2, CimParams(steps=3, n_anneals=2), master_seed=0)
-        assert seen == [1, 1, 1]
+        assert seen == [(1, 0, 3)]
+        seen.clear()
+        solve(FERRO2, CimParams(dt=50.0, steps=3, n_anneals=2), master_seed=0)
+        assert seen == [(1, 0, 1), (1, 1, 2), (1, 2, 3)]
         assert blas_threads() == 2
 
     def test_caller_count_restored_when_solve_raises(self, blas_threads, monkeypatch):
         class FailingStep(_EulerStep):
-            def __call__(self, t):
+            def advance(self, k0, k1):
                 raise FloatingPointError("step failed")
 
         monkeypatch.setattr(cim, "_EulerStep", FailingStep)
@@ -628,7 +634,8 @@ class TestDivergenceSticks:
         assert kernel.divergence_sticks is sticks
         kernel.e[:] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel(1.0)
+            # the second step, from t = dt, where the coupling term acts
+            kernel.advance(1, 2)
         assert kernel.x.tolist() == [[params.x_clip] * 2]
         assert kernel.e.tolist() == [[np.inf if sticks else E_FLOOR] * 2]
 
@@ -812,6 +819,34 @@ class TestCheckSchedule:
         _, aborted = _integrate(jm, x0.copy(), params)
         _, aborted_early, _ = every_step_integrate(jm, x0, replace(params, steps=600))
         assert aborted.any() and not aborted_early.any()
+
+
+class TestSpans:
+    """One span of the step kernel against its steps run one span each."""
+
+    @pytest.mark.parametrize("name", ["floor-binds", "late-clamp", "sticky-ferro", "dt50-ferro",
+                                      "abort-in-window", "defaults-dim33"])
+    def test_span_equals_its_steps(self, name):
+        # where the floor, the clamp or an abort binds, and a default
+        # dim-33 solve, whose product runs in two row blocks; nothing is
+        # aborted between steps, so the diverging rows go non-finite alike
+        if name == "defaults-dim33":
+            inst = compile_instance(generate_channel(MimoConfig(4, 4, 4), seed=3), 0.8)
+            params = CimParams()
+            jm, x0 = inst.j, uniform_table(9, params.n_anneals, -0.01, 0.01, inst.dim)
+        else:
+            jm, x0, params = CHECK_CASES[name]
+        span, steps = (_EulerStep(jm, x0.copy(), params) for _ in range(2))
+        assert name != "defaults-dim33" or len(span.blocks) == 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            span.advance(0, params.steps)
+            for k in range(params.steps):
+                steps.advance(k, k + 1)
+        for field in ("x", "e"):
+            assert getattr(span, field).tobytes() == getattr(steps, field).tobytes(), field
+        for field in ("e_low", "f"):
+            a, b = (np.float64(getattr(run, field)) for run in (span, steps))
+            assert a.tobytes() == b.tobytes(), field
 
 
 class OneBlockStep(_EulerStep):
