@@ -12,12 +12,12 @@ over ``(penalty weight, step)`` samples.  One path serves both paper
 figures: a penalty-weight sweep samples each weight once, at the final
 readout, and a time trace samples its one weight at every recorded readout;
 the same rows, summaries, result type and writers come out of either.
-Each readout is decoded and scored as the solver takes it, only in the
-rows whose signs flipped since the readout before.  A trace keeps
-the first sample's scores and feasibility bits and a log of the rows that
-change after it, not the readouts.  Once the solve has ended, one walk
-over the samples applies that log to one score vector in place and reduces
-the vector at each sample that changed.  Metric rows are built from the
+Each readout is decoded and scored as the solver takes it, in every row
+at the first readout and after it only in the rows whose signs flipped.
+A trace keeps a log of those rows' scores and feasibility bits, keyed by
+step, not the readouts.  Once the solve has ended, one walk over the
+steps applies that log to one score vector in place and reduces the
+vector at each step that changed.  Metric rows are built from the
 per-instance records as they are written.
 
 Scoring rules
@@ -58,7 +58,7 @@ from ._checks import integer, real
 from ._files import write_csv, write_json
 from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
-from .cim import CimParams, readout, readout_steps, solve
+from .cim import CimParams, readout, solve
 from .formulation import compile_instance, decode_states
 from .rng import derive_seed, substream
 
@@ -206,65 +206,64 @@ class HarnessResult:
 class _ReadoutScorer:
     """A solve's observer: decode and score each readout as it is taken.
 
-    ``raw`` and ``ok`` hold each anneal's score and feasibility bit at the
-    first readout.  Each later readout writes its signs ``run.x >= 0`` into
-    one of two ``(n_anneals, dim)`` bool buffers and compares them in place
-    with the other, which holds the readout before; a readout with no
-    flipped sign costs that one comparison.  Only the rows that flipped are
-    read out, decoded and scored, and ``changes`` logs them as
-    ``(sample, rows, scores, ok)``; ``states`` keeps each anneal's latest
-    decode.  Nothing per (anneal, sample) is kept.
+    ``steps`` records each step ``k`` the solver hands it.  Each readout
+    writes its signs ``run.x >= 0`` into one of two ``(n_anneals, dim)``
+    bool buffers and compares them in place with the other, which holds the
+    readout before; a readout with no flipped sign costs that one
+    comparison.  Every row of the first readout (``rows`` is a slice) and
+    the flipped rows of each later one are read out, decoded and scored, and
+    ``changes`` logs them as ``(k, rows, scores, ok)``; ``states`` keeps each
+    anneal's latest decode.  Nothing per (anneal, sample) is kept.
     """
 
     def __init__(self, g: ChannelMatrix):
         self.g = g
-        self.sample = 0
+        self.steps = []
         self.changes = []
         # the latest readout's signs, and the buffer the next one's go to
         self.signs = self.spare = None
 
     def __call__(self, k: int, run) -> None:
         g, x = self.g, run.x
+        self.steps.append(k)
         if self.signs is None:
             self.signs = np.greater_equal(x, 0)
             self.spare = np.empty_like(self.signs)
-            self.ok, self.states = decode_states(readout(x), g.config)
-            self.raw = score_states(g, self.states)
-            return
-        self.sample += 1
-        before, signs = self.signs, self.spare
-        np.greater_equal(x, 0, out=signs)
-        flips = np.not_equal(before, signs, out=before)
-        self.signs, self.spare = signs, flips
-        if not flips.any():
-            return
-        rows = np.flatnonzero(flips.any(axis=1))
+            self.states = np.empty((len(x), g.config.n_antennas), dtype=np.intp)
+            rows = slice(None)
+        else:
+            before, signs = self.signs, self.spare
+            np.greater_equal(x, 0, out=signs)
+            flips = np.not_equal(before, signs, out=before)
+            self.signs, self.spare = signs, flips
+            if not flips.any():
+                return
+            rows = np.flatnonzero(flips.any(axis=1))
         ok, self.states[rows] = decode_states(readout(x[rows]), g.config)
-        self.changes.append((self.sample, rows, score_states(g, self.states[rows]), ok))
+        self.changes.append((k, rows, score_states(g, self.states[rows]), ok))
 
-    def trace(self, n_samples: int, aborted: np.ndarray,
+    def trace(self, aborted: np.ndarray,
               objective: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-sample best score, mean score (clamped to the best) and
-        feasible share over anneals, for the first ``n_samples`` samples;
-        the last sample's vectors are left in ``raw`` and ``ok``.
+        """Per-step best score, mean score (clamped to the best) and
+        feasible share over anneals, at each recorded step; the last step's
+        vectors are left in ``raw`` and ``ok``.
 
-        One walk over the samples writes each logged change into ``raw``
-        and ``ok`` in place, after the fallback: an aborted anneal is
-        infeasible at every sample, and an infeasible readout scores
-        ``objective``.  Only sample 0 and the logged samples differ from the
-        sample before them, so only they are reduced; every other sample
+        ``raw`` and ``ok`` adopt the first entry's vectors, which cover
+        every row, and one walk over the recorded steps writes each entry
+        into them in place, after the fallback: an aborted anneal is
+        infeasible at every step, and an infeasible readout scores
+        ``objective``.  Only the logged steps are reduced; every other step
         carries the figures of the one before.  The mean adds the anneals
         in turn, bit for bit as numpy reduces one ``(n_anneals, n_samples)``
         score matrix over its rows.
         """
-        n_anneals, live = len(self.raw), ~aborted
-        # sample 0 changes every row
-        log = {0: (slice(None), self.raw, self.ok)}
-        log.update((sample, change) for sample, *change in self.changes)
-        figures = np.empty((3, n_samples))
-        for sample in range(n_samples):
-            if sample in log:
-                rows, raw, ok = log[sample]
+        n_anneals, live = len(aborted), ~aborted
+        _, _, self.raw, self.ok = self.changes[0]
+        log = {k: change for k, *change in self.changes}
+        figures = np.empty((3, len(self.steps)))
+        for sample, k in enumerate(self.steps):
+            if k in log:
+                rows, raw, ok = log[k]
                 self.ok[rows] = ok & live[rows]
                 self.raw[rows] = np.where(self.ok[rows], raw, objective)
                 figures[:, sample] = (self.raw.max(), np.add.accumulate(self.raw)[-1] / n_anneals,
@@ -288,15 +287,15 @@ def run_instance(
     and the fallback draw are derived from it, so results are independent
     of scheduling and of the other penalty weights being swept.
 
-    :class:`_ReadoutScorer`, the solve's observer, scores each readout as it is
-    taken: the final readout alone, or every recorded sample, whose last is
-    that same readout; no readout table and no ``(n_anneals, n_samples)`` array
-    is kept.  Once the solve has ended, the scorer walks its samples, applies
-    aborts and the fallback at each, so an aborted anneal falls back at every
-    sample, and reduces them into the trace's per-sample arrays, which come
-    out bit for bit as from one score matrix.  A sweep's one sample is its
-    final readout.  The final-readout fields come from the last sample's
-    per-anneal vectors, so they do not depend on ``record_every``.
+    :class:`_ReadoutScorer`, the solve's observer, scores each readout as it
+    is taken, at the step the solver hands it: the final readout alone, or
+    every recorded step, whose last is that same readout.  No readout table
+    and no ``(n_anneals, n_samples)`` array is kept.  After the solve the
+    scorer walks its steps, applying aborts and the fallback at each, and
+    reduces them into a trace's ``trace_steps`` and per-step arrays, bit for
+    bit as from one score matrix.  The final-readout fields come from the
+    last step's per-anneal vectors, so they do not depend on
+    ``record_every``.
     """
     config = g.config
     record_every = integer("record_every", record_every, 0)
@@ -304,9 +303,7 @@ def run_instance(
     scorer = _ReadoutScorer(g)
     anneals = solve(inst, cim_params, cim_master_seed(seed), record_every, observer=scorer)
     fallback = random_selection(g, substream(seed, _D_FALLBACK))
-    steps = readout_steps(cim_params.steps, record_every) if record_every else None
-    # a sweep's one sample is its final readout, and it keeps no trace
-    trace = scorer.trace(1 if steps is None else len(steps), anneals.aborted, fallback.objective)
+    trace = scorer.trace(anneals.aborted, fallback.objective)
     final, final_feasible = scorer.raw, scorer.ok
     k_best = int(np.argmax(final))
     if final_feasible[k_best]:
@@ -330,8 +327,9 @@ def run_instance(
         n_anneals=len(anneals),
         n_aborted=int(anneals.aborted.sum()),
     )
-    if steps is not None:
-        result.trace_steps, result.trace_best, result.trace_avg, result.trace_pc = steps, *trace
+    if record_every:
+        result.trace_steps = np.array(scorer.steps, dtype=np.int64)
+        result.trace_best, result.trace_avg, result.trace_pc = trace
     return result
 
 

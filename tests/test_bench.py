@@ -25,6 +25,7 @@ from cimsel.bench import (
     time_trace,
     write_metric_rows,
     write_summary_json,
+    write_trace_summary_json,
 )
 from cimsel.baselines import exhaustive_search
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, score_states
@@ -207,20 +208,25 @@ class TestRunInstance:
         else:
             assert got.p_c == 1.0 and got.n_aborted == 0
 
-    @pytest.mark.parametrize("n_samples,repeats", [
-        pytest.param(2, (), id="2"),
-        pytest.param(26, (), id="26"),
-        pytest.param(51, (), id="51"),
+    @pytest.mark.parametrize("steps,repeats", [
+        pytest.param(range(2), (), id="2"),
+        pytest.param(range(26), (), id="26"),
+        pytest.param(range(51), (), id="51"),
         # samples whose readouts repeat the one before, the last included,
         # log nothing and carry the figures of the sample before them
-        pytest.param(26, (1, 7, 8, 9, 24, 25), id="26-gaps"),
+        pytest.param(range(26), (1, 7, 8, 9, 24, 25), id="26-gaps"),
+        # a stride-10 grid whose last step is off the grid
+        pytest.param([*range(0, 245, 10), 245], (), id="stride-10-last-off-grid"),
     ])
-    def test_replay_block_edges(self, n_samples, repeats):
+    def test_replay_block_edges(self, steps, repeats):
         # fresh readouts change rows at every sample but the repeated ones,
         # and every sample's figures must match the reductions of one
         # (anneals, samples) score matrix.  Most readouts encode an
         # assignment, so the sums hold many distinct scores and their order
-        # shows in the bits.
+        # shows in the bits.  The log is keyed by the step handed to the
+        # scorer, and its first entry covers every row.
+        steps = list(steps)
+        n_samples = len(steps)
         g = generate_channel(CFG222, seed=5)
         rng = np.random.default_rng(n_samples)
         n_anneals = 200
@@ -235,11 +241,13 @@ class TestRunInstance:
         aborted = rng.random(n_anneals) < 0.1
         scorer = _ReadoutScorer(g)
         # the scorer reads its readout from run.x; sign(+-1) is the readout
-        for k, spins in enumerate(readouts):
+        for k, spins in zip(steps, readouts):
             scorer(k, SimpleNamespace(x=spins))
-        logged = [s for s in range(1, n_samples) if s not in repeats]
+        assert scorer.steps == steps
+        logged = [k for sample, k in enumerate(steps) if sample not in repeats]
         assert [c[0] for c in scorer.changes] == logged
-        best, avg, pc = scorer.trace(n_samples, aborted, 1.5)
+        assert scorer.changes[0][1] == slice(None)
+        best, avg, pc = scorer.trace(aborted, 1.5)
 
         table = np.stack(list(readouts), axis=1)
         ok, states = decode_states(table.reshape(-1, 9), CFG222)
@@ -274,11 +282,11 @@ class TestRunInstance:
         g = generate_channel(CFG222, seed=3)
         res = run_instance(g, 0.5, params, seed=1, record_every=1)
         (scorer,) = scorers
-        logged = sum(len(rows) for _, rows, _, _ in scorer.changes)
-        assert converted[0] == params.n_anneals and len(converted) == 1 + len(scorer.changes)
+        logged = sum(len(rows) for _, rows, _, _ in scorer.changes[1:])
+        assert converted[0] == params.n_anneals and len(converted) == len(scorer.changes)
         assert sum(converted) == params.n_anneals + logged
         # some samples flip signs and most flip none
-        assert 0 < len(scorer.changes) < params.steps // 2
+        assert 1 < len(scorer.changes) < params.steps // 2
         assert len(res.trace_steps) == params.steps + 1
 
     def test_trace_holds_no_readout_table(self):
@@ -466,6 +474,18 @@ class TestTimeTrace:
         rows = list(result.rows())
         assert len(rows) == 3 * len(expected_steps) * 2
         assert list(result.rows()) == rows
+
+    def test_files_identical_across_worker_counts(self, tmp_path):
+        # trace records cross the process pool with their trace_steps, so
+        # two workers must write the files one process writes, byte for byte
+        plan = small_plan(lambdas=(0.6,), n_instances=3, trace_stride=7)
+        for workers in (2, 1):
+            result = time_trace(plan, workers=workers)
+            assert all(rec.cim[0.6].trace_steps[-1] == 300 for rec in result.records)
+            write_metric_rows(result.rows(), tmp_path / f"trace-{workers}.csv")
+            write_trace_summary_json(result, tmp_path / f"trace_summary-{workers}.json")
+        for name in ("trace-{}.csv", "trace_summary-{}.json"):
+            assert (tmp_path / name.format(2)).read_bytes() == (tmp_path / name.format(1)).read_bytes()
 
     def test_two_weight_plan_rejected_before_any_instance(self, monkeypatch):
         from cimsel import bench
