@@ -212,8 +212,8 @@ class _ReadoutScorer:
     readout before; a readout with no flipped sign costs that one
     comparison.  Every row of the first readout (``rows`` is a slice) and
     the flipped rows of each later one are read out, decoded and scored, and
-    ``changes`` logs them as ``(k, rows, scores, ok)``; ``states`` keeps each
-    anneal's latest decode.  Nothing per (anneal, sample) is kept.
+    ``changes`` logs them as ``(k, rows, scores, ok)``; the decoded states
+    are dropped.  Nothing per (anneal, sample) is kept.
     """
 
     def __init__(self, g: ChannelMatrix):
@@ -229,7 +229,6 @@ class _ReadoutScorer:
         if self.signs is None:
             self.signs = np.greater_equal(x, 0)
             self.spare = np.empty_like(self.signs)
-            self.states = np.empty((len(x), g.config.n_antennas), dtype=np.intp)
             rows = slice(None)
         else:
             before, signs = self.signs, self.spare
@@ -239,8 +238,8 @@ class _ReadoutScorer:
             if not flips.any():
                 return
             rows = np.flatnonzero(flips.any(axis=1))
-        ok, self.states[rows] = decode_states(readout(x[rows]), g.config)
-        self.changes.append((k, rows, score_states(g, self.states[rows]), ok))
+        ok, states = decode_states(readout(x[rows]), g.config)
+        self.changes.append((k, rows, score_states(g, states), ok))
 
     def trace(self, aborted: np.ndarray,
               objective: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,7 +294,8 @@ def run_instance(
     reduces them into a trace's ``trace_steps`` and per-step arrays, bit for
     bit as from one score matrix.  The final-readout fields come from the
     last step's per-anneal vectors, so they do not depend on
-    ``record_every``.
+    ``record_every``; the best anneal's assignment is decoded from its final
+    readout in ``solve``'s ``spins``, the signs the scorer last decoded.
     """
     config = g.config
     record_every = integer("record_every", record_every, 0)
@@ -307,7 +307,7 @@ def run_instance(
     final, final_feasible = scorer.raw, scorer.ok
     k_best = int(np.argmax(final))
     if final_feasible[k_best]:
-        best_states = scorer.states[k_best]
+        _, (best_states,) = decode_states(anneals.spins[k_best:k_best + 1], config)
         best_assignment = ConfigAssignment(
             tx=tuple(best_states[: config.n_t]), rx=tuple(best_states[config.n_t :])
         )

@@ -80,13 +80,14 @@ Notes on the numerics:
   user-supplied parameters) is aborted: its row is frozen at zero and the
   anneal is flagged rather than dropped.  Where the parameters keep a
   non-finite row non-finite (the default operating point among them), the
-  check runs only at readout steps (:func:`readout_steps`) and the final
-  step.  Otherwise it runs after every step.  The argument is in
+  check runs only every ``record_every`` steps and at the final step.
+  Otherwise it runs after every step.  The argument is in
   :func:`_integrate`; the abort flags and readouts are the same either way.
 * A run is seen from outside only through :func:`solve`'s ``observer``,
-  handed the kernel at each readout step; :func:`solve`'s records hold the
+  handed the step and the kernel at each readout step, which
+  :func:`_integrate` alone schedules; :func:`solve`'s records hold the
   final readout alone, so a caller that scores readouts as they arrive
-  keeps no readout table.
+  keeps no readout table and restates no schedule.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ __all__ = [
     "E_FLOOR",
     "CimParams",
     "solve",
-    "readout_steps",
     "readout",
     "ising_energy",
     "write_trajectory_csv",
@@ -350,14 +350,6 @@ def _one_blas_thread():
         set_(caller)
 
 
-def readout_steps(steps: int, record_every: int) -> np.ndarray:
-    """Steps at which a run recording every ``record_every`` steps samples
-    its readout: ``0, record_every, 2*record_every, ...`` and the final step
-    ``steps``, once each."""
-    record_every = integer("record_every", record_every, 1)
-    return np.append(np.arange(0, steps, record_every, dtype=np.int64), np.int64(steps))
-
-
 def _integrate(jm, x0, params, record_every=0, observer=None):
     """Integrate a batch of anneals (rows of ``x0``) for ``params.steps`` steps.
 
@@ -371,7 +363,7 @@ def _integrate(jm, x0, params, record_every=0, observer=None):
 
     The kernel runs one span from each stop to the next, where a stop is a
     finiteness check, an observer call or the final step.  When the
-    kernel's ``divergence_sticks`` holds, the check runs only at snapshot
+    kernel's ``divergence_sticks`` holds, the check runs only at observer
     steps and the final step, so a sweep or compare solve is one span and a
     default trace solve 100; otherwise the check runs after every step, and
     every span is one step.
@@ -428,12 +420,13 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     anneal diverged instead of dropping it.  Columns such as
     ``solve(...).spins`` are whole-batch arrays.
 
-    ``observer(k, run)``, when given, sees the run at step ``k``: at every
-    :func:`readout_steps` step with ``record_every > 0``, else at the last
-    step only.  It reads the ``(n_anneals, dim)`` arrays ``run.x`` and
-    ``run.e`` and the ``run.aborted`` mask, writes none of them, and takes
-    ``readout(run.x)`` itself; an aborted anneal reads all +1 from its abort
-    on.  Sampled readouts leave the solver only this way, so
+    ``observer(k, run)``, when given, sees the run at step ``k``: with
+    ``record_every > 0`` at step 0, every ``record_every`` steps and the
+    last step, once each, else at the last step only.  It reads the
+    ``(n_anneals, dim)`` arrays ``run.x`` and ``run.e`` and the
+    ``run.aborted`` mask, writes none of them, and takes ``readout(run.x)``
+    itself; an aborted anneal reads all +1 from its abort on.  Sampled
+    readouts and their steps leave the solver only this way, so
     ``record_every > 0`` without an observer raises ``ValueError``.  Before
     the last call the kernel drops its work buffers, so what the observer
     allocates there does not raise the integrator's peak.
@@ -453,15 +446,15 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     return anneals
 
 
-def write_trajectory_csv(steps, trajectory, j, params: CimParams, path) -> None:
+def write_trajectory_csv(trajectory, j, params: CimParams, path) -> None:
     """Dump one anneal's recorded readouts: step, t, per-spin sign, energy.
 
-    ``trajectory`` holds the anneal's readout at each of ``steps``, as
-    :func:`solve`'s ``observer`` takes them at :func:`readout_steps`.
+    ``trajectory`` holds ``(k, spins)`` pairs: the anneal's readout at each
+    step ``k`` that :func:`solve` hands its ``observer``.
     """
     jm = _coupling_matrix(j)
     dim = jm.shape[1]
     write_csv(path, ["step", "t", *(f"s{i}" for i in range(dim)), "energy"], (
-        [int(k), float(k) * params.dt, *spins.tolist(), ising_energy(jm, spins)]
-        for k, spins in zip(steps, trajectory)
+        [k, float(k) * params.dt, *spins.tolist(), ising_energy(jm, spins)]
+        for k, spins in trajectory
     ))

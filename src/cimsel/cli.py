@@ -35,7 +35,7 @@ from ._checks import integer
 from ._files import write_csv, write_json
 from .baselines import search_space_size
 from .channel import MimoConfig, generate_channel, read_channel, write_channel
-from .cim import CimParams, readout, readout_steps, solve, write_trajectory_csv
+from .cim import CimParams, readout, solve, write_trajectory_csv
 from .formulation import compile_instance, write_instance
 
 _ENV_PREFIX = "CIMSEL_"
@@ -269,14 +269,14 @@ def cmd_solve(args) -> int:
         trajectory = []
         (anneal,) = solve(
             inst, dataclasses.replace(params, n_anneals=1), bench.cim_master_seed(seed),
-            record_every=plan.trace_stride, observer=lambda k, run: trajectory.append(readout(run.x[0])),
+            record_every=plan.trace_stride,
+            observer=lambda k, run: trajectory.append((k, readout(run.x[0]))),
         )
         if anneal.aborted:
             print("error: anneal 0 aborted", file=sys.stderr)
             return 3
         try:
-            steps = readout_steps(params.steps, plan.trace_stride)
-            write_trajectory_csv(steps, trajectory, inst, params, args.dump_trajectory)
+            write_trajectory_csv(trajectory, inst, params, args.dump_trajectory)
         except OSError as exc:
             _fail(f"cannot write {args.dump_trajectory}: {exc}")
     if out is not None:

@@ -120,6 +120,14 @@ def reference_step_arrays(x, e, t, jm, params):
     return x_new, e_new
 
 
+def readout_steps(steps, record_every):
+    """The steps at which a solve recording every ``record_every`` steps
+    hands its observer a readout, by a plain loop: step 0, every
+    ``record_every``-th step and the last step, once each."""
+    return np.array([k for k in range(steps + 1) if k % record_every == 0 or k == steps],
+                    dtype=np.int64)
+
+
 def reference_integrate(jm, x0, params, record_every):
     """Batch integration by repeated reference steps, with the same
     abort-and-freeze rule and snapshot schedule as the library.
@@ -266,8 +274,7 @@ def decode_every_readout(g: ChannelMatrix, lam, params, seed, record_every):
         best_assignment = fallback.assignment
     trace_best = scores.max(axis=0)
     return {
-        "trace_steps": np.array([k for k in range(params.steps + 1)
-                                 if k % record_every == 0 or k == params.steps]),
+        "trace_steps": readout_steps(params.steps, record_every),
         "trace_best": trace_best,
         "trace_avg": np.minimum(scores.mean(axis=0), trace_best),
         "trace_pc": feasible.mean(axis=0),

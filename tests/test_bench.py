@@ -29,13 +29,14 @@ from cimsel.bench import (
 )
 from cimsel.baselines import exhaustive_search
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, score_states
-from cimsel.cim import CimParams, readout, readout_steps
+from cimsel.cim import CimParams, readout
 from cimsel.formulation import decode_states
 from oracles import (
     all_spin_vectors,
     assignment_bits,
     decode_every_readout,
     feasible_assignments,
+    readout_steps,
 )
 
 CFG222 = MimoConfig(2, 2, 2)

@@ -12,14 +12,13 @@ from cimsel.cim import (
     CimParams,
     ising_energy,
     readout,
-    readout_steps,
     solve,
     write_trajectory_csv,
 )
 from cimsel.cim import _EulerStep, _integrate
 from cimsel.formulation import compile_instance, decode_states
 from cimsel.rng import substream, uniform_table
-from oracles import ReadoutLog, every_step_integrate, reference_integrate
+from oracles import ReadoutLog, every_step_integrate, readout_steps, reference_integrate
 
 FERRO2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -287,10 +286,12 @@ class TestRunAnneal:
             (1000, 10, list(range(0, 1001, 10))),   # both endpoints included
         ]:
             params = CimParams(steps=steps, n_anneals=1)
-            (out,), (trajectory,) = _hooked_solve(FERRO2, params, 1, record_every)
+            log = ReadoutLog()
+            (out,) = solve(FERRO2, params, 1, record_every, observer=log)
+            (trajectory,) = log.table()
             x0 = uniform_table(1, 1, -params.init_scale, params.init_scale, 2)
             _, _, ref_snaps, ref_steps = reference_integrate(FERRO2, x0, params, record_every)
-            assert readout_steps(steps, record_every).tolist() == ref_steps.tolist() == expected
+            assert log.steps == ref_steps.tolist() == expected
             assert trajectory.shape == (len(expected), 2)
             assert np.array_equal(trajectory, np.where(ref_snaps[:, 0] >= 0.0, 1, -1))
             assert np.array_equal(trajectory[-1], out.spins)
@@ -448,16 +449,6 @@ class TestSolve:
     def test_rejects_bad_record_every(self, record_every, match):
         with pytest.raises(ValueError, match=match):
             solve(FERRO2, CimParams(steps=20, n_anneals=2), 0, record_every, observer=ReadoutLog())
-
-    @pytest.mark.parametrize("record_every,match", [
-        (0, "record_every must be >= 1, got 0"),
-        (-5, "record_every must be >= 1, got -5"),
-        (2.5, "record_every must be an integer, got 2.5"),
-    ])
-    def test_readout_steps_rejects_bad_stride(self, record_every, match):
-        # np.arange would divide by zero, return no sample, or truncate 2.5
-        with pytest.raises(ValueError, match=match):
-            readout_steps(20, record_every)
 
 
 def _hook_plans():
@@ -895,9 +886,11 @@ class TestRowBlocks:
 class TestTrajectoryDump:
     def test_csv_layout(self, tmp_path):
         params = CimParams(steps=100, n_anneals=1)
-        (out,), (trajectory,) = _hooked_solve(FERRO2, params, 1, 50)
+        log = ReadoutLog()
+        (out,) = solve(FERRO2, params, 1, 50, observer=log)
+        (trajectory,) = log.table()
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(readout_steps(100, 50), trajectory, FERRO2, params, path)
+        write_trajectory_csv(zip(log.steps, trajectory), FERRO2, params, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,t,s0,s1,energy"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "50", "100"]

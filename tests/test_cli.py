@@ -117,18 +117,27 @@ class TestSolve:
         assert first == second
 
     def test_dump_trajectory(self, channel_file, tmp_path, capsys):
-        target = tmp_path / "traj.csv"
-        code = run_cli("solve", str(channel_file), "--lam", "0.4", "--steps", "100",
-                       "--anneals", "5", "--seed", "1", "--stride", "25",
-                       "--dump-trajectory", str(target))
-        assert code == 0
-        lines = target.read_text().splitlines()
-        assert lines[0].startswith("step,t,s0")
-        assert len(lines) == 1 + 5  # steps 0, 25, 50, 75, 100
-        # pinned bytes: a change that moves them must say so and re-record
-        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "d6515f813404f8fdf6cfa47cd03e8f9ac47c814832917c4614b5169e86eda71f"
-        )
+        # a stride that divides the step count, and one that leaves the
+        # last step off the stride grid
+        for steps, stride, want_steps, digest in [
+            (100, 25, [0, 25, 50, 75, 100],
+             "d6515f813404f8fdf6cfa47cd03e8f9ac47c814832917c4614b5169e86eda71f"),
+            (25, 10, [0, 10, 20, 25],
+             "5b3720c9b7d809471fca4974db52577d607248fbf31f07cfb3a7895842dd38f0"),
+        ]:
+            target = tmp_path / f"traj-{steps}-{stride}.csv"
+            code = run_cli("solve", str(channel_file), "--lam", "0.4", "--steps", str(steps),
+                           "--anneals", "5", "--seed", "1", "--stride", str(stride),
+                           "--dump-trajectory", str(target))
+            assert code == 0
+            lines = target.read_text().splitlines()
+            assert lines[0].startswith("step,t,s0")
+            rows = [line.split(",") for line in lines[1:]]
+            # one line per readout step, at model time t = k * dt
+            assert [int(row[0]) for row in rows] == want_steps
+            assert [float(row[1]) for row in rows] == [k * 0.01 for k in want_steps]
+            # pinned bytes: a change that moves them must say so and re-record
+            assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     def test_dump_trajectory_aborted_anneal(self, channel_file, tmp_path, capsys):
         # at full penalty weight, dt = 50 drives every anneal non-finite
