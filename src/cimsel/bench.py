@@ -2,8 +2,8 @@
 
 Reproduces the evaluation protocol end to end: draw channel instances,
 compile each into an Ising instance per penalty weight, run the solver's
-anneals, decode, apply the random-selection fallback, and aggregate the two
-headline metrics
+anneals (several weights of an instance to one solve), decode, apply the
+random-selection fallback, and aggregate the two headline metrics
 
 * ``E_rho`` - expected objective value per method, and
 * ``P_c``  - probability that a raw solver readout is feasible,
@@ -56,10 +56,11 @@ import numpy as np
 
 from ._checks import integer, real
 from ._files import write_csv, write_json
-from .baselines import ES_BUDGET_DEFAULT, exhaustive_search, nsa, random_selection, search_space_size
+from .baselines import (ES_BUDGET_DEFAULT, BaselineResult, exhaustive_search, nsa,
+                        random_selection, search_space_size)
 from .channel import ChannelMatrix, ConfigAssignment, MimoConfig, generate_channel, score_states
-from .cim import CimParams, readout, solve
-from .formulation import compile_instance, decode_states
+from .cim import CimParams, couplings_per_solve, readout, solve
+from .formulation import IsingBatch, compile_instance, coupling_parts, decode_states
 from .rng import derive_seed, substream
 
 __all__ = [
@@ -206,8 +207,9 @@ class HarnessResult:
 class _ReadoutScorer:
     """A solve's observer: decode and score each readout as it is taken.
 
-    ``steps`` records each step ``k`` the solver hands it.  Each readout
-    writes its signs ``run.x >= 0`` into one of two ``(n_anneals, dim)``
+    ``steps`` records each step ``k`` the solver hands it.  The scorer
+    reads the rows ``anneals`` of ``run.x``, one weight's share of a batch.
+    Each readout writes their signs ``>= 0`` into one of two ``(n_anneals, dim)``
     bool buffers and compares them in place with the other, which holds the
     readout before; a readout with no flipped sign costs that one
     comparison.  Every row of the first readout (``rows`` is a slice) and
@@ -216,15 +218,15 @@ class _ReadoutScorer:
     are dropped.  Nothing per (anneal, sample) is kept.
     """
 
-    def __init__(self, g: ChannelMatrix):
-        self.g = g
+    def __init__(self, g: ChannelMatrix, anneals: slice = slice(None)):
+        self.g, self.anneals = g, anneals
         self.steps = []
         self.changes = []
         # the latest readout's signs, and the buffer the next one's go to
         self.signs = self.spare = None
 
     def __call__(self, k: int, run) -> None:
-        g, x = self.g, run.x
+        g, x = self.g, run.x[self.anneals]
         self.steps.append(k)
         if self.signs is None:
             self.signs = np.greater_equal(x, 0)
@@ -273,18 +275,109 @@ class _ReadoutScorer:
         return best, np.minimum(avg, best), pc
 
 
+@dataclass(frozen=True)
+class _InstanceContext:
+    """What every penalty weight of one channel instance shares: the
+    channel, the per-instance control seed, the objective and penalty
+    couplings (each weight only blends them), the solver's stream root, and
+    the fallback draw, which the random baseline scores too."""
+
+    g: ChannelMatrix
+    seed: int
+    parts: tuple[np.ndarray, np.ndarray]
+    master_seed: int
+    fallback: BaselineResult
+
+    @classmethod
+    def build(cls, g: ChannelMatrix, seed: int) -> _InstanceContext:
+        return cls(g, seed, coupling_parts(g), cim_master_seed(seed),
+                   random_selection(g, substream(seed, _D_FALLBACK)))
+
+    def results(self, lams: Sequence[float], cim_params: CimParams,
+                record_every: int) -> list[CimInstanceResult]:
+        """The instance's result at each weight of ``lams``, in order.
+
+        Consecutive weights share one solve, ``couplings_per_solve`` at a
+        time, each in its own rows and scored by its own
+        :class:`_ReadoutScorer`, and each gets the bits of its own solve.  A
+        weight alone in its solve goes through :func:`run_instance`, so the
+        benchmark's span on it still times a trace's or a compare's solves.
+        """
+        size = couplings_per_solve(cim_params.n_anneals, self.g.config.d + 1)
+        results = []
+        for i in range(0, len(lams), size):
+            group = lams[i:i + size]
+            if len(group) > 1:
+                results += self.solve_batch(group, cim_params, record_every)
+            else:
+                results.append(run_instance(self.g, group[0], cim_params, self.seed,
+                                            record_every, _context=self))
+        return results
+
+    def solve_batch(self, lams: Sequence[float], cim_params: CimParams,
+                    record_every: int) -> list[CimInstanceResult]:
+        """The results at ``lams`` from one solve of their stacked couplings."""
+        n = cim_params.n_anneals
+        batch = IsingBatch(np.stack([compile_instance(self.g, lam, self.parts).j for lam in lams]),
+                           self.g.config)
+        scorers = [_ReadoutScorer(self.g, slice(i * n, (i + 1) * n)) for i in range(len(lams))]
+
+        def observer(k, run):
+            for scorer in scorers:
+                scorer(k, run)
+
+        anneals = solve(batch, cim_params, self.master_seed, record_every, observer=observer)
+        return [self._result(scorer, anneals[scorer.anneals], record_every) for scorer in scorers]
+
+    def _result(self, scorer, anneals, record_every) -> CimInstanceResult:
+        config, fallback = self.g.config, self.fallback
+        trace = scorer.trace(anneals.aborted, fallback.objective)
+        final, final_feasible = scorer.raw, scorer.ok
+        k_best = int(np.argmax(final))
+        if final_feasible[k_best]:
+            _, (best_states,) = decode_states(anneals.spins[k_best:k_best + 1], config)
+            best_assignment = ConfigAssignment(
+                tx=tuple(best_states[: config.n_t]), rx=tuple(best_states[config.n_t :])
+            )
+        else:
+            best_assignment = fallback.assignment
+        n_feasible = int(final_feasible.sum())
+
+        # mean <= max is a mathematical identity of the per-anneal scores, but
+        # summation rounding can land the mean one ulp above it; clamp it back
+        result = CimInstanceResult(
+            best=float(final[k_best]),
+            best_assignment=best_assignment,
+            avg=min(float(final.mean()), float(final[k_best])),
+            avg_raw=float(final[final_feasible].mean()) if n_feasible else float("nan"),
+            p_c=float(final_feasible.mean()),
+            n_feasible=n_feasible,
+            n_anneals=len(anneals),
+            n_aborted=int(anneals.aborted.sum()),
+        )
+        if record_every:
+            result.trace_steps = np.array(scorer.steps, dtype=np.int64)
+            result.trace_best, result.trace_avg, result.trace_pc = trace
+        return result
+
+
 def run_instance(
     g: ChannelMatrix,
     lam: float,
     cim_params: CimParams,
     seed: int,
     record_every: int = 0,
+    *,
+    _context: Optional[_InstanceContext] = None,
 ) -> CimInstanceResult:
     """Compile, solve and score one channel instance at one penalty weight.
 
     ``seed`` is the per-instance control seed: the solver's anneal streams
     and the fallback draw are derived from it, so results are independent
-    of scheduling and of the other penalty weights being swept.
+    of scheduling and of the other penalty weights being swept.  This is
+    the harness's path with one weight to a solve; a sweep batches several
+    and gets these bits at each.  ``_context`` is the harness's context of
+    ``(g, seed)``, built once per instance.
 
     :class:`_ReadoutScorer`, the solve's observer, scores each readout as it
     is taken, at the step the solver hands it: the final readout alone, or
@@ -297,39 +390,9 @@ def run_instance(
     ``record_every``; the best anneal's assignment is decoded from its final
     readout in ``solve``'s ``spins``, the signs the scorer last decoded.
     """
-    config = g.config
     record_every = integer("record_every", record_every, 0)
-    inst = compile_instance(g, lam)
-    scorer = _ReadoutScorer(g)
-    anneals = solve(inst, cim_params, cim_master_seed(seed), record_every, observer=scorer)
-    fallback = random_selection(g, substream(seed, _D_FALLBACK))
-    trace = scorer.trace(anneals.aborted, fallback.objective)
-    final, final_feasible = scorer.raw, scorer.ok
-    k_best = int(np.argmax(final))
-    if final_feasible[k_best]:
-        _, (best_states,) = decode_states(anneals.spins[k_best:k_best + 1], config)
-        best_assignment = ConfigAssignment(
-            tx=tuple(best_states[: config.n_t]), rx=tuple(best_states[config.n_t :])
-        )
-    else:
-        best_assignment = fallback.assignment
-    n_feasible = int(final_feasible.sum())
-
-    # mean <= max is a mathematical identity of the per-anneal scores, but
-    # summation rounding can land the mean one ulp above it; clamp it back
-    result = CimInstanceResult(
-        best=float(final[k_best]),
-        best_assignment=best_assignment,
-        avg=min(float(final.mean()), float(final[k_best])),
-        avg_raw=float(final[final_feasible].mean()) if n_feasible else float("nan"),
-        p_c=float(final_feasible.mean()),
-        n_feasible=n_feasible,
-        n_anneals=len(anneals),
-        n_aborted=int(anneals.aborted.sum()),
-    )
-    if record_every:
-        result.trace_steps = np.array(scorer.steps, dtype=np.int64)
-        result.trace_best, result.trace_avg, result.trace_pc = trace
+    context = _InstanceContext.build(g, seed) if _context is None else _context
+    (result,) = context.solve_batch((lam,), cim_params, record_every)
     return result
 
 
@@ -337,11 +400,11 @@ def _instance_record(plan: ExperimentPlan, instance_id: int, record_every: int) 
     tic = time.perf_counter()
     channel_seed = instance_channel_seed(plan.master_seed, instance_id)
     g = generate_channel(plan.config, channel_seed)
-    inst_seed = derive_seed(plan.master_seed, _D_INSTANCE, instance_id)
+    context = _InstanceContext.build(g, derive_seed(plan.master_seed, _D_INSTANCE, instance_id))
     es = None
     if search_space_size(plan.config) <= plan.es_budget:
         es = exhaustive_search(g, plan.es_budget)
-    # the random baseline reuses the fallback stream: the solver's fallback
+    # the random baseline scores the fallback draw: the solver's fallback
     # and the RS method then score the same draw (common random numbers), so
     # cim_best >= rs holds on every instance where some anneal falls back
     record = InstanceRecord(
@@ -349,10 +412,10 @@ def _instance_record(plan: ExperimentPlan, instance_id: int, record_every: int) 
         channel_seed=channel_seed,
         es_objective=es.objective if es else None,
         nsa_objective=nsa(g).objective,
-        rs_objective=random_selection(g, substream(inst_seed, _D_FALLBACK)).objective,
+        rs_objective=context.fallback.objective,
     )
-    for lam in plan.lambdas:
-        record.cim[lam] = run_instance(g, lam, plan.cim, inst_seed, record_every=record_every)
+    results = context.results(plan.lambdas, plan.cim, record_every)
+    record.cim = dict(zip(plan.lambdas, results))
     record.wall_clock = time.perf_counter() - tic
     return record
 
@@ -518,7 +581,12 @@ def instance_channel_seed(master_seed: int, instance_id: int) -> int:
 
 
 def cim_master_seed(instance_seed: int) -> int:
-    """Solver stream root used by :func:`run_instance` for a given instance seed."""
+    """Solver stream root of an instance seed.
+
+    It does not depend on the penalty weight: every weight of an instance
+    anneals from the start table drawn under it, which is what lets the
+    harness run several weights as one batch of one solve.
+    """
     return derive_seed(instance_seed, _D_CIM)
 
 

@@ -25,11 +25,12 @@ Notes on the numerics:
   changing the ramp changes the solver.
 * All randomness lives in the initial amplitudes; the integration itself is
   deterministic.  ``(J, params, master_seed)`` fully determines every
-  record of :func:`solve`, independent of execution order.  Anneal ``k``
-  starts from ``substream(master_seed, k).uniform(-init_scale, init_scale,
-  dim)``; :func:`rng.uniform_table` draws all of these rows at once, bit for
-  bit equal to that loop (``tests/test_rng.py`` checks it), on every call,
-  so no table is kept between solves.
+  record of :func:`solve`, independent of execution order and of the other
+  couplings of a batch.  Anneal ``k`` starts from
+  ``substream(master_seed, k).uniform(-init_scale, init_scale, dim)``;
+  :func:`rng.uniform_table` draws all of these rows at once, bit for bit
+  equal to that loop (``tests/test_rng.py`` checks it), on every call, so
+  no table is kept between solves.
 * ``sign(0)`` reads out as +1 (a measure-zero tie; the rule just has to be
   fixed).
 * Both state variables are updated from the pre-update amplitudes within a
@@ -53,9 +54,22 @@ Notes on the numerics:
   so at 1000 anneals from dim 32 on amplitudes move in their last bits
   against one product: by at most 5.2e-9 after 1000 steps over 28 default
   solves at dims 33 and 65, none of whose sampled readouts changed.
+* One solve may run a stack of couplings of one size (an
+  :class:`~cimsel.formulation.IsingBatch`, or a ``(n, dim, dim)`` array),
+  each on its own consecutive ``n_anneals`` rows and every one from the
+  same start table: a penalty-weight sweep runs
+  :func:`couplings_per_solve` weights of an instance per solve.  Each
+  elementwise pass then runs once on the whole batch, and each coupling's
+  rows are multiplied by its own scaled ``J`` in the row blocks its rows
+  alone would take.  So every row sees the operations, operands and BLAS
+  calls of its own solve, and every record, readout and ``e`` of a
+  coupling is bit for bit its own solve's (``TestCouplingBatch``).  The
+  clamp and floor decisions below are taken over the whole batch; taken
+  there, they only add ``clip``/``maximum`` passes that change no bit.
 * The kernel skips the passes of that step that provably change no bit;
   ``tests/test_cim.py::TestCheckSchedule`` checks it byte for byte against
-  the kernel that runs every pass, on plans where each of them binds.
+  the kernel that runs every pass, on plans where each of them binds, one
+  of them a batch of two couplings where they bind for one.
 
   - *Floor.*  The kernel carries ``e_low``, a lower bound on every
     non-NaN ``e``.  The clamp test below takes ``m``, the batch maximum of
@@ -103,13 +117,14 @@ import numpy as np
 
 from ._checks import integer, real
 from ._files import write_csv
-from .formulation import IsingInstance
+from .formulation import IsingBatch, IsingInstance
 # unused here; perfbench/tracing.py wraps cimsel.cim.substream until ROADMAP item 1
 from .rng import substream, uniform_table
 
 __all__ = [
     "E_FLOOR",
     "CimParams",
+    "couplings_per_solve",
     "solve",
     "readout",
     "ising_energy",
@@ -127,6 +142,15 @@ E_FLOOR = 1e-12
 # block holds at least _MIN_BLOCK_ROWS rows, and past dim 141 one product runs.
 _SMALL_GEMM_MNK = 10**6
 _MIN_BLOCK_ROWS = 50
+
+# A step's fixed cost is shared by every row of the batch, so couplings of
+# the same size run faster stacked into one solve, up to about this many
+# (anneal, spin) cells.  Per anneal-step of the kernel alone, with 1000
+# anneals a coupling on one BLAS thread of a 2-vCPU AVX-512 Xeon (OpenBLAS
+# SkylakeX kernel), 1, 2 and 3 couplings cost 30.2, 26.4 and 26.4 ns at
+# dim 9 and 41.2, 36.3 and 37.1 ns at dim 13; at dim 17, 2 cost 48.9 ns
+# against 49.7 for 1, and 3 cost more.
+_BATCH_CELLS = 30_000
 
 
 @dataclass(frozen=True)
@@ -163,8 +187,15 @@ class CimParams:
             )
 
 
+def couplings_per_solve(n_anneals: int, dim: int) -> int:
+    """How many couplings of ``dim`` spins one :func:`solve` of
+    ``n_anneals`` anneals each should batch: as many as ``_BATCH_CELLS``
+    holds, and at least one."""
+    return max(1, _BATCH_CELLS // (n_anneals * dim))
+
+
 def _coupling_matrix(j) -> np.ndarray:
-    return j.j if isinstance(j, IsingInstance) else np.asarray(j, dtype=float)
+    return j.j if isinstance(j, (IsingInstance, IsingBatch)) else np.asarray(j, dtype=float)
 
 
 def readout(x: np.ndarray) -> np.ndarray:
@@ -189,20 +220,23 @@ def ising_energy(j, spins: np.ndarray) -> float:
 class _EulerStep:
     """One run of the in-place Euler step over a batch of anneals.
 
-    The kernel adopts the ``(n_anneals, dim)`` float amplitudes ``x`` it is
+    The kernel adopts the ``(n_rows, dim)`` float amplitudes ``x`` it is
     given, without copying, and owns them with ``e = 1``, the ``aborted``
-    flags and its work buffers.  :meth:`advance` runs a span of steps in one
-    Python loop, advancing ``x`` and ``e`` in place and allocating nothing;
-    one span of many steps gives the bits of the same steps run one span
-    each.  Step ``k`` starts from model time ``(k - 1) * dt`` and
-    ``eps`` uses that time, so the coupling term vanishes on the first step,
-    and both updates read the pre-update amplitudes.  The kernel carries
+    flags and its work buffers; ``jm`` is one coupling matrix or a stack of
+    them, one for each equal, consecutive share of the rows.
+    :meth:`advance` runs a span of steps in one Python loop, advancing ``x``
+    and ``e`` in place and allocating nothing; one span of many steps gives
+    the bits of the same steps run one span each.  Step ``k`` starts from
+    model time ``(k - 1) * dt`` and ``eps`` uses that time, so the coupling
+    term vanishes on the first step, and both updates read the pre-update
+    amplitudes.  The kernel carries
     ``x^2`` and a lower bound on ``e`` between spans (module notes), so only
     :meth:`abort_nonfinite` writes them then; ``e`` may be set before the
     first span."""
 
     def __init__(self, jm: np.ndarray, x: np.ndarray, params: CimParams):
-        self.jm = np.asarray(jm, dtype=float)
+        jm = np.asarray(jm, dtype=float)
+        self.jm = jm.reshape(-1, *jm.shape[-2:])
         # the per-step constants, each computed by the expression the step
         # used to evaluate on every call
         self.dt = params.dt
@@ -229,13 +263,19 @@ class _EulerStep:
         self.j_scaled = np.empty_like(self.jm)
         self.coupling = np.empty_like(x)
         self.factor = np.empty_like(x)
-        # the fewest equal, contiguous row blocks of at most `rows` rows, as
-        # (x, coupling) view pairs; one block when blocks would be too thin
-        n, dim = x.shape
+        # each coupling's rows in the fewest equal, contiguous row blocks of
+        # at most `rows` rows, as (x, scaled J, coupling) views; one block a
+        # coupling when blocks would be too thin
+        n_couplings, (n, dim) = len(self.jm), x.shape
+        if n % n_couplings:
+            raise ValueError(f"{n} rows do not split evenly over {n_couplings} couplings")
+        per = n // n_couplings
         rows = _SMALL_GEMM_MNK // max(dim * dim, 1)
-        n_blocks = -(-n // rows) if rows >= _MIN_BLOCK_ROWS else 1
-        edges = [n * i // n_blocks for i in range(n_blocks + 1)]
-        self.blocks = [(x[a:b], self.coupling[a:b]) for a, b in zip(edges, edges[1:])]
+        n_blocks = -(-per // rows) if rows >= _MIN_BLOCK_ROWS else 1
+        edges = [per * i // n_blocks for i in range(n_blocks + 1)]
+        self.blocks = [(x[c * per + a:c * per + b], self.j_scaled[c],
+                        self.coupling[c * per + a:c * per + b])
+                       for c in range(n_couplings) for a, b in zip(edges, edges[1:])]
 
     def advance(self, k0: int, k1: int) -> None:
         """Run steps ``k0 + 1 … k1``; step ``k`` starts from model time ``(k - 1) * dt``."""
@@ -252,8 +292,8 @@ class _EulerStep:
             # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim
             # for scaling the matmul's output
             multiply(jm, dt_gamma * ((k - 1) * dt), j_scaled)
-            for x_block, coupling_block in blocks:
-                matmul(x_block, j_scaled, coupling_block)
+            for x_block, j_block, coupling_block in blocks:
+                matmul(x_block, j_block, coupling_block)
             multiply(coupling, e, coupling)
             # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
             if shared_rate:
@@ -415,7 +455,11 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     Anneal ``k`` draws its initialisation from the stream
     ``(master_seed, k)``, so record ``k`` is anneal ``k`` and the result is
     a pure function of ``(j, params, master_seed)``.  The batch is
-    integrated as one vectorised system.  Each record holds the final
+    integrated as one vectorised system.  For a stack of ``n`` couplings
+    (an ``IsingBatch`` or a ``(n, dim, dim)`` array) each runs those
+    anneals, and records ``c * n_anneals … (c + 1) * n_anneals - 1`` of the
+    ``n * n_anneals`` are coupling ``c``'s, bit for bit its own solve's;
+    the observer sees the rows of all of them.  Each record holds the final
     readout ``spins`` (``dim`` int8 signs) and ``aborted``, set where the
     anneal diverged instead of dropping it.  Columns such as
     ``solve(...).spins`` are whole-batch arrays.
@@ -435,14 +479,16 @@ def solve(j, params: CimParams, master_seed: int, record_every: int = 0,
     if record_every and observer is None:
         raise ValueError("record_every > 0 needs an observer to take its readouts")
     jm = _coupling_matrix(j)
-    dim = jm.shape[0]
-    anneals = np.recarray(params.n_anneals, dtype=[("spins", np.int8, (dim,)), ("aborted", np.bool_)])
-    # the fresh start table becomes the integrator's x
-    x, anneals.aborted = _integrate(
-        jm, uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim),
-        params, record_every, observer,
-    )
-    anneals.spins = readout(x)
+    n_couplings, dim = (len(jm) if jm.ndim == 3 else 1), jm.shape[-1]
+    # the fresh start table becomes the integrator's x; a batch stacks one
+    # copy of it per coupling
+    x = uniform_table(master_seed, params.n_anneals, -params.init_scale, params.init_scale, dim)
+    if n_couplings > 1:
+        x = np.tile(x, (n_couplings, 1))
+    x, aborted = _integrate(jm, x, params, record_every, observer)
+    # allocated once the kernel has dropped its work buffers
+    anneals = np.recarray(len(x), dtype=[("spins", np.int8, (dim,)), ("aborted", np.bool_)])
+    anneals.aborted, anneals.spins = aborted, readout(x)
     return anneals
 
 

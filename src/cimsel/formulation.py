@@ -15,6 +15,7 @@ The pipeline, in order:
    giving a purely quadratic form over ``d + 1`` spins.
 5. ``normalize_couplings`` zeroes the diagonal and rescales to max-norm 1.
 6. ``compile_instance`` blends the normalized objective and penalty matrices
+   (``coupling_parts``, which a caller compiling several weights builds once)
    with a weight ``lam`` in [0, 1]; the solver then maximises
    ``s0^T J s0``.  ``decode_states`` maps spin vectors back to
    configuration assignments and flags the infeasible ones.
@@ -37,6 +38,7 @@ from .channel import ChannelMatrix, MimoConfig
 
 __all__ = [
     "IsingInstance",
+    "IsingBatch",
     "squared_gains",
     "qubo_matrix",
     "constraint_matrix",
@@ -45,6 +47,7 @@ __all__ = [
     "normalize_couplings",
     "objective_coupling",
     "constraint_coupling",
+    "coupling_parts",
     "compile_instance",
     "decode_states",
     "instance_to_json",
@@ -170,6 +173,21 @@ class IsingInstance:
         return self.config.d + 1
 
 
+@dataclass(frozen=True, eq=False)
+class IsingBatch:
+    """Compiled instances of one configuration that one solve runs as one
+    batch of anneals: ``j`` stacks their coupling matrices,
+    ``(n_instances, dim, dim)``, and each takes its own consecutive rows of
+    the batch, in order."""
+
+    j: np.ndarray
+    config: MimoConfig
+
+    @property
+    def dim(self) -> int:
+        return self.config.d + 1
+
+
 def objective_coupling(q: np.ndarray) -> np.ndarray:
     """Normalized aux-augmented spin form of the objective ``b^T q b``."""
     s_mat, s_lin, _ = qubo_to_spin(q, np.zeros(len(q)))
@@ -188,20 +206,29 @@ def constraint_coupling(r: np.ndarray) -> np.ndarray:
     return normalize_couplings(augment_aux(s_mat, s_lin))
 
 
-def compile_instance(g: ChannelMatrix, lam: float) -> IsingInstance:
+def coupling_parts(g: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized objective and penalty couplings ``(J_objective,
+    J_penalty)`` of a channel, which every penalty weight only blends."""
+    return (objective_coupling(qubo_matrix(squared_gains(g))),
+            constraint_coupling(constraint_matrix(g.config)))
+
+
+def compile_instance(g: ChannelMatrix, lam: float,
+                     parts: tuple[np.ndarray, np.ndarray] | None = None) -> IsingInstance:
     """Compile a channel into the blended Ising instance.
 
     ``lam`` in [0, 1] weights constraint satisfaction against objective
     resolution: the result is ``(1 - lam) * J_objective - lam * J_penalty``
     with both parts normalized, so maximising ``s0^T j s0`` trades received
     power against one-hot feasibility.  At ``lam = 0`` the instance is the
-    pure objective; at ``lam = 1`` it is the pure (negated) penalty.
+    pure objective; at ``lam = 1`` it is the pure (negated) penalty.  A
+    caller compiling several weights passes ``coupling_parts(g)`` as
+    ``parts`` and builds them once.
     """
     lam = real("lam", lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"penalty weight must lie in [0, 1], got {lam}")
-    j_obj = objective_coupling(qubo_matrix(squared_gains(g)))
-    j_con = constraint_coupling(constraint_matrix(g.config))
+    j_obj, j_con = coupling_parts(g) if parts is None else parts
     j = (1.0 - lam) * j_obj - lam * j_con
     # the diagonal is zero by construction; IsingInstance rejects a non-zero
     # one with a ValueError, which unlike an assert survives python -O

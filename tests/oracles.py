@@ -174,10 +174,10 @@ class EveryPassStep(_EulerStep):
         # (dt * eps * J) costs dim^2 multiplies against n_anneals * dim for
         # scaling the matmul's output
         np.multiply(self.jm, self.dt_gamma * t, out=self.j_scaled)
-        # the kernel's row blocks: this oracle checks the skipped passes,
-        # not the BLAS's summation order
-        for x_block, coupling_block in self.blocks:
-            np.matmul(x_block, self.j_scaled, out=coupling_block)
+        # the kernel's row blocks, each with its coupling's scaled J: this
+        # oracle checks the skipped passes, not the BLAS's summation order
+        for x_block, j_block, coupling_block in self.blocks:
+            np.matmul(x_block, j_block, out=coupling_block)
         coupling *= e
         # e <- max(e * (c_e - dt*beta*x^2), E_FLOOR)
         np.multiply(x_sq, self.e_rate, out=factor)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from cimsel import bench
+from cimsel import bench, cim
 from cimsel.bench import (
     _ReadoutScorer,
     CSV_COLUMNS,
@@ -273,8 +273,8 @@ class TestRunInstance:
             return readout(x)
 
         class RecordingScorer(bench._ReadoutScorer):
-            def __init__(self, g):
-                super().__init__(g)
+            def __init__(self, *args):
+                super().__init__(*args)
                 scorers.append(self)
 
         monkeypatch.setattr(bench, "readout", counting_readout)
@@ -394,6 +394,76 @@ class TestSweepLambda:
             assert asked == want
             write_metric_rows(sweep_lambda(plan, workers=1).rows(), tmp_path / "serial.csv")
             assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_files_identical_across_batch_budgets(self, monkeypatch, tmp_path):
+        # one weight a solve, two (in solves of 2, 2 and 1) and the default
+        # budget, which puts all five in one solve, write the same files at
+        # one and two workers
+        plan = small_plan(lambdas=(0.1, 0.3, 0.5, 0.7, 0.9), n_instances=3)
+        sizes = []
+
+        def counting_solve(j, *args, **kwargs):
+            sizes.append(len(j.j))
+            return solve(j, *args, **kwargs)
+
+        solve = bench.solve
+        monkeypatch.setattr(bench, "solve", counting_solve)
+        files = set()
+        for budget, per_instance in ((0, [1] * 5), (2 * 40 * 9, [2, 2, 1]),
+                                     (cim._BATCH_CELLS, [5])):
+            monkeypatch.setattr(cim, "_BATCH_CELLS", budget)
+            for workers in (1, 2):
+                sizes.clear()
+                result = sweep_lambda(plan, workers=workers)
+                if workers == 1:
+                    assert sizes == per_instance * plan.n_instances
+                write_metric_rows(result.rows(), tmp_path / "results.csv")
+                write_summary_json(result.summaries, tmp_path / "summary.json")
+                files.add(tuple((tmp_path / name).read_bytes()
+                                for name in ("results.csv", "summary.json")))
+        assert len(files) == 1
+
+    def test_batched_weights_match_their_own_runs(self):
+        # two weights in one solve, where 34 and 11 of 40 anneals abort,
+        # give the results each weight's own run_instance gives, bit for bit
+        g = generate_channel(CFG222, seed=5)
+        params = TestRunInstance.ABORTING
+        context = bench._InstanceContext.build(g, 7)
+        assert cim.couplings_per_solve(params.n_anneals, 9) >= 2
+        for record_every in (0, 7):
+            batched = context.results((0.5, 0.7), params, record_every)
+            for lam, got in zip((0.5, 0.7), batched):
+                want = run_instance(g, lam, params, seed=7, record_every=record_every)
+                assert got.n_aborted == want.n_aborted > 0
+                for name, a in vars(got).items():
+                    b = getattr(want, name)
+                    if isinstance(a, np.ndarray):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                    elif isinstance(a, float):
+                        assert np.float64(a).tobytes() == np.float64(b).tobytes(), name
+                    else:
+                        assert a == b, name
+
+    @pytest.mark.parametrize("dims,lambdas,bound", [
+        # three of the five weights share a solve: the peak is its kernel's
+        # five (3000, 9) float arrays and a fixed slack, so no weight keeps a
+        # start table of its own
+        ((2, 2, 2), (0.1, 0.3, 0.5, 0.7, 0.9), 5 * 3000 * 9 * 8 + 64 * 1024),
+        # one weight a solve: no higher than one weight's instance peaked
+        # before weights shared a solve (5.24 of its (1000, 33) float arrays)
+        ((4, 4, 4), (0.3, 0.7), 5.25 * 1000 * 33 * 8),
+    ], ids=["dim9", "dim33"])
+    def test_instance_peak_holds_one_batch(self, dims, lambdas, bound):
+        plan = ExperimentPlan(MimoConfig(*dims), lambdas=lambdas, n_instances=1, master_seed=1,
+                              es_budget=0)
+        tracemalloc.start()
+        try:
+            record = bench._instance_record(plan, 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(record.cim) == len(lambdas)
+        assert peak < bound, (dims, peak, bound)
 
     def test_feasibility_rises_with_weight(self):
         plan = small_plan(lambdas=(0.0, 0.5, 1.0), n_instances=15)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -679,6 +680,11 @@ def _check_schedule_cases():
         big = compile_instance(generate_channel(MimoConfig(*dims), seed=3), 0.8)
         x0_big = substream(9).uniform(-0.01, 0.01, (n_anneals, big.dim))
         yield f"dim{big.dim}-n{n_anneals}", big.j, x0_big, CimParams()
+    # two couplings in one batch, each from the same start rows: the floor
+    # and the clamp bind on the first one's rows alone, and the batch takes
+    # their decisions for both
+    yield "two-couplings", np.stack([inst.j, np.zeros_like(inst.j)]), np.tile(x0, (2, 1)), \
+        CimParams(beta=5.0, gamma=1000.0)
 
 
 CHECK_CASES = {name: case for name, *case in _check_schedule_cases()}
@@ -756,6 +762,22 @@ class TestCheckSchedule:
         assert max(internals["clamp"]) > 100
         every_step_integrate(*CHECK_CASES["defaults"], internals=internals)
         assert not internals["floor"] and max(internals["clamp"], default=0) < 100
+
+    def test_two_couplings_bind_apart(self):
+        # on its own, the first coupling meets the floor and the clamp and
+        # the second meets neither; together, every step that binds for the
+        # first binds for the batch
+        jm, x0, params = CHECK_CASES["two-couplings"]
+        alone = []
+        for c in range(2):
+            internals = {}
+            every_step_integrate(jm[c], x0[c * 100:(c + 1) * 100], params, internals=internals)
+            alone.append(internals)
+        both = {}
+        every_step_integrate(jm, x0, params, internals=both)
+        assert alone[0]["floor"] and alone[0]["clamp"]
+        assert not alone[1]["floor"] and not alone[1]["clamp"]
+        assert (both["floor"], both["clamp"]) == (alone[0]["floor"], alone[0]["clamp"])
 
     def test_abort_while_the_floor_is_skipped(self, monkeypatch):
         resets, kernels = [], []
@@ -845,7 +867,29 @@ class OneBlockStep(_EulerStep):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.blocks = [(self.x, self.coupling)]
+        self.blocks = [(self.x, self.j_scaled[0], self.coupling)]
+
+
+def _check_block_tiling(run, n_couplings, per, n_blocks):
+    """Each coupling's ``per`` rows of ``run`` tile, in order, into
+    ``n_blocks`` near-equal ``(x, scaled J, coupling)`` views, the J view
+    that coupling's own."""
+    dim = run.x.shape[1]
+    assert len(run.blocks) == n_couplings * n_blocks
+    rows = [len(x_block) for x_block, _, _ in run.blocks]
+    assert n_blocks == 1 or max(rows) <= 10**6 // dim**2
+    assert max(rows) - min(rows) <= 1
+    start = 0
+    for i, ((x_block, j_block, coupling_block), n) in enumerate(zip(run.blocks, rows)):
+        for block, whole in ((x_block, run.x), (coupling_block, run.coupling)):
+            assert block.base is whole and block.shape == (n, dim)
+            assert block.ctypes.data == whole[start:].ctypes.data
+        c = i // n_blocks
+        assert j_block.base is run.j_scaled and j_block.shape == (dim, dim)
+        assert j_block.ctypes.data == run.j_scaled[c].ctypes.data
+        assert start // per == c
+        start += n
+    assert start == n_couplings * per
 
 
 class TestRowBlocks:
@@ -855,17 +899,18 @@ class TestRowBlocks:
     def test_blocks_tile_the_batch_in_order(self, dim, n_blocks):
         # dim 161 allows 38-row blocks, too thin to pay: one product
         run = _EulerStep(np.zeros((dim, dim)), np.zeros((1000, dim)), CimParams())
-        assert len(run.blocks) == n_blocks
-        rows = [len(x_block) for x_block, _ in run.blocks]
-        assert n_blocks == 1 or max(rows) <= 10**6 // dim**2
-        assert max(rows) - min(rows) <= 1
-        start = 0
-        for (x_block, coupling_block), n in zip(run.blocks, rows):
-            for block, whole in ((x_block, run.x), (coupling_block, run.coupling)):
-                assert block.base is whole and block.shape == (n, dim)
-                assert block.ctypes.data == whole[start:].ctypes.data
-            start += n
-        assert start == 1000
+        _check_block_tiling(run, 1, 1000, n_blocks)
+
+    @pytest.mark.parametrize("dim,n_blocks", [(9, 1), (33, 2), (65, 5), (161, 1)])
+    def test_each_coupling_blocks_its_own_rows(self, dim, n_blocks):
+        # a stack of three couplings: each one's 1000 rows take the blocks
+        # one coupling's 1000 rows take alone, and multiply its own J
+        run = _EulerStep(np.zeros((3, dim, dim)), np.zeros((3000, dim)), CimParams())
+        _check_block_tiling(run, 3, 1000, n_blocks)
+
+    def test_rows_must_split_evenly(self):
+        with pytest.raises(ValueError, match="7 rows do not split evenly over 2 couplings"):
+            _EulerStep(np.zeros((2, 3, 3)), np.zeros((7, 3)), CimParams())
 
     def test_paper_scale_readouts_match_one_product(self, monkeypatch):
         # amplitudes may move in their last bits (at most 6.9e-12 on this
@@ -881,6 +926,86 @@ class TestRowBlocks:
         assert blocked_table.tobytes() == one_table.tobytes()
         assert blocked.spins.tobytes() == one.spins.tobytes()
         assert not blocked.aborted.any() and not one.aborted.any()
+
+
+def _batch_cases():
+    """``(couplings, params, aborting)`` per case: a stack of couplings of
+    one size that one solve runs as a batch, and which of them abort
+    anneals."""
+    def stack(dims, lams):
+        g = generate_channel(MimoConfig(*dims), seed=3)
+        return np.stack([compile_instance(g, lam).j for lam in lams])
+
+    # one, two and five row blocks a coupling at 1000 anneals
+    for dims, lams in (((2, 2, 2), (0.2, 0.5, 0.8)), ((4, 4, 4), (0.3, 0.7)),
+                       ((8, 8, 4), (0.3, 0.7))):
+        for n_anneals in (1, 7, 1000):
+            couplings = stack(dims, lams)
+            yield (f"dim{couplings.shape[-1]}-n{n_anneals}", couplings,
+                   CimParams(n_anneals=n_anneals), ())
+    # the floor and the clamp bind on the first coupling's rows alone
+    jm, _, params = CHECK_CASES["two-couplings"]
+    yield "floor-clamp-first", jm, replace(params, n_anneals=100), ()
+    # sticky: 24 of the first coupling's 40 anneals abort near step 835 and
+    # none of the uncoupled second's
+    inst = compile_instance(generate_channel(MimoConfig(2, 2, 2), seed=5), 0.7)
+    yield "abort-first-sticky", np.stack([inst.j, np.zeros_like(inst.j)]), CimParams(
+        beta=-1.0, dt=0.015, steps=835, n_anneals=40), (0,)
+    # not sticky, checked after every step: every anneal of the uncoupled
+    # second aborts and none of the first's
+    yield "abort-second-dt50", np.stack([FERRO2, np.zeros((2, 2))]), CimParams(
+        dt=50.0, steps=300, n_anneals=4), (1,)
+
+
+BATCH_CASES = {name: case for name, *case in _batch_cases()}
+
+
+def _observed_rows(j, params, record_every):
+    """``solve`` at seed 5, with each observer call's step and, for every
+    coupling's rows, digests of ``x``, ``e`` and the abort flags."""
+    n = params.n_anneals
+    calls = []
+
+    def observer(k, run):
+        calls.append((k, [[hashlib.sha256(a[c:c + n].tobytes()).hexdigest()
+                           for a in (run.x, run.e, run.aborted)]
+                          for c in range(0, len(run.x), n)]))
+
+    return solve(j, params, 5, record_every, observer=observer), calls
+
+
+class TestCouplingBatch:
+    """A stack of couplings solved as one batch against each solved alone."""
+
+    @pytest.mark.parametrize("record_every", [0, 7])
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_each_coupling_gets_its_own_solve(self, name, record_every):
+        couplings, params, aborting = BATCH_CASES[name]
+        n = params.n_anneals
+        batch, batch_calls = _observed_rows(couplings, params, record_every)
+        assert len(batch) == len(couplings) * n
+        for c, jm in enumerate(couplings):
+            own, own_calls = _observed_rows(jm, params, record_every)
+            rows = batch[c * n:(c + 1) * n]
+            assert rows.tobytes() == own.tobytes()
+            assert own.aborted.any() == (c in aborting)
+            assert [(k, digests[c]) for k, digests in batch_calls] == [
+                (k, digests) for k, (digests,) in own_calls]
+
+    def test_every_coupling_starts_from_the_table(self, first_step_state):
+        couplings, params, _ = BATCH_CASES["dim9-n7"]
+        solve(couplings, params, master_seed=5)
+        ((x, e, _),) = first_step_state
+        table = uniform_table(5, 7, -params.init_scale, params.init_scale, 9)
+        assert x.tobytes() == np.tile(table, (3, 1)).tobytes() and (e == 1.0).all()
+
+    def test_weights_per_solve(self, monkeypatch):
+        # three dim-9 couplings of 1000 anneals fit the budget, two of
+        # dim 13, one of dim 17 and up, and always at least one
+        assert [cim.couplings_per_solve(1000, dim) for dim in (9, 13, 17, 33)] == [3, 2, 1, 1]
+        assert cim.couplings_per_solve(10**6, 9) == 1
+        monkeypatch.setattr(cim, "_BATCH_CELLS", 0)
+        assert cim.couplings_per_solve(1, 2) == 1
 
 
 class TestTrajectoryDump:
