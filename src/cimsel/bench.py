@@ -277,20 +277,19 @@ class _ReadoutScorer:
 
 @dataclass(frozen=True)
 class _InstanceContext:
-    """What every penalty weight of one channel instance shares: the
-    channel, the per-instance control seed, the objective and penalty
-    couplings (each weight only blends them), the solver's stream root, and
-    the fallback draw, which the random baseline scores too."""
+    """What every penalty weight of one channel instance shares, built from
+    the channel and its per-instance control seed: the objective and
+    penalty couplings (each weight only blends them), the solver's stream
+    root, and the fallback draw, which the random baseline scores too."""
 
     g: ChannelMatrix
-    seed: int
     parts: tuple[np.ndarray, np.ndarray]
     master_seed: int
     fallback: BaselineResult
 
     @classmethod
     def build(cls, g: ChannelMatrix, seed: int) -> _InstanceContext:
-        return cls(g, seed, coupling_parts(g), cim_master_seed(seed),
+        return cls(g, coupling_parts(g), cim_master_seed(seed),
                    random_selection(g, substream(seed, _D_FALLBACK)))
 
     def results(self, lams: Sequence[float], cim_params: CimParams,
@@ -299,19 +298,12 @@ class _InstanceContext:
 
         Consecutive weights share one solve, ``couplings_per_solve`` at a
         time, each in its own rows and scored by its own
-        :class:`_ReadoutScorer`, and each gets the bits of its own solve.  A
-        weight alone in its solve goes through :func:`run_instance`, so the
-        benchmark's span on it still times a trace's or a compare's solves.
+        :class:`_ReadoutScorer`, and each gets the bits of its own solve.
         """
         size = couplings_per_solve(cim_params.n_anneals, self.g.config.d + 1)
         results = []
         for i in range(0, len(lams), size):
-            group = lams[i:i + size]
-            if len(group) > 1:
-                results += self.solve_batch(group, cim_params, record_every)
-            else:
-                results.append(run_instance(self.g, group[0], cim_params, self.seed,
-                                            record_every, _context=self))
+            results += self.solve_batch(lams[i:i + size], cim_params, record_every)
         return results
 
     def solve_batch(self, lams: Sequence[float], cim_params: CimParams,
@@ -361,23 +353,15 @@ class _InstanceContext:
         return result
 
 
-def run_instance(
-    g: ChannelMatrix,
-    lam: float,
-    cim_params: CimParams,
-    seed: int,
-    record_every: int = 0,
-    *,
-    _context: Optional[_InstanceContext] = None,
-) -> CimInstanceResult:
+def run_instance(g: ChannelMatrix, lam: float, cim_params: CimParams, seed: int,
+                 record_every: int = 0) -> CimInstanceResult:
     """Compile, solve and score one channel instance at one penalty weight.
 
     ``seed`` is the per-instance control seed: the solver's anneal streams
     and the fallback draw are derived from it, so results are independent
-    of scheduling and of the other penalty weights being swept.  This is
-    the harness's path with one weight to a solve; a sweep batches several
-    and gets these bits at each.  ``_context`` is the harness's context of
-    ``(g, seed)``, built once per instance.
+    of scheduling and of the other penalty weights being swept.  It runs
+    the harness's one solve path on a group of one weight; a sweep groups
+    several and gets these bits at each.
 
     :class:`_ReadoutScorer`, the solve's observer, scores each readout as it
     is taken, at the step the solver hands it: the final readout alone, or
@@ -391,8 +375,7 @@ def run_instance(
     readout in ``solve``'s ``spins``, the signs the scorer last decoded.
     """
     record_every = integer("record_every", record_every, 0)
-    context = _InstanceContext.build(g, seed) if _context is None else _context
-    (result,) = context.solve_batch((lam,), cim_params, record_every)
+    (result,) = _InstanceContext.build(g, seed).solve_batch((lam,), cim_params, record_every)
     return result
 
 

@@ -181,6 +181,9 @@ class CimParams:
         for name in ("a", "dt", "init_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(2 * self.init_scale):
+            raise ValueError(f"init_scale must keep its draw range 2*init_scale finite, "
+                             f"got {self.init_scale}")
         if self.x_clip <= np.sqrt(self.a):
             raise ValueError(
                 f"x_clip must exceed sqrt(a) = {np.sqrt(self.a):.4g}, got {self.x_clip}"
@@ -425,14 +428,14 @@ def _integrate(jm, x0, params, record_every=0, observer=None):
     readout either way.
     """
     observe = observer if observer is not None else lambda k, run: None
-    run = _EulerStep(jm, x0, params)
-    check_every = (record_every or params.steps) if run.divergence_sticks else 1
     observe_every = record_every or params.steps
-    if record_every:
-        observe(0, run)
     # overflow is the divergence signal, caught by abort_nonfinite; the
-    # numpy warnings would only repeat it
+    # numpy warnings would only repeat it, from the start table's x^2 on
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        run = _EulerStep(jm, x0, params)
+        check_every = (record_every or params.steps) if run.divergence_sticks else 1
+        if record_every:
+            observe(0, run)
         k0 = 0
         for k in (*range(check_every, params.steps, check_every), params.steps):
             run.advance(k0, k)

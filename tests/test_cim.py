@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestCimParams:
          dict(x_clip=float("inf")), dict(p=float("-inf")),
          dict(n_anneals=2.5), dict(steps=True), dict(a=-1.0), dict(a=0.0),
          dict(n_anneals=False), dict(steps=np.float64(100.0)), dict(steps="100"),
-         dict(p="0.9"), dict(dt=True), dict(x_clip=None)],
+         dict(p="0.9"), dict(dt=True), dict(x_clip=None), dict(init_scale=1e308)],
     )
     def test_validation(self, bad):
         (name,) = bad
@@ -317,6 +318,18 @@ class TestSaturationAndGauge:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("init_scale,record_every", [(1e200, 0), (8.9e307, 2)])
+    def test_overflowing_start_raises_no_warning(self, init_scale, record_every):
+        # the kernel squares the start table as it is built; that overflow
+        # is the divergence signal, inside the error-state guard like every
+        # later one, at step 0's observer call too
+        j = compile_instance(generate_channel(MimoConfig(2, 2, 2), seed=1), 0.5)
+        params = CimParams(init_scale=init_scale, n_anneals=4, steps=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            anneals = solve(j, params, 1, record_every, observer=ReadoutLog())
+        assert len(anneals) == 4
+
     def test_single_anneal_matches_batch_anneal_0(self):
         # the contract behind cimsel solve --dump-trajectory
         params = CimParams(steps=300, n_anneals=6)

@@ -433,6 +433,12 @@ class TestBadInput:
                      "cannot write", id="export-missing-directory"),
         pytest.param(lambda tmp: ["export-ising", _channel_file(tmp), str(tmp)], {},
                      "cannot write", id="export-is-a-directory"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp), "--config", _config_file(
+                         tmp, {"cim": {"init_scale": 1e308}})], {},
+                     "init_scale", id="config-init-scale-overflow-solve"),
+        pytest.param(lambda tmp: ["sweep", *SMALL, "--config", _config_file(
+                         tmp, {"cim": {"init_scale": 1e308}})], {},
+                     "init_scale", id="config-init-scale-overflow-sweep"),
     ])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, argv, env, message):
         for name, value in env.items():

@@ -97,7 +97,9 @@ def test_benchmark_layers_resolve():
 
 def test_benchmark_hooks_are_called(monkeypatch, tmp_path):
     # every harness function the tracer wraps, and the two entry points the
-    # benchmark captures results through, are looked up at call time
+    # benchmark captures results through, are looked up at call time.  The
+    # harness solves every group of weights through one path, which does
+    # not pass through run_instance; cimsel solve is its one caller
     results = defaultdict(list)
 
     def recording(attr, fn):
@@ -108,7 +110,7 @@ def test_benchmark_hooks_are_called(monkeypatch, tmp_path):
         return wrapper
 
     attrs = {attr for _, module, attr in _layers() if module == "bench"}
-    attrs |= {"sweep_lambda", "time_trace"}
+    attrs |= {"sweep_lambda", "time_trace", "run_instance"}
     for attr in attrs:
         monkeypatch.setattr(bench, attr, recording(attr, getattr(bench, attr)))
 
@@ -136,4 +138,13 @@ def test_benchmark_hooks_are_called(monkeypatch, tmp_path):
                 assert res.n_anneals == 4
                 assert (res.trace_steps is None) == (command != "trace")
 
-    assert sorted(attr for attr in attrs if not results[attr]) == []
+    assert results["run_instance"] == []
+    assert sorted(attr for attr in attrs - {"run_instance"} if not results[attr]) == []
+
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--n-t", "2", "--n-r", "2", "--n-states", "2", "--seed", "1",
+                     "--out", str(gen)]) == 0
+    assert cli.main(["solve", str(gen / "channel_00000.json"), "--lam", "0.7",
+                     "--anneals", "4", "--steps", "20", "--seed", "1"]) == 0
+    (solved,) = results["run_instance"]
+    assert solved.n_anneals == 4 and solved.trace_steps is None
