@@ -16,9 +16,10 @@ Each readout is decoded and scored as the solver takes it, in every row
 at the first readout and after it only in the rows whose signs flipped.
 A trace keeps a log of those rows' scores and feasibility bits, keyed by
 step, not the readouts.  Once the solve has ended, one walk over the
-steps applies that log to one score vector in place and reduces the
-vector at each step that changed.  Metric rows are built from the
-per-instance records as they are written.
+steps applies that log to one score vector in place, reduces the
+vector at each step that changed, and builds the weight's result from
+it.  Metric rows are built from the per-instance records as they are
+written.
 
 Scoring rules
 -------------
@@ -122,9 +123,9 @@ class ExperimentPlan:
         if not self.lambdas:
             raise ValueError("lambdas must be non-empty")
         if any(not 0.0 <= v <= 1.0 for v in self.lambdas):
-            raise ValueError(f"penalty weights must lie in [0, 1], got {self.lambdas}")
+            raise ValueError(f"penalty weights must lie in [0, 1], got lambdas {self.lambdas}")
         if len(set(self.lambdas)) < len(self.lambdas):
-            raise ValueError(f"penalty weights must be distinct, got {self.lambdas}")
+            raise ValueError(f"penalty weights must be distinct, got lambdas {self.lambdas}")
 
 
 @dataclass
@@ -215,7 +216,8 @@ class _ReadoutScorer:
     comparison.  Every row of the first readout (``rows`` is a slice) and
     the flipped rows of each later one are read out, decoded and scored, and
     ``changes`` logs them as ``(k, rows, scores, ok)``; the decoded states
-    are dropped.  Nothing per (anneal, sample) is kept.
+    are dropped.  Nothing per (anneal, sample) is kept.  Once the solve has
+    ended, :meth:`result` builds the weight's result from the log.
     """
 
     def __init__(self, g: ChannelMatrix, anneals: slice = slice(None)):
@@ -243,36 +245,61 @@ class _ReadoutScorer:
         ok, states = decode_states(readout(x[rows]), g.config)
         self.changes.append((k, rows, score_states(g, states), ok))
 
-    def trace(self, aborted: np.ndarray,
-              objective: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-step best score, mean score (clamped to the best) and
-        feasible share over anneals, at each recorded step; the last step's
-        vectors are left in ``raw`` and ``ok``.
+    def result(self, anneals: np.recarray, fallback: BaselineResult) -> CimInstanceResult:
+        """The weight's result from its records ``anneals`` of the solve,
+        with per-step trace arrays when more than the final readout was
+        handed to the scorer.
 
-        ``raw`` and ``ok`` adopt the first entry's vectors, which cover
-        every row, and one walk over the recorded steps writes each entry
-        into them in place, after the fallback: an aborted anneal is
-        infeasible at every step, and an infeasible readout scores
-        ``objective``.  Only the logged steps are reduced; every other step
-        carries the figures of the one before.  The mean adds the anneals
-        in turn, bit for bit as numpy reduces one ``(n_anneals, n_samples)``
-        score matrix over its rows.
+        One walk over the recorded steps writes each log entry, after the
+        fallback, in place into the first entry's vectors, which cover every
+        row: an aborted anneal is infeasible at every step, and an
+        infeasible readout scores ``fallback.objective``.  Only the logged
+        steps are reduced, to the best score, the mean score (clamped to the
+        best) and the feasible share; every other step carries the figures
+        of the one before.  The mean adds the anneals in turn, bit for bit
+        as numpy reduces one ``(n_anneals, n_samples)`` score matrix over
+        its rows.  The final-readout fields come from the vectors the walk
+        ends with, and the best anneal's assignment from its final readout
+        in ``anneals.spins``, the signs last decoded here.
         """
-        n_anneals, live = len(aborted), ~aborted
-        _, _, self.raw, self.ok = self.changes[0]
+        n_anneals, live = len(anneals), ~anneals.aborted
+        _, _, final, feasible = self.changes[0]
         log = {k: change for k, *change in self.changes}
         figures = np.empty((3, len(self.steps)))
         for sample, k in enumerate(self.steps):
             if k in log:
                 rows, raw, ok = log[k]
-                self.ok[rows] = ok & live[rows]
-                self.raw[rows] = np.where(self.ok[rows], raw, objective)
-                figures[:, sample] = (self.raw.max(), np.add.accumulate(self.raw)[-1] / n_anneals,
-                                      np.count_nonzero(self.ok) / n_anneals)
+                feasible[rows] = ok & live[rows]
+                final[rows] = np.where(feasible[rows], raw, fallback.objective)
+                figures[:, sample] = (final.max(), np.add.accumulate(final)[-1] / n_anneals,
+                                      np.count_nonzero(feasible) / n_anneals)
             else:
                 figures[:, sample] = figures[:, sample - 1]
-        best, avg, pc = figures
-        return best, np.minimum(avg, best), pc
+        config, k_best = self.g.config, int(np.argmax(final))
+        best_assignment = fallback.assignment
+        if feasible[k_best]:
+            _, (states,) = decode_states(anneals.spins[k_best:k_best + 1], config)
+            best_assignment = ConfigAssignment(tx=tuple(states[:config.n_t]),
+                                               rx=tuple(states[config.n_t:]))
+        n_feasible = int(feasible.sum())
+        # mean <= max is a mathematical identity of the per-anneal scores, but
+        # summation rounding can land the mean one ulp above it; clamp it back
+        result = CimInstanceResult(
+            best=float(final[k_best]),
+            best_assignment=best_assignment,
+            avg=min(float(final.mean()), float(final[k_best])),
+            avg_raw=float(final[feasible].mean()) if n_feasible else float("nan"),
+            p_c=float(feasible.mean()),
+            n_feasible=n_feasible,
+            n_anneals=n_anneals,
+            n_aborted=int(anneals.aborted.sum()),
+        )
+        # a trace hands step 0 and the last step, a sweep the last step only
+        if len(self.steps) > 1:
+            best, avg, pc = figures
+            result.trace_steps = np.array(self.steps, dtype=np.int64)
+            result.trace_best, result.trace_avg, result.trace_pc = best, np.minimum(avg, best), pc
+        return result
 
 
 @dataclass(frozen=True)
@@ -319,38 +346,7 @@ class _InstanceContext:
                 scorer(k, run)
 
         anneals = solve(batch, cim_params, self.master_seed, record_every, observer=observer)
-        return [self._result(scorer, anneals[scorer.anneals], record_every) for scorer in scorers]
-
-    def _result(self, scorer, anneals, record_every) -> CimInstanceResult:
-        config, fallback = self.g.config, self.fallback
-        trace = scorer.trace(anneals.aborted, fallback.objective)
-        final, final_feasible = scorer.raw, scorer.ok
-        k_best = int(np.argmax(final))
-        if final_feasible[k_best]:
-            _, (best_states,) = decode_states(anneals.spins[k_best:k_best + 1], config)
-            best_assignment = ConfigAssignment(
-                tx=tuple(best_states[: config.n_t]), rx=tuple(best_states[config.n_t :])
-            )
-        else:
-            best_assignment = fallback.assignment
-        n_feasible = int(final_feasible.sum())
-
-        # mean <= max is a mathematical identity of the per-anneal scores, but
-        # summation rounding can land the mean one ulp above it; clamp it back
-        result = CimInstanceResult(
-            best=float(final[k_best]),
-            best_assignment=best_assignment,
-            avg=min(float(final.mean()), float(final[k_best])),
-            avg_raw=float(final[final_feasible].mean()) if n_feasible else float("nan"),
-            p_c=float(final_feasible.mean()),
-            n_feasible=n_feasible,
-            n_anneals=len(anneals),
-            n_aborted=int(anneals.aborted.sum()),
-        )
-        if record_every:
-            result.trace_steps = np.array(scorer.steps, dtype=np.int64)
-            result.trace_best, result.trace_avg, result.trace_pc = trace
-        return result
+        return [scorer.result(anneals[scorer.anneals], self.fallback) for scorer in scorers]
 
 
 def run_instance(g: ChannelMatrix, lam: float, cim_params: CimParams, seed: int,
@@ -367,14 +363,8 @@ def run_instance(g: ChannelMatrix, lam: float, cim_params: CimParams, seed: int,
     is taken, at the step the solver hands it: the final readout alone, or
     every recorded step, whose last is that same readout.  No readout table
     and no ``(n_anneals, n_samples)`` array is kept.  After the solve the
-    scorer walks its steps, applying aborts and the fallback at each, and
-    reduces them into a trace's ``trace_steps`` and per-step arrays, bit for
-    bit as from one score matrix.  The final-readout fields come from the
-    last step's per-anneal vectors, so they do not depend on
-    ``record_every``; the best anneal's assignment is decoded from its final
-    readout in ``solve``'s ``spins``, the signs the scorer last decoded.
+    scorer builds the result, bit for bit as from one score matrix.
     """
-    record_every = integer("record_every", record_every, 0)
     (result,) = _InstanceContext.build(g, seed).solve_batch((lam,), cim_params, record_every)
     return result
 

@@ -158,13 +158,23 @@ def _check_writable(path) -> None:
         _fail(f"cannot write {path}: permission denied")
 
 
-def _out_dir(args, default_name: str) -> Path:
+def _out_dir(args, default_name: str, *names: str) -> Path:
+    """The output directory, made if missing, once the files ``names`` and
+    ``run_config.json``, which the command writes there, pass
+    :func:`_check_writable`."""
     out = Path(args.out) if args.out else Path("runs") / default_name
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail(f"cannot make output directory {out}: {exc}")
+    for name in (*names, "run_config.json"):
+        _check_writable(out / name)
     return out
+
+
+def _plot_files(args, axis: str) -> tuple[str, ...]:
+    """The ``--plot-data`` tables against ``axis``, when asked for."""
+    return (f"plot_{axis}_e.csv", f"plot_{axis}_pc.csv") if args.plot_data else ()
 
 
 def _echo_config(args, cfg: dict, plan: bench.ExperimentPlan, out: Path) -> None:
@@ -206,7 +216,7 @@ def cmd_gen(args) -> int:
     cfg = _resolved_config(args)
     # gen writes one file unless told otherwise
     plan, _ = _plan({"n_instances": 1, **cfg})
-    out = _out_dir(args, "gen")
+    out = _out_dir(args, "gen", "manifest.json")
     seeds, files = [], []
     for k in range(plan.n_instances):
         seed = bench.instance_channel_seed(plan.master_seed, k)
@@ -242,7 +252,7 @@ def cmd_solve(args) -> int:
     if args.dump_trajectory:
         # checked before solving, but not created: exit 3 writes nothing
         _check_writable(args.dump_trajectory)
-    out = _out_dir(args, "solve") if args.out else None
+    out = _out_dir(args, "solve", "solution.json") if args.out else None
     lam, params, seed = plan.lambdas[0], plan.cim, plan.master_seed
     result = bench.run_instance(g, lam, params, seed)
     report = {
@@ -297,7 +307,8 @@ def cmd_sweep(args) -> int:
         _fail(f"config key 'lambda' is not read by {args.command}; "
               "give its weights as 'lambdas'")
     plan, workers = _plan(cfg)
-    out = _out_dir(args, args.command)
+    out = _out_dir(args, args.command, "results.csv", "summary.json", "run.log",
+                   *_plot_files(args, "lambda"))
     result = bench.sweep_lambda(plan, workers=workers)
     summaries = bench.summarize_comparison(result)
     bench.write_metric_rows(result.rows(), out / "results.csv")
@@ -323,7 +334,8 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _resolved_config(args)
     plan, workers = _one_weight_plan(cfg)
-    out = _out_dir(args, "trace")
+    out = _out_dir(args, "trace", "trace.csv", "trace_summary.json", "run.log",
+                   *_plot_files(args, "step"))
     result = bench.time_trace(plan, workers=workers)
     bench.write_metric_rows(result.rows(), out / "trace.csv")
     bench.write_trace_summary_json(result, out / "trace_summary.json")

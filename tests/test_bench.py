@@ -27,7 +27,7 @@ from cimsel.bench import (
     write_summary_json,
     write_trace_summary_json,
 )
-from cimsel.baselines import exhaustive_search
+from cimsel.baselines import BaselineResult, exhaustive_search
 from cimsel.channel import ConfigAssignment, MimoConfig, generate_channel, score_states
 from cimsel.cim import CimParams, readout
 from cimsel.formulation import decode_states
@@ -248,7 +248,11 @@ class TestRunInstance:
         logged = [k for sample, k in enumerate(steps) if sample not in repeats]
         assert [c[0] for c in scorer.changes] == logged
         assert scorer.changes[0][1] == slice(None)
-        best, avg, pc = scorer.trace(aborted, 1.5)
+        # the solve's records: the last readouts and the abort mask
+        records = np.recarray(n_anneals, dtype=[("spins", np.int8, (9,)), ("aborted", np.bool_)])
+        records.spins, records.aborted = readouts[-1], aborted
+        fallback = BaselineResult(next(feasible_assignments(CFG222)), 1.5, 0)
+        res = scorer.result(records, fallback)
 
         table = np.stack(list(readouts), axis=1)
         ok, states = decode_states(table.reshape(-1, 9), CFG222)
@@ -258,10 +262,19 @@ class TestRunInstance:
         assert 0 < feasible.sum() < feasible.size
         want_best = scores.max(axis=0)
         want = (want_best, np.minimum(scores.mean(axis=0), want_best), feasible.mean(axis=0))
-        for a, b in zip((best, avg, pc), want):
+        for a, b in zip((res.trace_best, res.trace_avg, res.trace_pc), want):
             assert a.tobytes() == b.tobytes()
-        assert scorer.raw.tobytes() == scores[:, -1].tobytes()
-        assert scorer.ok.tobytes() == feasible[:, -1].tobytes()
+        assert res.trace_steps.dtype == np.int64 and res.trace_steps.tolist() == steps
+        # the walk leaves the final per-anneal vectors in the first log entry
+        _, _, final, final_ok = scorer.changes[0]
+        assert final.tobytes() == scores[:, -1].tobytes()
+        assert final_ok.tobytes() == feasible[:, -1].tobytes()
+        assert res.best == scores[:, -1].max() == want_best[-1]
+        assert res.p_c == feasible[:, -1].mean() == want[2][-1]
+        assert res.n_feasible == feasible[:, -1].sum()
+        assert res.avg == min(scores[:, -1].mean(), res.best)
+        assert res.avg_raw == scores[feasible[:, -1], -1].mean()
+        assert (res.n_anneals, res.n_aborted) == (n_anneals, aborted.sum())
 
     def test_reads_out_the_first_readout_and_the_flipped_rows(self, monkeypatch):
         # a stride-1 trace reads out every row of its first readout and,

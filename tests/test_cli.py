@@ -455,6 +455,46 @@ class TestBadInput:
         # no output directory is made; a file already at --out stays a file
         assert out.exists() == existed and not out.is_dir()
 
+    @pytest.mark.parametrize("argv,name", [
+        pytest.param(lambda tmp: ["sweep", *SMALL], "results.csv", id="sweep-results"),
+        pytest.param(lambda tmp: ["compare", *SMALL], "summary.json", id="compare-summary"),
+        pytest.param(lambda tmp: ["sweep", *SMALL, "--plot-data"], "plot_lambda_pc.csv",
+                     id="sweep-plot-data"),
+        pytest.param(lambda tmp: ["trace", *SMALL], "trace_summary.json", id="trace-summary"),
+        pytest.param(lambda tmp: ["trace", *SMALL], "run.log", id="trace-run-log"),
+        pytest.param(lambda tmp: ["solve", _channel_file(tmp)], "solution.json",
+                     id="solve-solution"),
+        pytest.param(lambda tmp: gen_args(tmp / "run", n_instances=1), "run_config.json",
+                     id="gen-run-config"),
+        pytest.param(lambda tmp: gen_args(tmp / "run", n_instances=1), "manifest.json",
+                     id="gen-manifest"),
+    ])
+    def test_directory_at_output_file_exits_2(self, tmp_path, capsys, argv, name):
+        # a file the command writes inside --out is checked before any work,
+        # and nothing is written
+        out = tmp_path / "run"
+        argv = argv(tmp_path)
+        (out / name).mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / name}: it is a directory" in err
+        assert "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == [name]
+
+    def test_directory_at_results_fails_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise RuntimeError("sweep_lambda ran before the output files were checked")
+
+        monkeypatch.setattr(cli.bench, "sweep_lambda", no_sweep)
+        target = tmp_path / "run" / "results.csv"
+        target.mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", *SMALL, "--out", str(target.parent))
+        assert exc.value.code == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+
 
 def _failing_instance(monkeypatch, exc):
     """Make instance 0 of every run raise ``exc``; the others run as usual."""

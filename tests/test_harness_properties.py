@@ -15,11 +15,18 @@ sweep of all its weights and a trace of its first weight must
   wherever ``P_c`` is 0.
 
 Every two-worker run of the module maps over one pool of two processes.
+
+A ``sweep`` config file with one key renamed, one key deleted, or one
+value replaced by one the schema rejects must run (exit 0) or exit 2 with
+an ``error:`` line naming the key, never a traceback or exit 4.
 """
 
 import concurrent.futures
 import contextlib
 import dataclasses
+import io
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -27,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cimsel import cim
+from cimsel import cim, cli
 from cimsel.bench import (
     ExperimentPlan,
     summarize_comparison,
@@ -144,3 +151,74 @@ def test_partial_abort_constants_abort_some_rows():
                           n_instances=2, master_seed=1)
     aborted = [record.cim[0.5].n_aborted for record in sweep_lambda(plan).records]
     assert any(0 < n < 40 for n in aborted), aborted
+
+
+def _sweep_config(**top) -> dict:
+    """A valid ``sweep`` config of one instance of 2 anneals of 5 steps,
+    which holds every key the plan and ``CimParams`` read."""
+    return {"n_t": 2, "n_r": 2, "n_states": 2, "n_instances": 1, "lambdas": [0.5],
+            "master_seed": 0, "trace_stride": 10, "es_budget": 100, "workers": 1,
+            "cim": dataclasses.asdict(CimParams(steps=5, n_anneals=2)), **top}
+
+
+# values the schema rejects in place of another; no valid huge size
+REJECTED = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(max_value=0),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer()),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(-2, 2), st.none(), st.booleans(),
+                       st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid sweep config with one key renamed or deleted or one value
+    replaced, and the names the mutation touched."""
+    config = _sweep_config(
+        **{key: draw(st.integers(1, 2)) for key in ("n_t", "n_r", "n_states")},
+        lambdas=draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        trace_stride=draw(st.integers(1, 10)),
+        es_budget=draw(st.integers(0, 100)),
+    )
+    path = draw(st.sampled_from([(key,) for key in config] + [("cim", key) for key in config["cim"]]))
+    *outer, key = path
+    mapping = config[outer[0]] if outer else config
+    change = draw(st.sampled_from(("rename", "delete", "replace")))
+    if change == "rename":
+        name = draw(st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True)
+                    .filter(lambda name: name not in mapping))
+        mapping[name] = mapping.pop(key)
+        return config, (key, name)
+    if change == "delete":
+        del mapping[key]
+    else:
+        mapping[key] = draw(REJECTED)
+    return config, (key,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mutated_configs())
+# out-of-range and repeated weights name lambdas
+@example(case=(_sweep_config(lambdas=[-1]), ("lambdas",)))
+@example(case=(_sweep_config(lambdas=[0.5, 0.5]), ("lambdas",)))
+@example(case=(_sweep_config(cim=None), ("cim",)))
+@example(case=(_sweep_config(cim={"dt": 0.01, "d_t": 0.01}), ("d_t",)))
+def test_mutated_config_runs_or_names_the_key(case):
+    config, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out")])
+            except SystemExit as exc:
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert any(re.search(rf"\b{re.escape(name)}\b", line) for name in names), (names, line)
